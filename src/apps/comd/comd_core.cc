@@ -264,13 +264,13 @@ Problem<Real>::forceDescriptor() const
     pos.workingSetBytesSp = numAtoms * 12;
     const std::vector<u32> *cs = &cellStart;
     const std::vector<u32> *ca = &cellAtoms;
-    const u64 natoms = numAtoms;
     const int cd = cellsPerDim;
     // Trace: replay the candidate scan for consecutive atoms (atom
     // order), probing the positions of every candidate.
-    pos.trace = [cs, ca, natoms, cd](sim::SetAssocCache &cache, Rng &) {
+    pos.trace = [cs, ca, cd](sim::SetAssocCache &cache, Rng &) {
         u64 probes = 0;
         const u64 max_probes = ir::defaultTraceProbes;
+        ir::TraceBatcher batch(cache);
         for (u64 cell = 0; cell < u64(cd) * cd * cd && probes < max_probes;
              ++cell) {
             int ci = static_cast<int>(cell % cd);
@@ -291,14 +291,13 @@ Problem<Real>::forceDescriptor() const
                                 // per coordinate element.
                                 Addr base = u64((*ca)[s]) * 3 *
                                             sizeof(Real);
-                                cache.access(base);
-                                cache.access(base + sizeof(Real));
-                                cache.access(base + 2 * sizeof(Real));
+                                batch.push(base);
+                                batch.push(base + sizeof(Real));
+                                batch.push(base + 2 * sizeof(Real));
                                 probes += 3;
                             }
                         }
             }
-            (void)natoms;
         }
     };
     desc.streams.push_back(std::move(pos));
@@ -314,6 +313,7 @@ Problem<Real>::forceDescriptor() const
     cells.trace = [cs, cd](sim::SetAssocCache &cache, Rng &) {
         u64 probes = 0;
         const u64 max_probes = ir::defaultTraceProbes;
+        ir::TraceBatcher batch(cache);
         for (u64 cell = 0;
              cell < u64(cd) * cd * cd && probes < max_probes; ++cell) {
             int ci = static_cast<int>(cell % cd);
@@ -330,7 +330,7 @@ Problem<Real>::forceDescriptor() const
                             u64 nc = nx + u64(cd) * (ny + u64(cd) * nz);
                             for (u32 s = (*cs)[nc]; s < (*cs)[nc + 1];
                                  ++s, ++probes)
-                                cache.access(u64(s) * 4);
+                                batch.push(u64(s) * 4);
                         }
             }
         }

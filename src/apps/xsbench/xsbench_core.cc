@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace hetsim::apps::xsbench
 {
@@ -53,22 +54,45 @@ Problem<Real>::Problem(int gridpoints, u64 lookups_)
     }
 
     // --- Unionized grid. ---------------------------------------------
-    std::vector<Real> all(nuclideEnergy.begin(), nuclideEnergy.end());
-    std::sort(all.begin(), all.end());
-    unionEnergy.assign(all.begin(), all.end());
+    // K-way merge of the sorted per-nuclide runs.  Equal energies form
+    // one group; after a group every nuclide's cursor is its last
+    // gridpoint g >= 1 with energies[g] <= e (0 if none), ties across
+    // nuclides included, so each row is the previous row with only the
+    // merged nuclides' cursors advanced.
+    struct Head
+    {
+        Real energy;
+        int nuclide;
+        bool operator>(const Head &o) const { return energy > o.energy; }
+    };
+    std::vector<Head> heap; // min-heap of each nuclide's next gridpoint
+    std::vector<u32> next(numNuclides, 0);
+    for (int n = 0; n < numNuclides; ++n)
+        heap.push_back({nuclideEnergy[static_cast<u64>(n) * G], n});
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
 
-    unionIndex.resize(unionSize * numNuclides);
+    unionEnergy.reserve(unionSize);
+    unionIndex.reserve(unionSize * numNuclides);
     std::vector<u32> cursor(numNuclides, 0);
-    for (u64 u = 0; u < unionSize; ++u) {
-        Real e = unionEnergy[u];
-        for (int n = 0; n < numNuclides; ++n) {
-            const Real *energies =
-                &nuclideEnergy[static_cast<u64>(n) * G];
-            u32 c = cursor[n];
-            while (c + 1 < static_cast<u32>(G) && energies[c + 1] <= e)
-                ++c;
-            cursor[n] = c;
-            unionIndex[u * numNuclides + n] = c;
+    while (!heap.empty()) {
+        const Real e = heap.front().energy;
+        u64 group = 0;
+        while (!heap.empty() && heap.front().energy == e) {
+            std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+            const int n = heap.back().nuclide;
+            heap.pop_back();
+            cursor[n] = next[n];
+            if (++next[n] < static_cast<u32>(G)) {
+                heap.push_back(
+                    {nuclideEnergy[static_cast<u64>(n) * G + next[n]], n});
+                std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+            }
+            ++group;
+        }
+        for (u64 k = 0; k < group; ++k) {
+            unionEnergy.push_back(e);
+            unionIndex.insert(unionIndex.end(), cursor.begin(),
+                              cursor.end());
         }
     }
 
@@ -230,12 +254,13 @@ Problem<Real>::descriptor() const
     search.dependentAccessesPerItem = search_steps;
     search.trace = [usize, ue](sim::SetAssocCache &cache, Rng &rng) {
         const u64 samples = ir::defaultTraceProbes / 32;
+        ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             double target = rng.uniform();
             u64 lo = 0, hi = usize - 1;
             while (lo + 1 < hi) {
                 u64 mid = (lo + hi) / 2;
-                cache.access(mid * sizeof(Real));
+                batch.push(mid * sizeof(Real));
                 if (static_cast<double>((*ue)[mid]) <= target)
                     lo = mid;
                 else
@@ -256,11 +281,12 @@ Problem<Real>::descriptor() const
     idx.trace = [usize, row_bytes, nucs](sim::SetAssocCache &cache,
                                          Rng &rng) {
         const u64 samples = ir::defaultTraceProbes / 16;
+        ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             u64 row = rng.below(usize);
             for (int s = 0; s < static_cast<int>(nucs); ++s) {
                 u64 n = rng.below(numNuclides);
-                cache.access(row * row_bytes + n * 4);
+                batch.push(row * row_bytes + n * 4);
             }
         }
     };
@@ -280,13 +306,14 @@ Problem<Real>::descriptor() const
         const u64 samples = ir::defaultTraceProbes /
                             (32 * 2 * (xsChannels + 1));
         const u64 stride = (xsChannels + 1) * sizeof(Real);
+        ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             for (int s = 0; s < static_cast<int>(nucs); ++s) {
                 u64 n = rng.below(numNuclides);
                 u64 g = rng.below(G - 1);
                 Addr base = (n * G + g) * stride;
                 for (u64 e = 0; e < 2 * (xsChannels + 1); ++e)
-                    cache.access(base + e * sizeof(Real));
+                    batch.push(base + e * sizeof(Real));
             }
         }
     };

@@ -29,6 +29,42 @@ constexpr u64 defaultTraceProbes = 1u << 21; // 2M probes
 constexpr u64 traceBatchAddrs = 4096;
 
 /**
+ * The one way a trace generator feeds the cache: push() addresses in
+ * access order; they reach SetAssocCache::accessBatch() in batches of
+ * traceBatchAddrs, and the partial last batch is flushed on
+ * destruction.  accessBatch() collapses same-line runs exactly, so the
+ * cache ends up bit-identical to calling access() once per push().
+ */
+class TraceBatcher
+{
+  public:
+    explicit TraceBatcher(sim::SetAssocCache &cache) : cache(cache) {}
+    ~TraceBatcher() { flush(); }
+    TraceBatcher(const TraceBatcher &) = delete;
+    TraceBatcher &operator=(const TraceBatcher &) = delete;
+
+    void
+    push(Addr addr)
+    {
+        buf[size++] = addr;
+        if (size == traceBatchAddrs)
+            flush();
+    }
+
+  private:
+    void
+    flush()
+    {
+        cache.accessBatch(buf, size);
+        size = 0;
+    }
+
+    sim::SetAssocCache &cache;
+    u64 size = 0;
+    Addr buf[traceBatchAddrs];
+};
+
+/**
  * Unit-stride streaming over @p bytes (element size @p elem_bytes).
  */
 inline TraceFn
@@ -53,14 +89,9 @@ gatherTrace(std::function<u64(u64)> index_of, u64 count, u32 elem_bytes,
     return [index_of = std::move(index_of), count, elem_bytes,
             max_probes](sim::SetAssocCache &cache, Rng &) {
         const u64 probes = std::min(count, max_probes);
-        Addr addrs[traceBatchAddrs];
-        for (u64 k = 0; k < probes;) {
-            const u64 n = std::min(probes - k, traceBatchAddrs);
-            for (u64 j = 0; j < n; ++j)
-                addrs[j] = index_of(k + j) * elem_bytes;
-            cache.accessBatch(addrs, n);
-            k += n;
-        }
+        TraceBatcher batch(cache);
+        for (u64 k = 0; k < probes; ++k)
+            batch.push(index_of(k) * elem_bytes);
     };
 }
 
@@ -74,14 +105,9 @@ randomTrace(u64 region_bytes, u32 elem_bytes,
     return [region_bytes, elem_bytes, max_probes](
                sim::SetAssocCache &cache, Rng &rng) {
         u64 elements = std::max<u64>(region_bytes / elem_bytes, 1);
-        Addr addrs[traceBatchAddrs];
-        for (u64 k = 0; k < max_probes;) {
-            const u64 n = std::min(max_probes - k, traceBatchAddrs);
-            for (u64 j = 0; j < n; ++j)
-                addrs[j] = rng.below(elements) * elem_bytes;
-            cache.accessBatch(addrs, n);
-            k += n;
-        }
+        TraceBatcher batch(cache);
+        for (u64 k = 0; k < max_probes; ++k)
+            batch.push(rng.below(elements) * elem_bytes);
     };
 }
 

@@ -11,8 +11,8 @@ namespace hetsim::sim
 SetAssocCache::SetAssocCache(u64 size_bytes, u32 line_bytes, u32 assoc)
     : lineSize(line_bytes), assoc(assoc)
 {
-    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
-        fatal("cache line size %u is not a power of two", line_bytes);
+    if (line_bytes < 2 || !std::has_single_bit(line_bytes))
+        fatal("cache line size %u is not a power of two >= 2", line_bytes);
     if (assoc == 0)
         fatal("cache associativity must be >= 1");
     if (size_bytes % (u64(line_bytes) * assoc) != 0)
@@ -23,65 +23,34 @@ SetAssocCache::SetAssocCache(u64 size_bytes, u32 line_bytes, u32 assoc)
     numSets = static_cast<u32>(size_bytes / (u64(line_bytes) * assoc));
     if (numSets == 0)
         fatal("cache has zero sets");
-    ways.resize(u64(numSets) * assoc);
+    setsPow2 = std::has_single_bit(numSets);
+    tags.assign(u64(numSets) * assoc, invalidTag);
 }
 
-SetAssocCache::Way *
-SetAssocCache::probeLine(u64 line, bool &hit)
+bool
+SetAssocCache::probeLine(u64 line)
 {
-    u32 set = static_cast<u32>(line % numSets);
-    u64 tag = line / numSets;
-
-    Way *base = &ways[u64(set) * assoc];
-    Way *victim = base;
-    for (u32 w = 0; w < assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = useClock;
-            hit = true;
-            return &way;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
+    const u64 set = setsPow2 ? line & (numSets - 1) : line % numSets;
+    u64 *ways = &tags[set * assoc];
+    u32 w = 0;
+    while (w < assoc && ways[w] != line)
+        ++w;
+    const bool hit = w < assoc;
+    if (!hit) {
+        // Miss: the last way holds the LRU line or is empty.
+        ++numMisses;
+        w = assoc - 1;
     }
-
-    ++numMisses;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock;
-    hit = false;
-    return victim;
-}
-
-void
-SetAssocCache::probeRun(u64 line, u64 run)
-{
-    // One real LRU probe; the run's remaining accesses would all hit
-    // the just-touched MRU line, so only the counters advance and the
-    // line's stamp moves to the run's final clock tick - bit-identical
-    // to the serial access() loop.
-    ++numAccesses;
-    ++useClock;
-    bool hit;
-    Way *way = probeLine(line, hit);
-    if (run > 1) {
-        numAccesses += run - 1;
-        useClock += run - 1;
-        way->lastUse = useClock;
-    }
+    std::copy_backward(ways, ways + w, ways + w + 1);
+    ways[0] = line;
+    return hit;
 }
 
 bool
 SetAssocCache::access(Addr addr)
 {
     ++numAccesses;
-    ++useClock;
-    bool hit;
-    probeLine(addr >> lineShift, hit);
-    return hit;
+    return probeLine(addr >> lineShift);
 }
 
 void
@@ -104,7 +73,8 @@ SetAssocCache::accessBatch(const Addr *addrs, u64 count)
         u64 run = 1;
         while (i + run < count && (addrs[i + run] >> lineShift) == line)
             ++run;
-        probeRun(line, run);
+        probeLine(line);
+        numAccesses += run;
         i += run;
     }
 }
@@ -122,7 +92,8 @@ SetAssocCache::accessStream(Addr start, u64 stride, u64 count)
             const Addr line_end = (line + 1) << lineShift;
             run = std::min(run, (line_end - addr + stride - 1) / stride);
         }
-        probeRun(line, run);
+        probeLine(line);
+        numAccesses += run;
         addr += stride * run;
         i += run;
     }
@@ -131,11 +102,9 @@ SetAssocCache::accessStream(Addr start, u64 stride, u64 count)
 void
 SetAssocCache::reset()
 {
-    for (auto &way : ways)
-        way = Way{};
+    std::fill(tags.begin(), tags.end(), invalidTag);
     numAccesses = 0;
     numMisses = 0;
-    useClock = 0;
 }
 
 } // namespace hetsim::sim

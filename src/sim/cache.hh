@@ -21,7 +21,12 @@
 namespace hetsim::sim
 {
 
-/** A set-associative cache with true-LRU replacement. */
+/**
+ * A set-associative cache with true-LRU replacement.  Each set is a
+ * flat run of line numbers in recency order: a hit moves its line to
+ * the front, a miss shifts the set back by one - dropping the LRU line
+ * or an empty way - and inserts the line at the front.
+ */
 class SetAssocCache
 {
   public:
@@ -30,7 +35,7 @@ class SetAssocCache
      *
      * @param size_bytes total capacity; must be a multiple of
      *                   line_bytes * assoc.
-     * @param line_bytes cache-line size (power of two).
+     * @param line_bytes cache-line size (power of two, >= 2).
      * @param assoc      associativity (>= 1).
      */
     SetAssocCache(u64 size_bytes, u32 line_bytes, u32 assoc);
@@ -52,8 +57,8 @@ class SetAssocCache
      * called once per element.  Counters and LRU state end up
      * bit-identical to the serial loop; consecutive same-line runs are
      * collapsed into one LRU probe (a run's trailing accesses are
-     * guaranteed hits on the just-touched MRU line, so only the
-     * bookkeeping needs to advance).
+     * guaranteed hits on the just-touched MRU line, so only the access
+     * counter advances).
      */
     void accessBatch(const Addr *addrs, u64 count);
 
@@ -88,29 +93,27 @@ class SetAssocCache
     u32 lineBytes() const { return lineSize; }
 
   private:
-    struct Way
-    {
-        u64 tag = ~0ULL;
-        u64 lastUse = 0;
-        bool valid = false;
-    };
+    /** Tag of an empty way: no line number reaches ~0 (lines are
+     *  >= 2 bytes, so line numbers stay below 2^63). */
+    static constexpr u64 invalidTag = ~0ULL;
 
-    /** One LRU probe of @p line (useClock already advanced).
-     *  @return the way now holding the line; @p hit reports the
-     *  outcome. */
-    Way *probeLine(u64 line, bool &hit);
-
-    /** Probe @p line once for a run of @p run accesses. */
-    void probeRun(u64 line, u64 run);
+    /** One LRU probe of @p line (does not count the access).  A run
+     *  of same-line accesses needs only its first probe: the line is
+     *  then MRU, so the rest are hits that change no state.
+     *  @return true on hit. */
+    bool probeLine(u64 line);
 
     u32 lineSize;
     u32 lineShift;
     u32 assoc;
     u32 numSets;
+    bool setsPow2; ///< set index is line & (numSets - 1)
     u64 numAccesses = 0;
     u64 numMisses = 0;
-    u64 useClock = 0;
-    std::vector<Way> ways; // numSets * assoc, set-major
+    // numSets * assoc line numbers, set-major.  Each set is kept in
+    // recency order, MRU first; empty ways hold invalidTag and always
+    // sit behind the valid ones.
+    std::vector<u64> tags;
 };
 
 } // namespace hetsim::sim

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/cache.hh"
+#include "sim/device.hh"
 
 namespace hetsim::sim
 {
@@ -76,10 +82,179 @@ TEST(Cache, ResetClearsState)
     EXPECT_FALSE(cache.access(0)); // cold again
 }
 
+/** Brute-force true LRU: per set, a map from line to last-use tick;
+ *  a miss in a full set evicts the line with the smallest tick. */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(u64 size_bytes, u32 line_bytes, u32 assoc)
+        : lineBytes(line_bytes), assoc(assoc),
+          sets(size_bytes / (u64(line_bytes) * assoc))
+    {
+    }
+
+    bool
+    access(Addr addr)
+    {
+        const u64 line = addr / lineBytes;
+        std::map<u64, u64> &set = sets[line % sets.size()];
+        ++tick;
+        auto it = set.find(line);
+        if (it != set.end()) {
+            it->second = tick;
+            return true;
+        }
+        if (set.size() == assoc) {
+            auto lru = set.begin();
+            for (auto w = set.begin(); w != set.end(); ++w)
+                if (w->second < lru->second)
+                    lru = w;
+            set.erase(lru);
+        }
+        set.emplace(line, tick);
+        return false;
+    }
+
+  private:
+    u64 lineBytes;
+    u64 assoc;
+    u64 tick = 0;
+    std::vector<std::map<u64, u64>> sets;
+};
+
+struct Geometry
+{
+    const char *name;
+    u64 bytes;
+    u32 line;
+    u32 assoc;
+};
+
+std::vector<Geometry>
+differentialGeometries()
+{
+    std::vector<Geometry> geoms = {{"toy", 4 * 64 * 2, 64, 2}};
+    for (const auto &[name, spec] :
+         {std::pair{"cpu", sim::a10_7850kCpu()},
+          std::pair{"apu", sim::a10_7850kGpu()},
+          std::pair{"dgpu", sim::radeonR9_280X()}})
+        geoms.push_back({name, spec.l2Bytes, spec.l2LineBytes,
+                         spec.l2Assoc});
+    return geoms;
+}
+
+/** Random lines over 3x capacity, strided sweeps and same-line runs,
+ *  interleaved in chunks so each pattern meets a warm cache. */
+std::vector<Addr>
+mixedStream(const Geometry &g, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<Addr> addrs;
+    const u64 region = 3 * g.bytes;
+    Addr sweep = 0;
+    for (int chunk = 0; chunk < 24; ++chunk) {
+        switch (chunk % 3) {
+          case 0:
+            for (int k = 0; k < 3000; ++k)
+                addrs.push_back(rng.below(region));
+            break;
+          case 1: {
+            const u64 stride = 4u << (chunk % 6);
+            for (int k = 0; k < 3000; ++k, sweep += stride)
+                addrs.push_back(sweep % region);
+            break;
+          }
+          default:
+            for (int k = 0; k < 600; ++k) {
+                const Addr line_base =
+                    rng.below(region / g.line) * g.line;
+                const u64 run = 1 + rng.below(8);
+                for (u64 r = 0; r < run; ++r)
+                    addrs.push_back(line_base + rng.below(g.line));
+            }
+            break;
+        }
+    }
+    return addrs;
+}
+
+TEST(CacheDifferential, MatchesReferenceLruAccessByAccess)
+{
+    for (const Geometry &g : differentialGeometries()) {
+        SCOPED_TRACE(g.name);
+        SetAssocCache cache(g.bytes, g.line, g.assoc);
+        ReferenceLru ref(g.bytes, g.line, g.assoc);
+        if (std::string(g.name) == "dgpu") {
+            EXPECT_EQ(cache.sets(), 768u); // the modulo set index
+        }
+        const std::vector<Addr> addrs = mixedStream(g, 17);
+        u64 misses = 0;
+        for (size_t i = 0; i < addrs.size(); ++i) {
+            const bool hit = cache.access(addrs[i]);
+            ASSERT_EQ(hit, ref.access(addrs[i])) << "access " << i;
+            misses += !hit;
+        }
+        EXPECT_EQ(cache.accesses(), addrs.size());
+        EXPECT_EQ(cache.misses(), misses);
+        EXPECT_GT(misses, 0u);
+        EXPECT_LT(misses, addrs.size());
+    }
+}
+
+TEST(CacheDifferential, BatchAndStreamEqualAccessLoop)
+{
+    for (const Geometry &g : differentialGeometries()) {
+        SCOPED_TRACE(g.name);
+        const std::vector<Addr> addrs = mixedStream(g, 29);
+        SetAssocCache loop(g.bytes, g.line, g.assoc);
+        SetAssocCache batch(g.bytes, g.line, g.assoc);
+        for (Addr a : addrs)
+            loop.access(a);
+        batch.accessBatch(addrs.data(), addrs.size());
+        EXPECT_EQ(batch.accesses(), loop.accesses());
+        EXPECT_EQ(batch.misses(), loop.misses());
+
+        // Strided streams, sub-line and super-line strides, starting
+        // mid-line, appended to the warm caches above.
+        for (u64 stride : {0u, 4u, 12u, 64u, 200u}) {
+            SetAssocCache stream = batch;
+            loop = batch;
+            const Addr start = 4 * g.bytes + 20;
+            stream.accessStream(start, stride, 5000);
+            for (u64 k = 0; k < 5000; ++k)
+                loop.access(start + k * stride);
+            EXPECT_EQ(stream.accesses(), loop.accesses()) << stride;
+            EXPECT_EQ(stream.misses(), loop.misses()) << stride;
+            // Equal LRU state too: replay one more stream on both.
+            for (Addr a : addrs) {
+                ASSERT_EQ(stream.access(a), loop.access(a)) << stride;
+            }
+        }
+    }
+}
+
+TEST(CacheDifferential, ResetReturnsToColdState)
+{
+    for (const Geometry &g : differentialGeometries()) {
+        SCOPED_TRACE(g.name);
+        const std::vector<Addr> addrs = mixedStream(g, 41);
+        SetAssocCache used(g.bytes, g.line, g.assoc);
+        used.accessBatch(addrs.data(), addrs.size());
+        used.reset();
+        EXPECT_EQ(used.accesses(), 0u);
+        EXPECT_EQ(used.misses(), 0u);
+        SetAssocCache cold(g.bytes, g.line, g.assoc);
+        for (Addr a : addrs)
+            ASSERT_EQ(used.access(a), cold.access(a));
+    }
+}
+
 TEST(CacheDeath, RejectsBadGeometry)
 {
     EXPECT_EXIT(SetAssocCache(1024, 48, 2),
                 testing::ExitedWithCode(1), "power of two");
+    EXPECT_EXIT(SetAssocCache(1024, 1, 2),
+                testing::ExitedWithCode(1), "power of two >= 2");
     EXPECT_EXIT(SetAssocCache(1000, 64, 2),
                 testing::ExitedWithCode(1), "not divisible");
     EXPECT_EXIT(SetAssocCache(1024, 64, 0),

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kernelir/trace.hh"
 #include "kernelir/tracegen.hh"
+#include "obs/metrics.hh"
 #include "sim/device.hh"
 
 namespace hetsim::ir
@@ -189,6 +192,74 @@ TEST(TraceGen, RandomTraceMissesOnHugeRegion)
     Rng rng(1);
     randomTrace(1 * GiB, 4, 100000)(cache, rng);
     EXPECT_GT(cache.missRatio(), 0.95);
+}
+
+/** Addresses with same-line runs, line-crossing steps and random
+ *  jumps, more than two batches long so the last batch is partial. */
+std::vector<Addr>
+batcherStream()
+{
+    Rng rng(5);
+    std::vector<Addr> addrs;
+    while (addrs.size() < 2 * traceBatchAddrs + 1000) {
+        const Addr base = rng.below(1u << 22);
+        const u64 run = 1 + rng.below(12);
+        for (u64 r = 0; r < run; ++r)
+            addrs.push_back(base + 4 * r);
+    }
+    return addrs;
+}
+
+TEST(TraceGen, BatcherEqualsScalarAccessLoop)
+{
+    const std::vector<Addr> addrs = batcherStream();
+    ASSERT_NE(addrs.size() % traceBatchAddrs, 0u);
+    sim::SetAssocCache scalar(64 * KiB, 64, 8);
+    sim::SetAssocCache batched(64 * KiB, 64, 8);
+    for (Addr a : addrs)
+        scalar.access(a);
+    {
+        TraceBatcher batch(batched);
+        for (Addr a : addrs)
+            batch.push(a);
+        // Only whole batches have reached the cache so far.
+        EXPECT_EQ(batched.accesses(),
+                  addrs.size() / traceBatchAddrs * traceBatchAddrs);
+    } // the destructor flushes the partial last batch
+    EXPECT_EQ(batched.accesses(), scalar.accesses());
+    EXPECT_EQ(batched.misses(), scalar.misses());
+    // Same LRU state: both caches answer a further stream alike.
+    for (Addr a : addrs)
+        ASSERT_EQ(batched.access(a), scalar.access(a));
+}
+
+TEST(Resolver, TraceProbesMetricCountsEveryAccess)
+{
+    auto &metrics = obs::Metrics::global();
+    const bool was_enabled = metrics.enabled();
+    metrics.setEnabled(true);
+    const double before = metrics.counterValue("sim.trace.probes");
+
+    KernelDescriptor desc;
+    desc.name = "t_probe_count";
+    desc.flopsPerItem = 1;
+    MemStream s;
+    s.buffer = "runs";
+    s.bytesPerItemSp = 4;
+    s.pattern = sim::AccessPattern::Gather;
+    s.workingSetBytesSp = 1 * MiB;
+    // 10000 accesses in same-line runs of 16: 625 collapsed probes.
+    s.trace = [](sim::SetAssocCache &cache, Rng &) {
+        TraceBatcher batch(cache);
+        for (u64 i = 0; i < 10000; ++i)
+            batch.push(i * 4);
+    };
+    desc.streams.push_back(s);
+    ProfileResolver resolver(sim::radeonR9_280X());
+    resolver.streamMissRatio(desc, desc.streams[0], Precision::Single);
+
+    EXPECT_EQ(metrics.counterValue("sim.trace.probes") - before, 10000.0);
+    metrics.setEnabled(was_enabled);
 }
 
 TEST(ResolverDeath, EmptyDescriptorPanics)

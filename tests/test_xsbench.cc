@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "apps/xsbench/xsbench_core.hh"
 #include "core/workload.hh"
@@ -34,6 +35,59 @@ TEST(XsbenchCore, UnionGridSortedAndIndexed)
                           prob.unionEnergy[u] + 1e-12);
             }
         }
+    }
+}
+
+/** Brute-force union grid: a global sort of every gridpoint, and for
+ *  each row the count of energies[n][1..G-1] <= e. */
+template <typename Real>
+void
+expectReferenceUnionGrid(int G, bool expect_tie)
+{
+    using namespace apps::xsbench;
+    const Problem<Real> prob(G, 1);
+    std::vector<Real> sorted = prob.nuclideEnergy;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(prob.unionEnergy.size(), sorted.size());
+    ASSERT_TRUE(prob.unionEnergy == sorted);
+
+    ASSERT_EQ(prob.unionIndex.size(), prob.unionSize * numNuclides);
+    for (u64 u = 0; u < prob.unionSize; ++u) {
+        const Real e = prob.unionEnergy[u];
+        for (int n = 0; n < numNuclides; ++n) {
+            const Real *energies = &prob.nuclideEnergy[u64(n) * G];
+            const u32 count = static_cast<u32>(
+                std::upper_bound(energies + 1, energies + G, e) -
+                (energies + 1));
+            ASSERT_EQ(prob.unionIndex[u * numNuclides + n], count)
+                << "row " << u << " nuclide " << n;
+        }
+    }
+
+    // Equal energies in two different nuclides take the tie path.
+    u64 cross_ties = 0;
+    for (u64 u = 0; u + 1 < prob.unionSize; ++u) {
+        if (prob.unionEnergy[u] != prob.unionEnergy[u + 1])
+            continue;
+        int holders = 0;
+        for (int n = 0; n < numNuclides; ++n) {
+            const Real *energies = &prob.nuclideEnergy[u64(n) * G];
+            holders += std::binary_search(energies, energies + G,
+                                          prob.unionEnergy[u]);
+        }
+        cross_ties += holders > 1;
+    }
+    if (expect_tie) {
+        EXPECT_GT(cross_ties, 0u);
+    }
+}
+
+TEST(XsbenchCore, UnionGridMatchesBruteForceReference)
+{
+    for (int G : {256, 512, 1130}) {
+        SCOPED_TRACE(G);
+        expectReferenceUnionGrid<float>(G, true);
+        expectReferenceUnionGrid<double>(G, false);
     }
 }
 
