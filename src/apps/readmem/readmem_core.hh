@@ -12,6 +12,7 @@
 #ifndef HETSIM_APPS_READMEM_READMEM_CORE_HH
 #define HETSIM_APPS_READMEM_READMEM_CORE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "apps/appsupport.hh"
@@ -40,9 +41,16 @@ struct Problem
         elements = static_cast<u64>(static_cast<double>(baseElements) *
                                     scale);
         elements = std::max<u64>(elements / blockSize, 1) * blockSize;
-        in.resize(elements);
-        for (u64 i = 0; i < elements; ++i)
-            in[i] = static_cast<Real>((i % 97) * 0.125);
+        // in[i] = (i % 97) * 0.125: compute one period, then append
+        // copies of it, so the buffer is written once, not zeroed first.
+        std::vector<Real> period;
+        for (u64 i = 0; i < std::min<u64>(97, elements); ++i)
+            period.push_back(static_cast<Real>(i * 0.125));
+        in.reserve(elements);
+        while (in.size() < elements) {
+            const u64 n = std::min<u64>(period.size(), elements - in.size());
+            in.insert(in.end(), period.begin(), period.begin() + n);
+        }
         out.assign(elements / blockSize, Real(0));
     }
 

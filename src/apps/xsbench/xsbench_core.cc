@@ -1,8 +1,11 @@
 #include "xsbench_core.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <type_traits>
+#include <utility>
 
 namespace hetsim::apps::xsbench
 {
@@ -28,6 +31,39 @@ asUnit(u64 x)
     return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+/** One gridpoint draw: its energy's bit pattern and its nuclide. */
+template <typename Real>
+struct Draw
+{
+    using Bits = std::conditional_t<sizeof(Real) == 4, u32, u64>;
+    Bits key;
+    u32 nuclide;
+};
+
+/** Stable LSD radix sort of @p draws by key, one byte per pass. */
+template <typename Real>
+void
+radixSort(std::vector<Draw<Real>> &draws)
+{
+    using Bits = typename Draw<Real>::Bits;
+    constexpr int passes = sizeof(Bits);
+    std::array<std::array<u32, 256>, passes> hist{};
+    for (const Draw<Real> &d : draws)
+        for (int p = 0; p < passes; ++p)
+            ++hist[p][(d.key >> (8 * p)) & 0xFF];
+
+    std::vector<Draw<Real>> scratch(draws.size());
+    for (int p = 0; p < passes; ++p) {
+        std::array<u32, 256> &offset = hist[p];
+        u32 sum = 0;
+        for (u32 &slot : offset)
+            sum += std::exchange(slot, sum);
+        for (const Draw<Real> &d : draws)
+            scratch[offset[(d.key >> (8 * p)) & 0xFF]++] = d;
+        draws.swap(scratch);
+    }
+}
+
 } // namespace
 
 template <typename Real>
@@ -37,63 +73,57 @@ Problem<Real>::Problem(int gridpoints, u64 lookups_)
     const int G = gridpointsPerNuclide;
     unionSize = static_cast<u64>(numNuclides) * G;
 
-    // --- Per-nuclide grids (sorted random energies, random XS). -----
-    nuclideEnergy.resize(static_cast<u64>(numNuclides) * G);
-    nuclideXs.resize(static_cast<u64>(numNuclides) * G * xsChannels);
+    // --- Per-nuclide draws: G energies, then G * 5 cross sections. ----
+    std::vector<Draw<Real>> draws(unionSize);
+    nuclideXs.resize(unionSize * xsChannels);
     Rng rng(0x5EED5ULL);
     for (int n = 0; n < numNuclides; ++n) {
-        Real *energies = &nuclideEnergy[static_cast<u64>(n) * G];
-        for (int g = 0; g < G; ++g)
-            energies[g] = static_cast<Real>(rng.uniform());
-        std::sort(energies, energies + G);
-        for (int g = 0; g < G; ++g)
-            for (int c = 0; c < xsChannels; ++c) {
-                nuclideXs[(static_cast<u64>(n) * G + g) * xsChannels +
-                          c] = static_cast<Real>(rng.uniform());
-            }
+        for (int g = 0; g < G; ++g) {
+            const Real e = static_cast<Real>(rng.uniform());
+            draws[static_cast<u64>(n) * G + g] = {
+                std::bit_cast<typename Draw<Real>::Bits>(e),
+                static_cast<u32>(n)};
+        }
+        Real *xs = &nuclideXs[static_cast<u64>(n) * G * xsChannels];
+        for (int k = 0; k < G * xsChannels; ++k)
+            xs[k] = static_cast<Real>(rng.uniform());
     }
 
-    // --- Unionized grid. ---------------------------------------------
-    // K-way merge of the sorted per-nuclide runs.  Equal energies form
-    // one group; after a group every nuclide's cursor is its last
-    // gridpoint g >= 1 with energies[g] <= e (0 if none), ties across
-    // nuclides included, so each row is the previous row with only the
-    // merged nuclides' cursors advanced.
-    struct Head
-    {
-        Real energy;
-        int nuclide;
-        bool operator>(const Head &o) const { return energy > o.energy; }
-    };
-    std::vector<Head> heap; // min-heap of each nuclide's next gridpoint
-    std::vector<u32> next(numNuclides, 0);
-    for (int n = 0; n < numNuclides; ++n)
-        heap.push_back({nuclideEnergy[static_cast<u64>(n) * G], n});
-    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+    // --- Every gridpoint in energy order. ----------------------------
+    // Energies are non-negative, so their bit patterns sort like their
+    // values.  Scattering the sorted draws back per nuclide yields each
+    // nuclide's sorted grid; the sorted energies are the union grid.
+    radixSort<Real>(draws);
+    nuclideEnergy.resize(unionSize);
+    unionEnergy.resize(unionSize);
+    static_assert(numNuclides <= 256, "owner stores nuclides as u8");
+    std::vector<u8> owner(unionSize); // nuclide of each union gridpoint
+    std::vector<u32> filled(numNuclides, 0);
+    for (u64 u = 0; u < unionSize; ++u) {
+        const u32 n = draws[u].nuclide;
+        const Real e = std::bit_cast<Real>(draws[u].key);
+        nuclideEnergy[static_cast<u64>(n) * G + filled[n]++] = e;
+        unionEnergy[u] = e;
+        owner[u] = static_cast<u8>(n);
+    }
+    std::vector<Draw<Real>>().swap(draws);
 
-    unionEnergy.reserve(unionSize);
+    // --- Union index rows. -------------------------------------------
+    // Equal energies form one group; after a group every nuclide's
+    // cursor is its last gridpoint g with energies[g] <= e (0 if none),
+    // ties across nuclides included, and every row of the group is the
+    // same.  Each group advances only its own nuclides' cursors.
     unionIndex.reserve(unionSize * numNuclides);
     std::vector<u32> cursor(numNuclides, 0);
-    while (!heap.empty()) {
-        const Real e = heap.front().energy;
-        u64 group = 0;
-        while (!heap.empty() && heap.front().energy == e) {
-            std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-            const int n = heap.back().nuclide;
-            heap.pop_back();
-            cursor[n] = next[n];
-            if (++next[n] < static_cast<u32>(G)) {
-                heap.push_back(
-                    {nuclideEnergy[static_cast<u64>(n) * G + next[n]], n});
-                std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-            }
-            ++group;
-        }
-        for (u64 k = 0; k < group; ++k) {
-            unionEnergy.push_back(e);
+    std::fill(filled.begin(), filled.end(), 0);
+    for (u64 u = 0; u < unionSize;) {
+        const Real e = unionEnergy[u];
+        u64 end = u;
+        for (; end < unionSize && unionEnergy[end] == e; ++end)
+            cursor[owner[end]] = filled[owner[end]]++;
+        for (; u < end; ++u)
             unionIndex.insert(unionIndex.end(), cursor.begin(),
                               cursor.end());
-        }
     }
 
     // --- Materials (H-M-like: fuel is large and hot). -----------------
@@ -281,13 +311,14 @@ Problem<Real>::descriptor() const
     idx.trace = [usize, row_bytes, nucs](sim::SetAssocCache &cache,
                                          Rng &rng) {
         const u64 samples = ir::defaultTraceProbes / 16;
+        const u64 per_row = static_cast<u64>(nucs);
+        std::vector<u64> nuclides(per_row);
         ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             u64 row = rng.below(usize);
-            for (int s = 0; s < static_cast<int>(nucs); ++s) {
-                u64 n = rng.below(numNuclides);
+            rng.fillBelow(numNuclides, nuclides.data(), per_row);
+            for (u64 n : nuclides)
                 batch.push(row * row_bytes + n * 4);
-            }
         }
     };
     desc.streams.push_back(std::move(idx));

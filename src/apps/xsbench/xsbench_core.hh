@@ -60,6 +60,11 @@ struct Problem
     /** Per-lookup verification output (sum of the 5 macro XS). */
     std::vector<Real> results;
 
+    /**
+     * Draw every nuclide's energies and cross sections from one fixed
+     * seed, then build the sorted per-nuclide grids and the union grid
+     * from a single stable radix sort of all (energy, nuclide) draws.
+     */
     Problem(int gridpoints, u64 lookups);
 
     /** The single device kernel: lookups [begin, end). */

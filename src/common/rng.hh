@@ -68,13 +68,7 @@ class Rng
     below(u64 bound)
     {
         // Bitmask rejection keeps the draw exactly uniform.
-        u64 mask = bound - 1;
-        mask |= mask >> 1;
-        mask |= mask >> 2;
-        mask |= mask >> 4;
-        mask |= mask >> 8;
-        mask |= mask >> 16;
-        mask |= mask >> 32;
+        const u64 mask = coverMask(bound);
         u64 v;
         do {
             v = next() & mask;
@@ -82,7 +76,39 @@ class Rng
         return v;
     }
 
+    /**
+     * Fill out[0, count) with what @p count calls of below(bound)
+     * return, in the same order, leaving the generator in the same
+     * state.  Precondition: bound > 0.
+     */
+    void
+    fillBelow(u64 bound, u64 *out, u64 count)
+    {
+        // Branch-free rejection: a rejected draw is overwritten by the
+        // next one because j only advances on an accepted draw.
+        const u64 mask = coverMask(bound);
+        for (u64 j = 0; j < count;) {
+            const u64 v = next() & mask;
+            out[j] = v;
+            j += v < bound;
+        }
+    }
+
   private:
+    /** @return the smallest all-ones mask covering bound - 1. */
+    static u64
+    coverMask(u64 bound)
+    {
+        u64 mask = bound - 1;
+        mask |= mask >> 1;
+        mask |= mask >> 2;
+        mask |= mask >> 4;
+        mask |= mask >> 8;
+        mask |= mask >> 16;
+        mask |= mask >> 32;
+        return mask;
+    }
+
     static u64
     rotl(u64 x, int k)
     {

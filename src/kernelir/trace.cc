@@ -59,9 +59,20 @@ namespace
 {
 
 /**
- * Process-wide miss-ratio memo.  Cache behaviour depends only on the
- * kernel, stream, precision, L2 geometry and working-set size - not
- * on clocks - so sweeps across frequencies and models share entries.
+ * Process-wide miss-ratio memo, keyed by kernel name, stream buffer,
+ * precision, L2 size and working-set size - not clocks or model - so
+ * sweeps across frequencies and models share entries.
+ *
+ * The key is exact for traced streams: their ratio depends only on
+ * the trace, which is seeded from the key.  It is not exact for
+ * untraced streams.  Their analytic ratio also reads the stream's
+ * access pattern, which the key leaves out.  Two ports whose
+ * descriptors differ only in pattern therefore share whichever ratio
+ * was memoized first.  For example, MiniFE's CSR-scalar matvec
+ * declares its "vals+cols" stream Strided (DP ratio 0.25) and the
+ * other SpMV styles declare it Sequential (0.125).  That is why a
+ * run's simulated times depend on the order its models run in.
+ * Adding the pattern to the key changes committed digests.
  */
 std::map<std::string, double> globalMissCache;
 std::mutex globalMissMutex;

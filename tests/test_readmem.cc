@@ -28,6 +28,21 @@ TEST(ReadMemCore, ReferenceMatchesDefinition)
     EXPECT_FLOAT_EQ(ref[0], expect);
 }
 
+TEST(ReadMemCore, InputMatchesDefinition)
+{
+    // 1e-6 gives one block of 64 elements, less than the 97-long period.
+    for (double scale : {0.01, 1e-6}) {
+        SCOPED_TRACE(scale);
+        apps::readmem::Problem<float> prob(scale);
+        ASSERT_EQ(prob.in.size(), prob.elements);
+        if (scale < 0.001) {
+            EXPECT_EQ(prob.elements, 64u);
+        }
+        for (u64 i = 0; i < prob.elements; ++i)
+            ASSERT_EQ(prob.in[i], float((i % 97) * 0.125)) << "i " << i;
+    }
+}
+
 TEST(ReadMemCore, DescriptorShape)
 {
     apps::readmem::Problem<float> prob(0.01);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 
 namespace hetsim
@@ -88,6 +90,24 @@ TEST_P(RngBelow, InRangeAndCovers)
 INSTANTIATE_TEST_SUITE_P(Bounds, RngBelow,
                          testing::Values<u64>(1, 2, 3, 7, 16, 64, 1000,
                                               1u << 20));
+
+TEST(Rng, FillBelowMatchesBelowLoop)
+{
+    const u64 bounds[] = {1, 2, 3, 68, 76840, (1ull << 33) + 1};
+    for (u64 bound : bounds) {
+        for (u64 count : {0, 1, 17, 1000}) {
+            SCOPED_TRACE(testing::Message()
+                         << "bound " << bound << " count " << count);
+            Rng loop(bound ^ (count << 40)), fill(bound ^ (count << 40));
+            std::vector<u64> want(count), got(count);
+            for (u64 &v : want)
+                v = loop.below(bound);
+            fill.fillBelow(bound, got.data(), count);
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(fill.next(), loop.next());
+        }
+    }
+}
 
 } // namespace
 } // namespace hetsim

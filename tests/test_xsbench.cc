@@ -91,6 +91,44 @@ TEST(XsbenchCore, UnionGridMatchesBruteForceReference)
     }
 }
 
+/** Replays the problem's Rng: per nuclide, G energies then G * 5 cross
+ *  sections.  Each nuclide's grid must be its energy draws, sorted, and
+ *  its cross sections must be the draws in order. */
+template <typename Real>
+void
+expectNuclideGridsAreSortedDraws(int G)
+{
+    using namespace apps::xsbench;
+    const Problem<Real> prob(G, 1);
+    ASSERT_EQ(prob.nuclideEnergy.size(), u64(numNuclides) * G);
+    ASSERT_EQ(prob.nuclideXs.size(), u64(numNuclides) * G * xsChannels);
+    Rng rng(0x5EED5ULL);
+    std::vector<Real> energies(G), xs(u64(G) * xsChannels);
+    for (int n = 0; n < numNuclides; ++n) {
+        for (Real &e : energies)
+            e = static_cast<Real>(rng.uniform());
+        std::sort(energies.begin(), energies.end());
+        for (Real &x : xs)
+            x = static_cast<Real>(rng.uniform());
+        const auto grid = prob.nuclideEnergy.begin() + u64(n) * G;
+        ASSERT_TRUE(std::equal(energies.begin(), energies.end(), grid))
+            << "energies of nuclide " << n;
+        const auto xs_row =
+            prob.nuclideXs.begin() + u64(n) * G * xsChannels;
+        ASSERT_TRUE(std::equal(xs.begin(), xs.end(), xs_row))
+            << "cross sections of nuclide " << n;
+    }
+}
+
+TEST(XsbenchCore, NuclideGridsAreSortedDraws)
+{
+    for (int G : {256, 1130}) {
+        SCOPED_TRACE(G);
+        expectNuclideGridsAreSortedDraws<float>(G);
+        expectNuclideGridsAreSortedDraws<double>(G);
+    }
+}
+
 TEST(XsbenchCore, PaperTableIsAboutRightSize)
 {
     // -s small: ~240 MB (paper Sec. VI-A) in double precision.
