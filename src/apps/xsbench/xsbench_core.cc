@@ -67,8 +67,7 @@ radixSort(std::vector<Draw<Real>> &draws)
 } // namespace
 
 template <typename Real>
-Problem<Real>::Problem(int gridpoints, u64 lookups_)
-    : gridpointsPerNuclide(gridpoints), lookups(lookups_)
+Shape<Real>::Shape(int gridpoints) : gridpointsPerNuclide(gridpoints)
 {
     const int G = gridpointsPerNuclide;
     unionSize = static_cast<u64>(numNuclides) * G;
@@ -96,35 +95,17 @@ Problem<Real>::Problem(int gridpoints, u64 lookups_)
     radixSort<Real>(draws);
     nuclideEnergy.resize(unionSize);
     unionEnergy.resize(unionSize);
-    static_assert(numNuclides <= 256, "owner stores nuclides as u8");
-    std::vector<u8> owner(unionSize); // nuclide of each union gridpoint
+    static_assert(numNuclides <= 256, "unionOwner stores nuclides as u8");
+    unionOwner.resize(unionSize);
     std::vector<u32> filled(numNuclides, 0);
     for (u64 u = 0; u < unionSize; ++u) {
         const u32 n = draws[u].nuclide;
         const Real e = std::bit_cast<Real>(draws[u].key);
         nuclideEnergy[static_cast<u64>(n) * G + filled[n]++] = e;
         unionEnergy[u] = e;
-        owner[u] = static_cast<u8>(n);
+        unionOwner[u] = static_cast<u8>(n);
     }
     std::vector<Draw<Real>>().swap(draws);
-
-    // --- Union index rows. -------------------------------------------
-    // Equal energies form one group; after a group every nuclide's
-    // cursor is its last gridpoint g with energies[g] <= e (0 if none),
-    // ties across nuclides included, and every row of the group is the
-    // same.  Each group advances only its own nuclides' cursors.
-    unionIndex.reserve(unionSize * numNuclides);
-    std::vector<u32> cursor(numNuclides, 0);
-    std::fill(filled.begin(), filled.end(), 0);
-    for (u64 u = 0; u < unionSize;) {
-        const Real e = unionEnergy[u];
-        u64 end = u;
-        for (; end < unionSize && unionEnergy[end] == e; ++end)
-            cursor[owner[end]] = filled[owner[end]]++;
-        for (; u < end; ++u)
-            unionIndex.insert(unionIndex.end(), cursor.begin(),
-                              cursor.end());
-    }
 
     // --- Materials (H-M-like: fuel is large and hot). -----------------
     static const int mat_sizes[numMaterials] = {34, 21, 12, 9, 7, 6,
@@ -139,8 +120,69 @@ Problem<Real>::Problem(int gridpoints, u64 lookups_)
             matNuclide[s] =
                 static_cast<u32>(mat_rng.below(numNuclides));
     }
+}
 
-    results.assign(lookups, Real(0));
+template <typename Real>
+std::shared_ptr<const Shape<Real>>
+Shape<Real>::get(int gridpoints)
+{
+    // Built outside the lock, so concurrent callers never wait on
+    // another size's build; a concurrent miss may build twice.
+    static std::mutex mutex;
+    static std::shared_ptr<const Shape> slot;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (slot && slot->gridpointsPerNuclide == gridpoints)
+            return slot;
+    }
+    auto built = std::make_shared<const Shape>(gridpoints);
+    std::shared_ptr<const Shape> evicted; // freed after the unlock
+    std::lock_guard<std::mutex> lock(mutex);
+    evicted = std::exchange(slot, built);
+    return built;
+}
+
+template <typename Real>
+void
+Shape<Real>::fillUnionIndex(u32 *rows) const
+{
+    // Equal energies form one group; after a group every nuclide's
+    // cursor is its last gridpoint g with energies[g] <= e (0 if none),
+    // ties across nuclides included, and every row of the group is the
+    // same.  Each group advances only its own nuclides' cursors.
+    std::vector<u32> cursor(numNuclides, 0);
+    std::vector<u32> filled(numNuclides, 0);
+    for (u64 u = 0; u < unionSize;) {
+        const Real e = unionEnergy[u];
+        u64 end = u;
+        for (; end < unionSize && unionEnergy[end] == e; ++end)
+            cursor[unionOwner[end]] = filled[unionOwner[end]]++;
+        for (; u < end; ++u)
+            std::copy(cursor.begin(), cursor.end(),
+                      rows + u * numNuclides);
+    }
+}
+
+template <typename Real>
+Problem<Real>::Problem(int gridpoints, u64 lookups_)
+    : shape(Shape<Real>::get(gridpoints)),
+      gridpointsPerNuclide(gridpoints), lookups(lookups_),
+      unionSize(shape->unionSize), nuclideEnergy(shape->nuclideEnergy),
+      nuclideXs(shape->nuclideXs), unionEnergy(shape->unionEnergy),
+      unionIndex(unionSize * numNuclides), matStart(shape->matStart),
+      matNuclide(shape->matNuclide), results(lookups_)
+{
+}
+
+template <typename Real>
+void
+Problem<Real>::fillState()
+{
+    std::call_once(stateOnce, [this] {
+        shape->fillUnionIndex(unionIndex.data());
+        std::fill(results.begin(), results.end(), Real(0));
+        stateWritten = true;
+    });
 }
 
 template <typename Real>
@@ -163,6 +205,7 @@ template <typename Real>
 void
 Problem<Real>::macroXsLookup(u64 begin, u64 end)
 {
+    fillState();
     const int G = gridpointsPerNuclide;
     for (u64 i = begin; i < end; ++i) {
         double energy;
@@ -213,6 +256,9 @@ template <typename Real>
 double
 Problem<Real>::checksum() const
 {
+    // An unwritten problem's results are all zero by definition.
+    if (!stateWritten)
+        return 0.0;
     double sum = 0.0;
     for (Real r : results)
         sum += static_cast<double>(r);
@@ -223,6 +269,8 @@ template <typename Real>
 bool
 Problem<Real>::finite() const
 {
+    if (!stateWritten)
+        return true;
     for (Real r : results) {
         if (!std::isfinite(static_cast<double>(r)))
             return false;
@@ -273,7 +321,6 @@ Problem<Real>::descriptor() const
     desc.preferredWorkgroup = 64;
 
     const u64 usize = unionSize;
-    const std::vector<Real> *ue = &unionEnergy;
 
     // 1. Binary search over the unionized energies: dependent chain.
     ir::MemStream search;
@@ -282,8 +329,12 @@ Problem<Real>::descriptor() const
     search.pattern = sim::AccessPattern::RandomGather;
     search.workingSetBytesSp = unionSize * 4;
     search.dependentAccessesPerItem = search_steps;
-    search.trace = [usize, ue](sim::SetAssocCache &cache, Rng &rng) {
+    // The trace owns the shape, so a stored descriptor outlives its
+    // Problem safely.
+    search.trace = [usize, shape = shape](sim::SetAssocCache &cache,
+                                          Rng &rng) {
         const u64 samples = ir::defaultTraceProbes / 32;
+        const Real *ue = shape->unionEnergy.data();
         ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             double target = rng.uniform();
@@ -291,7 +342,7 @@ Problem<Real>::descriptor() const
             while (lo + 1 < hi) {
                 u64 mid = (lo + hi) / 2;
                 batch.push(mid * sizeof(Real));
-                if (static_cast<double>((*ue)[mid]) <= target)
+                if (static_cast<double>(ue[mid]) <= target)
                     lo = mid;
                 else
                     hi = mid;
@@ -360,6 +411,8 @@ Problem<Real>::descriptor() const
     return desc;
 }
 
+template struct Shape<float>;
+template struct Shape<double>;
 template struct Problem<float>;
 template struct Problem<double>;
 

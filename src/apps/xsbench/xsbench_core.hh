@@ -16,6 +16,10 @@
 #ifndef HETSIM_APPS_XSBENCH_XSBENCH_CORE_HH
 #define HETSIM_APPS_XSBENCH_XSBENCH_CORE_HH
 
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <new>
 #include <vector>
 
 #include "apps/appsupport.hh"
@@ -37,40 +41,109 @@ constexpr int xsChannels = 5;
 /** Number of materials in the reactor model. */
 constexpr int numMaterials = 12;
 
-/** Problem state of one XSBench run. */
+/**
+ * The read-only tables of one (gridpoints, precision): everything the
+ * timing path reads, shared by every Problem of that size.
+ */
 template <typename Real>
-struct Problem
+struct Shape
 {
     int gridpointsPerNuclide = 0;
-    u64 lookups = 0;
     u64 unionSize = 0; ///< numNuclides * gridpointsPerNuclide
 
     /** Per-nuclide grids: energies[n][g] sorted; xs[n][g*5 + c]. */
     std::vector<Real> nuclideEnergy; ///< [n * G + g]
     std::vector<Real> nuclideXs;     ///< [(n * G + g) * 5 + c]
 
-    /** Unionized grid: sorted energies + per-nuclide lower indices. */
-    std::vector<Real> unionEnergy;  ///< [unionSize]
-    std::vector<u32> unionIndex;    ///< [unionSize * numNuclides]
+    /** Unionized grid: sorted energies and the nuclide of each. */
+    std::vector<Real> unionEnergy; ///< [unionSize]
+    std::vector<u8> unionOwner;    ///< [unionSize]
 
     /** Materials: CSR of nuclide ids + lookup probability weights. */
     std::vector<u32> matStart;   ///< numMaterials + 1
     std::vector<u32> matNuclide; ///< concatenated nuclide lists
-
-    /** Per-lookup verification output (sum of the 5 macro XS). */
-    std::vector<Real> results;
 
     /**
      * Draw every nuclide's energies and cross sections from one fixed
      * seed, then build the sorted per-nuclide grids and the union grid
      * from a single stable radix sort of all (energy, nuclide) draws.
      */
+    explicit Shape(int gridpoints);
+
+    /**
+     * The shape of @p gridpoints from a process-wide memo with one
+     * slot per precision, holding the most recently requested size.
+     */
+    static std::shared_ptr<const Shape> get(int gridpoints);
+
+    /** Write the union index rows ([unionSize * numNuclides]). */
+    void fillUnionIndex(u32 *rows) const;
+};
+
+/**
+ * Allocator that default-initialises: a sized vector of a trivial type
+ * is allocated but not written, so its untouched pages cost no memory.
+ */
+template <typename T>
+struct UninitAllocator : std::allocator<T>
+{
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
+/** Per-run array, sized up front and written on first use. */
+template <typename T>
+using StateVector = std::vector<T, UninitAllocator<T>>;
+
+/**
+ * One XSBench run: the shared read-only tables of its size, plus the
+ * union index and results that only functional runs write.
+ */
+template <typename Real>
+struct Problem
+{
+    const std::shared_ptr<const Shape<Real>> shape;
+
+    int gridpointsPerNuclide = 0;
+    u64 lookups = 0;
+    u64 unionSize = 0; ///< numNuclides * gridpointsPerNuclide
+
+    /** Per-nuclide grids: energies[n][g] sorted; xs[n][g*5 + c]. */
+    const std::vector<Real> &nuclideEnergy; ///< [n * G + g]
+    const std::vector<Real> &nuclideXs;     ///< [(n * G + g) * 5 + c]
+
+    /** Unionized grid: sorted energies + per-nuclide lower indices. */
+    const std::vector<Real> &unionEnergy; ///< [unionSize]
+    StateVector<u32> unionIndex;          ///< [unionSize * numNuclides]
+
+    /** Materials: CSR of nuclide ids + lookup probability weights. */
+    const std::vector<u32> &matStart;   ///< numMaterials + 1
+    const std::vector<u32> &matNuclide; ///< concatenated nuclide lists
+
+    /** Per-lookup verification output (sum of the 5 macro XS). */
+    StateVector<Real> results;
+
+    /**
+     * Share the memoized shape of @p gridpoints; the union index and
+     * results are allocated but stay unwritten until fillState().
+     */
     Problem(int gridpoints, u64 lookups);
+
+    /**
+     * Write the union index rows and zero the results, once; every
+     * macroXsLookup() calls it first.
+     */
+    void fillState();
 
     /** The single device kernel: lookups [begin, end). */
     void macroXsLookup(u64 begin, u64 end);
 
-    /** Mean of the results array (figure of merit). */
+    /** Mean of the results array (figure of merit); 0 before any
+     *  lookup ran, as the all-zero array it stands for. */
     double checksum() const;
 
     /** @return true when all results are finite. */
@@ -87,8 +160,13 @@ struct Problem
 
   private:
     double avgNuclidesPerLookup() const;
+
+    std::once_flag stateOnce;
+    std::atomic<bool> stateWritten{false};
 };
 
+extern template struct Shape<float>;
+extern template struct Shape<double>;
 extern template struct Problem<float>;
 extern template struct Problem<double>;
 

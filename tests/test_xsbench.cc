@@ -6,10 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/xsbench/xsbench_core.hh"
+#include "core/harness.hh"
 #include "core/workload.hh"
+#include "sim/cache.hh"
+#include "sim/timing_cache.hh"
 
 namespace hetsim
 {
@@ -21,6 +27,7 @@ using core::ModelKind;
 TEST(XsbenchCore, UnionGridSortedAndIndexed)
 {
     apps::xsbench::Problem<double> prob(512, 10000);
+    prob.fillState();
     EXPECT_TRUE(std::is_sorted(prob.unionEnergy.begin(),
                                prob.unionEnergy.end()));
     EXPECT_EQ(prob.unionIndex.size(),
@@ -45,7 +52,8 @@ void
 expectReferenceUnionGrid(int G, bool expect_tie)
 {
     using namespace apps::xsbench;
-    const Problem<Real> prob(G, 1);
+    Problem<Real> prob(G, 1);
+    prob.fillState();
     std::vector<Real> sorted = prob.nuclideEnergy;
     std::sort(sorted.begin(), sorted.end());
     ASSERT_EQ(prob.unionEnergy.size(), sorted.size());
@@ -175,6 +183,130 @@ TEST(XsbenchCore, DescriptorDeclaresDependentChain)
     EXPECT_LT(desc.chainConcurrencyPerCu, 64.0); // register pressure
 }
 
+TEST(XsbenchCore, ProblemsOfOneSizeShareTheShape)
+{
+    using namespace apps::xsbench;
+    Problem<float> a(512, 1000);
+    Problem<float> b(512, 2000);
+    EXPECT_EQ(a.shape, b.shape);
+    EXPECT_EQ(&a.unionEnergy, &b.unionEnergy);
+    EXPECT_EQ(&a.nuclideEnergy, &b.nuclideEnergy);
+    EXPECT_EQ(&a.nuclideXs, &b.nuclideXs);
+    EXPECT_EQ(&a.matNuclide, &b.matNuclide);
+    // The per-run state is each problem's own.
+    EXPECT_NE(a.unionIndex.data(), b.unionIndex.data());
+    EXPECT_NE(a.results.data(), b.results.data());
+    EXPECT_EQ(b.results.size(), 2000u);
+
+    // One slot per precision: a DP problem leaves the SP slot alone,
+    // and another size replaces it while old problems keep theirs.
+    Problem<double> dp(512, 1000);
+    EXPECT_EQ(Shape<float>::get(512), a.shape);
+    Problem<float> other(600, 1000);
+    EXPECT_NE(other.shape, a.shape);
+    EXPECT_EQ(Shape<float>::get(600), other.shape);
+    EXPECT_EQ(Shape<double>::get(512), dp.shape);
+    Problem<float> again(512, 1000);
+    EXPECT_NE(again.shape, a.shape);
+    EXPECT_TRUE(again.unionEnergy == a.unionEnergy);
+}
+
+/** Accesses and misses of a descriptor's union-energy trace. */
+std::pair<u64, u64>
+unionEnergyTrace(const ir::KernelDescriptor &desc)
+{
+    sim::SetAssocCache cache(768 * 1024, 64, 16);
+    Rng rng(42);
+    for (const ir::MemStream &stream : desc.streams) {
+        if (stream.buffer == "union-energy")
+            stream.trace(cache, rng);
+    }
+    return {cache.accesses(), cache.misses()};
+}
+
+TEST(XsbenchCore, DescriptorOutlivesItsProblem)
+{
+    // The stored descriptor must keep the tables its trace reads after
+    // the problem is gone and the memo slot moved to another size.
+    using namespace apps::xsbench;
+    ir::KernelDescriptor stored =
+        Problem<float>(512, 1000).descriptor();
+    Problem<float> other(600, 1000);
+    const auto got = unionEnergyTrace(stored);
+    EXPECT_GT(got.first, 0u);
+    const Problem<float> fresh(512, 1000);
+    EXPECT_EQ(got, unionEnergyTrace(fresh.descriptor()));
+}
+
+template <typename Real>
+void
+expectUnrunProblemIsAllZero()
+{
+    apps::xsbench::Problem<Real> prob(512, 1000);
+    const double sum = prob.checksum();
+    EXPECT_EQ(std::bit_cast<u64>(sum), std::bit_cast<u64>(0.0));
+    EXPECT_TRUE(prob.finite());
+}
+
+TEST(XsbenchCore, UnrunProblemChecksumIsPositiveZero)
+{
+    expectUnrunProblemIsAllZero<float>();
+    expectUnrunProblemIsAllZero<double>();
+}
+
+/** Results and checksum of a full functional run of one problem. */
+struct LookupRun
+{
+    std::vector<u8> resultBytes;
+    u64 checksumBits = 0;
+    bool operator==(const LookupRun &) const = default;
+};
+
+template <typename Real>
+LookupRun
+runLookups(int G, u64 lookups)
+{
+    apps::xsbench::Problem<Real> prob(G, lookups);
+    prob.macroXsLookup(0, prob.lookups / 3);
+    prob.macroXsLookup(prob.lookups / 3, prob.lookups);
+    const auto *bytes =
+        reinterpret_cast<const u8 *>(prob.results.data());
+    return {{bytes, bytes + prob.results.size() * sizeof(Real)},
+            std::bit_cast<u64>(prob.checksum())};
+}
+
+TEST(XsbenchCore, ConcurrentMixedShapesMatchSerial)
+{
+    // Four configurations alternate between SP/DP and two sizes, so
+    // both memo slots are replaced while other threads read them.
+    constexpr u64 lookups = 3000;
+    auto run = [](int config) {
+        const int G = config / 2 ? 300 : 256;
+        return config % 2 ? runLookups<double>(G, lookups)
+                          : runLookups<float>(G, lookups);
+    };
+    std::vector<LookupRun> serial;
+    for (int config = 0; config < 4; ++config)
+        serial.push_back(run(config));
+
+    constexpr int threads = 4, rounds = 6;
+    std::vector<std::vector<LookupRun>> got(threads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            for (int r = 0; r < rounds; ++r)
+                got[t].push_back(run((t + r) % 4));
+        });
+    }
+    for (std::thread &thread : pool)
+        thread.join();
+    for (int t = 0; t < threads; ++t) {
+        for (int r = 0; r < rounds; ++r)
+            EXPECT_TRUE(got[t][r] == serial[(t + r) % 4])
+                << "thread " << t << " round " << r;
+    }
+}
+
 class XsbenchModels
     : public testing::TestWithParam<std::tuple<ModelKind, Precision>>
 {
@@ -214,6 +346,40 @@ TEST(Xsbench, TableStagingDominatesStartupOnDiscreteGpu)
     // "Moving this lookup-table to the GPU memory accounts for a
     // significant amount of total execution time."
     EXPECT_GT(result.transferSeconds, 0.002);
+}
+
+TEST(Xsbench, CompareRowsEqualSeparateRuns)
+{
+    // A compare shares one shape across its models; each row must be
+    // what a run of that configuration alone prints.
+    auto wl = core::makeXsbench();
+    for (const sim::DeviceSpec &device :
+         {sim::a10_7850kGpu(), sim::radeonR9_280X()}) {
+        for (Precision prec : {Precision::Single, Precision::Double}) {
+            SCOPED_TRACE(device.name + " " + toString(prec));
+            core::Harness harness(*wl, 0.02, false);
+            std::vector<core::SpeedupPoint> rows;
+            for (ModelKind model : wl->supportedModels()) {
+                if (model != ModelKind::Serial &&
+                    model != ModelKind::OpenMp)
+                    rows.push_back(harness.speedup(device, model, prec));
+            }
+            ASSERT_EQ(rows.size(), 6u);
+            for (const core::SpeedupPoint &row : rows) {
+                sim::TimingCache::global().clear();
+                core::WorkloadConfig cfg;
+                cfg.scale = 0.02;
+                cfg.precision = prec;
+                cfg.functional = false;
+                const core::RunResult alone =
+                    core::makeXsbench()->run(row.model, device, cfg);
+                EXPECT_EQ(row.seconds, alone.seconds)
+                    << ir::displayName(row.model);
+                EXPECT_EQ(row.energyJoules, alone.energyJoules)
+                    << ir::displayName(row.model);
+            }
+        }
+    }
 }
 
 } // namespace
