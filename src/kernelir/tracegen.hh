@@ -32,8 +32,9 @@ constexpr u64 traceBatchAddrs = 4096;
  * The one way a trace generator feeds the cache: push() addresses in
  * access order; they reach SetAssocCache::accessBatch() in batches of
  * traceBatchAddrs, and the partial last batch is flushed on
- * destruction.  accessBatch() collapses same-line runs exactly, so the
- * cache ends up bit-identical to calling access() once per push().
+ * destruction.  accessBatch() probes once per address, so the cache
+ * ends up bit-identical to calling access() once per push(); a line
+ * still MRU in its set costs one compare and changes no state.
  */
 class TraceBatcher
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -24,26 +25,53 @@ SetAssocCache::SetAssocCache(u64 size_bytes, u32 line_bytes, u32 assoc)
     if (numSets == 0)
         fatal("cache has zero sets");
     setsPow2 = std::has_single_bit(numSets);
-    tags.assign(u64(numSets) * assoc, invalidTag);
+    setsInverse = ~0ULL / numSets + 1;
+    stride = (assoc + waysPerStep - 1) / waysPerStep * waysPerStep;
+    tags.assign(u64(numSets) * stride, invalidTag);
 }
 
 bool
 SetAssocCache::probeLine(u64 line)
 {
-    const u64 set = setsPow2 ? line & (numSets - 1) : line % numSets;
-    u64 *ways = &tags[set * assoc];
-    u32 w = 0;
-    while (w < assoc && ways[w] != line)
-        ++w;
-    const bool hit = w < assoc;
-    if (!hit) {
-        // Miss: the last way holds the LRU line or is empty.
-        ++numMisses;
-        w = assoc - 1;
+    if (line >= invalidTag)
+        fatal("cache line %llu does not fit a 32-bit tag",
+              static_cast<unsigned long long>(line));
+    const u32 tag = static_cast<u32>(line);
+    // Exact for any 32-bit tag and set count (Lemire, Kaser and Kurz,
+    // "Faster remainder by direct computation", 2019).
+    const u32 set = setsPow2 ? tag & (numSets - 1)
+                             : static_cast<u32>(
+                                   (static_cast<unsigned __int128>(
+                                        setsInverse * tag) *
+                                    numSets) >>
+                                   64);
+    u32 *ways = tags.data() + u64(set) * stride;
+    if (ways[0] == tag)
+        return true;
+
+    // Lane k of the step at s holds way s + k.  At most one way
+    // matches, so OR-ing (way + 1) under each step's equality mask
+    // leaves the match's way + 1 in one lane and 0 in the others; 0
+    // overall is a miss.
+    using Ways = u32 __attribute__((vector_size(sizeof(u32) * waysPerStep)));
+    const Ways key = Ways{} + tag;
+    Ways way1 = {1, 2, 3, 4};
+    Ways found = {};
+    for (u32 s = 0; s < stride; s += waysPerStep, way1 += waysPerStep) {
+        Ways step;
+        std::memcpy(&step, ways + s, sizeof step);
+        found |= Ways(step == key) & way1;
     }
-    std::copy_backward(ways, ways + w, ways + w + 1);
-    ways[0] = line;
-    return hit;
+    const u32 match = found[0] | found[1] | found[2] | found[3];
+    // A hit shifts the ways in front of the match.  A miss (match - 1
+    // wraps) shifts the whole set: its last real way holds the LRU line
+    // or is empty.
+    const u32 miss = match == 0;
+    const u32 w = match - 1 + miss * assoc;
+    numMisses += miss;
+    std::memmove(ways + 1, ways, w * sizeof(u32));
+    ways[0] = tag;
+    return match != 0;
 }
 
 bool
@@ -67,16 +95,9 @@ SetAssocCache::accessRange(Addr addr, u64 bytes)
 void
 SetAssocCache::accessBatch(const Addr *addrs, u64 count)
 {
-    u64 i = 0;
-    while (i < count) {
-        const u64 line = addrs[i] >> lineShift;
-        u64 run = 1;
-        while (i + run < count && (addrs[i + run] >> lineShift) == line)
-            ++run;
-        probeLine(line);
-        numAccesses += run;
-        i += run;
-    }
+    for (u64 i = 0; i < count; ++i)
+        probeLine(addrs[i] >> lineShift);
+    numAccesses += count;
 }
 
 void

@@ -13,7 +13,9 @@
 #ifndef HETSIM_SIM_CACHE_HH
 #define HETSIM_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/types.hh"
@@ -23,9 +25,13 @@ namespace hetsim::sim
 
 /**
  * A set-associative cache with true-LRU replacement.  Each set is a
- * flat run of line numbers in recency order: a hit moves its line to
- * the front, a miss shifts the set back by one - dropping the LRU line
- * or an empty way - and inserts the line at the front.
+ * flat run of 32-bit line numbers in recency order: a hit on the MRU
+ * way changes no state, any other hit moves its line to the front, and
+ * a miss shifts the set back by one - dropping the LRU line or an empty
+ * way - and inserts the line at the front.  Sets are padded to a
+ * multiple of 4 ways so one branch-free step compares 4 ways; a 16-way
+ * set is one 64-byte host cache line.  An address whose line number
+ * (addr / line_bytes) is 2^32 - 1 or more is fatal.
  */
 class SetAssocCache
 {
@@ -54,11 +60,10 @@ class SetAssocCache
 
     /**
      * Access @p count addresses in order, as if access() had been
-     * called once per element.  Counters and LRU state end up
-     * bit-identical to the serial loop; consecutive same-line runs are
-     * collapsed into one LRU probe (a run's trailing accesses are
-     * guaranteed hits on the just-touched MRU line, so only the access
-     * counter advances).
+     * called once per element: one probe per address, so counters and
+     * LRU state are those of the serial loop.  A repeated line costs
+     * only the MRU compare wherever it recurs while still MRU in its
+     * set, so same-line runs need no separate detection.
      */
     void accessBatch(const Addr *addrs, u64 count);
 
@@ -93,27 +98,67 @@ class SetAssocCache
     u32 lineBytes() const { return lineSize; }
 
   private:
-    /** Tag of an empty way: no line number reaches ~0 (lines are
-     *  >= 2 bytes, so line numbers stay below 2^63). */
-    static constexpr u64 invalidTag = ~0ULL;
+    /** Tag of an empty or padding way.  Line numbers are 32-bit: a
+     *  probe of a line >= invalidTag is fatal, so no line matches an
+     *  empty way and none aliases another line. */
+    static constexpr u32 invalidTag = ~0u;
 
-    /** One LRU probe of @p line (does not count the access).  A run
-     *  of same-line accesses needs only its first probe: the line is
-     *  then MRU, so the rest are hits that change no state.
+    /** Ways compared per branch-free step (one 16-byte vector). */
+    static constexpr u32 waysPerStep = 4;
+
+    /** Allocates the tag array on a 64-byte (host cache line)
+     *  boundary by over-allocating and rounding up, with the raw
+     *  pointer kept just below the array.  The aligned operator new
+     *  goes through memalign, whose split-off fragments raised the
+     *  peak RSS of a 1000-job serve batch by ~8 MB. */
+    template <class T>
+    struct LineAligned
+    {
+        using value_type = T;
+        static constexpr std::uintptr_t line = 64;
+
+        LineAligned() = default;
+        template <class U>
+        LineAligned(const LineAligned<U> &) {}
+
+        T *
+        allocate(std::size_t n)
+        {
+            void *raw = ::operator new(n * sizeof(T) + line);
+            const std::uintptr_t at =
+                (reinterpret_cast<std::uintptr_t>(raw) + line) & ~(line - 1);
+            reinterpret_cast<void **>(at)[-1] = raw;
+            return reinterpret_cast<T *>(at);
+        }
+        void
+        deallocate(T *p, std::size_t)
+        {
+            ::operator delete(reinterpret_cast<void **>(p)[-1]);
+        }
+        bool operator==(const LineAligned &) const { return true; }
+    };
+
+    /** One LRU probe of @p line (does not count the access).  An MRU
+     *  hit returns before touching the rest of the set.
      *  @return true on hit. */
     bool probeLine(u64 line);
 
     u32 lineSize;
     u32 lineShift;
     u32 assoc;
+    u32 stride; ///< assoc rounded up to a multiple of waysPerStep
     u32 numSets;
     bool setsPow2; ///< set index is line & (numSets - 1)
+    /** Otherwise the set index is line % numSets computed exactly as a
+     *  multiply-shift (Lemire's fastmod): ceil(2^64 / numSets). */
+    u64 setsInverse;
     u64 numAccesses = 0;
     u64 numMisses = 0;
-    // numSets * assoc line numbers, set-major.  Each set is kept in
+    // numSets * stride line numbers, set-major.  Each set is kept in
     // recency order, MRU first; empty ways hold invalidTag and always
-    // sit behind the valid ones.
-    std::vector<u64> tags;
+    // sit behind the valid ones, and so do the padding ways, which
+    // never match and are never shifted into.
+    std::vector<u32, LineAligned<u32>> tags;
 };
 
 } // namespace hetsim::sim

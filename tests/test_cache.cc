@@ -133,7 +133,9 @@ struct Geometry
 std::vector<Geometry>
 differentialGeometries()
 {
-    std::vector<Geometry> geoms = {{"toy", 4 * 64 * 2, 64, 2}};
+    // "odd": 3 ways pad to 4, and 5 sets take the multiply-shift index.
+    std::vector<Geometry> geoms = {{"toy", 4 * 64 * 2, 64, 2},
+                                   {"odd", 5 * 64 * 3, 64, 3}};
     for (const auto &[name, spec] :
          {std::pair{"cpu", sim::a10_7850kCpu()},
           std::pair{"apu", sim::a10_7850kGpu()},
@@ -143,7 +145,9 @@ differentialGeometries()
     return geoms;
 }
 
-/** Random lines over 3x capacity, strided sweeps and same-line runs,
+/** Random lines over 3x capacity, strided sweeps, same-line runs and
+ *  rows (random 4-6 line rows, then random offsets in the row, so a
+ *  line recurs non-adjacently, as in XSBench's union-index stream),
  *  interleaved in chunks so each pattern meets a warm cache. */
 std::vector<Addr>
 mixedStream(const Geometry &g, u64 seed)
@@ -153,7 +157,7 @@ mixedStream(const Geometry &g, u64 seed)
     const u64 region = 3 * g.bytes;
     Addr sweep = 0;
     for (int chunk = 0; chunk < 24; ++chunk) {
-        switch (chunk % 3) {
+        switch (chunk % 4) {
           case 0:
             for (int k = 0; k < 3000; ++k)
                 addrs.push_back(rng.below(region));
@@ -164,13 +168,21 @@ mixedStream(const Geometry &g, u64 seed)
                 addrs.push_back(sweep % region);
             break;
           }
-          default:
+          case 2:
             for (int k = 0; k < 600; ++k) {
                 const Addr line_base =
                     rng.below(region / g.line) * g.line;
                 const u64 run = 1 + rng.below(8);
                 for (u64 r = 0; r < run; ++r)
                     addrs.push_back(line_base + rng.below(g.line));
+            }
+            break;
+          default:
+            for (int k = 0; k < 300; ++k) {
+                const u64 row_bytes = (4 + rng.below(3)) * g.line;
+                const Addr row = rng.below(region / row_bytes) * row_bytes;
+                for (int n = 0; n < 17; ++n)
+                    addrs.push_back(row + rng.below(row_bytes / 4) * 4);
             }
             break;
         }
@@ -199,6 +211,37 @@ TEST(CacheDifferential, MatchesReferenceLruAccessByAccess)
         EXPECT_GT(misses, 0u);
         EXPECT_LT(misses, addrs.size());
     }
+}
+
+TEST(CacheDifferential, LinesNearTagBoundMatchReference)
+{
+    // The dGPU's 768 sets take the multiply-shift index; lines up to
+    // 2^32 - 2 (the largest a 32-bit tag holds) must land in the sets
+    // line % 768 does, with hits and evictions as in the reference.
+    const Geometry g = differentialGeometries().back();
+    SetAssocCache cache(g.bytes, g.line, g.assoc);
+    ReferenceLru ref(g.bytes, g.line, g.assoc);
+    ASSERT_EQ(cache.sets(), 768u);
+    const u64 top = (u64(1) << 32) - 2;
+    Rng rng(53);
+    std::vector<u64> lines;
+    for (u64 k = 0; k < 4 * g.bytes / g.line; ++k)
+        lines.push_back(top - k);
+    for (int k = 0; k < 20000; ++k) {
+        lines.push_back(top - rng.below(g.bytes / 4));
+        lines.push_back(rng.below(top + 1));
+        // Conflicting lines: one set, 3x its ways.
+        lines.push_back(top - 768 * rng.below(3 * g.assoc));
+    }
+    u64 hits = 0;
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const Addr addr = lines[i] * g.line + rng.below(g.line);
+        const bool hit = cache.access(addr);
+        ASSERT_EQ(hit, ref.access(addr)) << "access " << i;
+        hits += hit;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(cache.misses(), 0u);
 }
 
 TEST(CacheDifferential, BatchAndStreamEqualAccessLoop)
@@ -261,6 +304,19 @@ TEST(CacheDeath, RejectsBadGeometry)
                 testing::ExitedWithCode(1), "associativity");
 }
 
+TEST(CacheDeath, RejectsLineBeyondTagRange)
+{
+    // Line 2^32 - 1 would alias the empty-way tag; no line may wrap.
+    const Addr first_bad = ((u64(1) << 32) - 1) * 64;
+    EXPECT_EXIT(SetAssocCache(768 * KiB, 64, 16).access(first_bad),
+                testing::ExitedWithCode(1), "32-bit tag");
+    EXPECT_EXIT(SetAssocCache(4 * KiB, 64, 4).access(u64(1) << 40),
+                testing::ExitedWithCode(1), "32-bit tag");
+    const Addr batch[] = {0, 64, first_bad};
+    EXPECT_EXIT(SetAssocCache(4 * KiB, 64, 4).accessBatch(batch, 3),
+                testing::ExitedWithCode(1), "32-bit tag");
+}
+
 /** Property: for any geometry, a loop over a set fitting in the ways
  *  hits after warmup, and one exceeding the ways thrashes. */
 class CacheGeometry
@@ -294,7 +350,8 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(u64(64) * KiB, 64u, 4u),
                     std::make_tuple(u64(512) * KiB, 64u, 16u),
                     std::make_tuple(u64(768) * KiB, 64u, 16u),
-                    std::make_tuple(u64(16) * KiB, 128u, 8u)));
+                    std::make_tuple(u64(16) * KiB, 128u, 8u),
+                    std::make_tuple(u64(5) * 64 * 3, 64u, 3u)));
 
 } // namespace
 } // namespace hetsim::sim
