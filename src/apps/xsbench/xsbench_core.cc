@@ -331,10 +331,14 @@ Problem<Real>::descriptor() const
     search.dependentAccessesPerItem = search_steps;
     // The trace owns the shape, so a stored descriptor outlives its
     // Problem safely.
+    // Each generator draws from a local copy of the stream's Rng and
+    // writes it back once: TraceBatcher::push stores u64s that could
+    // alias the stream's Rng, which would keep its state in memory.
     search.trace = [usize, shape = shape](sim::SetAssocCache &cache,
-                                          Rng &rng) {
+                                          Rng &stream_rng) {
         const u64 samples = ir::defaultTraceProbes / 32;
         const Real *ue = shape->unionEnergy.data();
+        Rng rng = stream_rng;
         ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             double target = rng.uniform();
@@ -342,12 +346,14 @@ Problem<Real>::descriptor() const
             while (lo + 1 < hi) {
                 u64 mid = (lo + hi) / 2;
                 batch.push(mid * sizeof(Real));
-                if (static_cast<double>(ue[mid]) <= target)
-                    lo = mid;
-                else
-                    hi = mid;
+                // Select by mask: the comparison is a coin flip, so a
+                // branch on it mispredicts half the time.
+                const u64 up = -u64(static_cast<double>(ue[mid]) <= target);
+                lo = (mid & up) | (lo & ~up);
+                hi = (hi & up) | (mid & ~up);
             }
         }
+        stream_rng = rng;
     };
     desc.streams.push_back(std::move(search));
 
@@ -359,18 +365,42 @@ Problem<Real>::descriptor() const
     idx.pattern = sim::AccessPattern::RandomGather;
     idx.workingSetBytesSp = unionSize * numNuclides * 4;
     const u64 row_bytes = numNuclides * 4;
+    // A sample reads per_row entries of one row, which spans at most
+    // row_bytes / line + 2 consecutive lines.  When the cache has at
+    // least that many sets, those lines fall in distinct sets, so every
+    // access after a line's first within the sample is an MRU hit, and
+    // reordering the first accesses changes no set's sequence.  The
+    // trace therefore probes each distinct line of the row once, in
+    // line order, and counts the other accesses with countMruHits().
     idx.trace = [usize, row_bytes, nucs](sim::SetAssocCache &cache,
-                                         Rng &rng) {
+                                         Rng &stream_rng) {
         const u64 samples = ir::defaultTraceProbes / 16;
         const u64 per_row = static_cast<u64>(nucs);
+        const u32 shift =
+            static_cast<u32>(std::countr_zero(cache.lineBytes()));
+        const u64 span = row_bytes / cache.lineBytes() + 2;
+        if (span > cache.sets() || span > 64)
+            fatal("union-index trace: a %llu-byte row spans up to %llu "
+                  "lines, more than the cache's %u sets or a 64-line mask",
+                  static_cast<unsigned long long>(row_bytes),
+                  static_cast<unsigned long long>(span), cache.sets());
         std::vector<u64> nuclides(per_row);
+        Rng rng = stream_rng;
+        u64 repeats = 0;
         ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
-            u64 row = rng.below(usize);
+            const u64 base = rng.below(usize) * row_bytes;
             rng.fillBelow(numNuclides, nuclides.data(), per_row);
+            const u64 first = base >> shift;
+            u64 lines = 0; // bit i: line first + i is read
             for (u64 n : nuclides)
-                batch.push(row * row_bytes + n * 4);
+                lines |= u64(1) << (((base + n * 4) >> shift) - first);
+            repeats += per_row - static_cast<u64>(std::popcount(lines));
+            for (; lines != 0; lines &= lines - 1)
+                batch.push((first + std::countr_zero(lines)) << shift);
         }
+        cache.countMruHits(repeats);
+        stream_rng = rng;
     };
     desc.streams.push_back(std::move(idx));
 
@@ -384,10 +414,11 @@ Problem<Real>::descriptor() const
     const u64 G = gridpointsPerNuclide;
     // One probe per element so the miss ratio composes with the
     // resolver's per-element access counts.
-    grid.trace = [G, nucs](sim::SetAssocCache &cache, Rng &rng) {
+    grid.trace = [G, nucs](sim::SetAssocCache &cache, Rng &stream_rng) {
         const u64 samples = ir::defaultTraceProbes /
                             (32 * 2 * (xsChannels + 1));
         const u64 stride = (xsChannels + 1) * sizeof(Real);
+        Rng rng = stream_rng;
         ir::TraceBatcher batch(cache);
         for (u64 k = 0; k < samples; ++k) {
             for (int s = 0; s < static_cast<int>(nucs); ++s) {
@@ -398,6 +429,7 @@ Problem<Real>::descriptor() const
                     batch.push(base + e * sizeof(Real));
             }
         }
+        stream_rng = rng;
     };
     desc.streams.push_back(std::move(grid));
 

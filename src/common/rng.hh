@@ -85,13 +85,18 @@ class Rng
     fillBelow(u64 bound, u64 *out, u64 count)
     {
         // Branch-free rejection: a rejected draw is overwritten by the
-        // next one because j only advances on an accepted draw.
+        // next one because j only advances on an accepted draw.  The
+        // draws come from a local copy written back once: out[] could
+        // alias state, so drawing from the member would store and
+        // reload the state on every draw.
         const u64 mask = coverMask(bound);
+        Rng local = *this;
         for (u64 j = 0; j < count;) {
-            const u64 v = next() & mask;
+            const u64 v = local.next() & mask;
             out[j] = v;
             j += v < bound;
         }
+        *this = local;
     }
 
   private:

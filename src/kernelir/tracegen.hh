@@ -12,6 +12,7 @@
 #ifndef HETSIM_KERNELIR_TRACEGEN_HH
 #define HETSIM_KERNELIR_TRACEGEN_HH
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -30,16 +31,24 @@ constexpr u64 traceBatchAddrs = 4096;
 
 /**
  * The one way a trace generator feeds the cache: push() addresses in
- * access order; they reach SetAssocCache::accessBatch() in batches of
- * traceBatchAddrs, and the partial last batch is flushed on
- * destruction.  accessBatch() probes once per address, so the cache
- * ends up bit-identical to calling access() once per push(); a line
- * still MRU in its set costs one compare and changes no state.
+ * access order.  A push whose line equals the previous push's line is
+ * an MRU hit (nothing reached that line's set in between), so it is
+ * counted but not stored; every other push is stored and probed.  A
+ * batch ends every traceBatchAddrs pushes: its stored addresses go to
+ * SetAssocCache::accessBatch() and its repeats to countMruHits(), and
+ * the partial last batch is flushed on destruction.  Counters and LRU
+ * state are therefore bit-identical to calling access() once per
+ * push().  Only adjacent repeats are collapsed: an A-B-A repeat is
+ * stored, and the probe's MRU compare decides whether it hits.
  */
 class TraceBatcher
 {
   public:
-    explicit TraceBatcher(sim::SetAssocCache &cache) : cache(cache) {}
+    explicit TraceBatcher(sim::SetAssocCache &cache)
+        : cache(cache),
+          lineShift(static_cast<u32>(std::countr_zero(cache.lineBytes())))
+    {
+    }
     ~TraceBatcher() { flush(); }
     TraceBatcher(const TraceBatcher &) = delete;
     TraceBatcher &operator=(const TraceBatcher &) = delete;
@@ -47,8 +56,13 @@ class TraceBatcher
     void
     push(Addr addr)
     {
-        buf[size++] = addr;
-        if (size == traceBatchAddrs)
+        // Branch-free: the slot is always written, and kept only when
+        // the line is fresh.
+        const u64 line = addr >> lineShift;
+        buf[size] = addr;
+        size += line != prevLine;
+        prevLine = line;
+        if (++pushes == traceBatchAddrs)
             flush();
     }
 
@@ -57,11 +71,18 @@ class TraceBatcher
     flush()
     {
         cache.accessBatch(buf, size);
+        cache.countMruHits(pushes - size);
         size = 0;
+        pushes = 0;
     }
 
     sim::SetAssocCache &cache;
-    u64 size = 0;
+    u32 lineShift;
+    /** Line of the last push; no address maps to ~0 (lines are at
+     *  least 2 bytes), so the first push is always fresh. */
+    u64 prevLine = ~0ULL;
+    u64 size = 0;   ///< stored addresses of this batch
+    u64 pushes = 0; ///< pushes of this batch, stored or not
     Addr buf[traceBatchAddrs];
 };
 

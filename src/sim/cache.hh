@@ -61,11 +61,22 @@ class SetAssocCache
     /**
      * Access @p count addresses in order, as if access() had been
      * called once per element: one probe per address, so counters and
-     * LRU state are those of the serial loop.  A repeated line costs
-     * only the MRU compare wherever it recurs while still MRU in its
-     * set, so same-line runs need no separate detection.
+     * LRU state are those of the serial loop.  A line still MRU in its
+     * set costs one compare and changes no state; repeats a caller
+     * already knows to be MRU hits are cheaper to count with
+     * countMruHits() than to pass here.
      */
     void accessBatch(const Addr *addrs, u64 count);
+
+    /**
+     * Count @p count accesses without probing.  Contract: the caller
+     * guarantees that each counted access is to the line that is MRU
+     * in its set at that point of the access order, so a probe would
+     * hit and change no state.  Counters are then those of the serial
+     * access() loop, whatever order the counted and probed accesses
+     * are reported in.
+     */
+    void countMruHits(u64 count) { numAccesses += count; }
 
     /**
      * Access the strided sequence start, start+stride, ... (@p count

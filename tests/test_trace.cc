@@ -210,9 +210,31 @@ batcherStream()
     return addrs;
 }
 
-TEST(TraceGen, BatcherEqualsScalarAccessLoop)
+/** A-B-A repeats, half with B in A's set of the test cache (128 sets
+ *  of 8 ways), which the batcher must not collapse, and a same-line
+ *  run straddling the first traceBatchAddrs push boundary. */
+std::vector<Addr>
+repeatStream()
 {
-    const std::vector<Addr> addrs = batcherStream();
+    Rng rng(11);
+    std::vector<Addr> addrs;
+    const Addr same_set = 128 * 64;
+    while (addrs.size() < 2 * traceBatchAddrs + 1000) {
+        const Addr a = rng.below(1u << 16) * 64;
+        const Addr b = rng.below(2) ? a + same_set * (1 + rng.below(16))
+                                    : rng.below(1u << 22);
+        addrs.insert(addrs.end(), {a, b, a + 4});
+    }
+    for (u64 i = 0; i < 12; ++i)
+        addrs[traceBatchAddrs - 6 + i] = 5 * same_set + 4 * i;
+    return addrs;
+}
+
+/** Pushing @p addrs through a TraceBatcher leaves the cache as one
+ *  access() per address does. */
+void
+expectBatcherEqualsScalar(const std::vector<Addr> &addrs)
+{
     ASSERT_NE(addrs.size() % traceBatchAddrs, 0u);
     sim::SetAssocCache scalar(64 * KiB, 64, 8);
     sim::SetAssocCache batched(64 * KiB, 64, 8);
@@ -231,6 +253,16 @@ TEST(TraceGen, BatcherEqualsScalarAccessLoop)
     // Same LRU state: both caches answer a further stream alike.
     for (Addr a : addrs)
         ASSERT_EQ(batched.access(a), scalar.access(a));
+}
+
+TEST(TraceGen, BatcherEqualsScalarAccessLoop)
+{
+    {
+        SCOPED_TRACE("runs, steps and jumps");
+        expectBatcherEqualsScalar(batcherStream());
+    }
+    SCOPED_TRACE("A-B-A repeats, run across a batch boundary");
+    expectBatcherEqualsScalar(repeatStream());
 }
 
 TEST(Resolver, TraceProbesMetricCountsEveryAccess)

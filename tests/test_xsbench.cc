@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -304,6 +306,173 @@ TEST(XsbenchCore, ConcurrentMixedShapesMatchSerial)
         for (int r = 0; r < rounds; ++r)
             EXPECT_TRUE(got[t][r] == serial[(t + r) % 4])
                 << "thread " << t << " round " << r;
+    }
+}
+
+/**
+ * The XSBench trace generators before their repeat collapses, kept as
+ * references: one access per push, a branchy search, no collapse.
+ * @p probe receives every address in access order.
+ */
+template <typename Real, typename Probe>
+void
+referenceTrace(const std::string &buffer,
+               const apps::xsbench::Problem<Real> &prob, double nucs,
+               Rng &rng, Probe probe)
+{
+    using namespace apps::xsbench;
+    const u64 usize = prob.unionSize;
+    if (buffer == "union-energy") {
+        for (u64 k = 0; k < ir::defaultTraceProbes / 32; ++k) {
+            double target = rng.uniform();
+            u64 lo = 0, hi = usize - 1;
+            while (lo + 1 < hi) {
+                u64 mid = (lo + hi) / 2;
+                probe(mid * sizeof(Real));
+                if (static_cast<double>(prob.unionEnergy[mid]) <= target)
+                    lo = mid;
+                else
+                    hi = mid;
+            }
+        }
+    } else if (buffer == "union-index") {
+        const u64 row_bytes = numNuclides * 4;
+        for (u64 k = 0; k < ir::defaultTraceProbes / 16; ++k) {
+            u64 row = rng.below(usize);
+            for (u64 j = 0; j < static_cast<u64>(nucs); ++j)
+                probe(row * row_bytes + rng.below(numNuclides) * 4);
+        }
+    } else {
+        ASSERT_EQ(buffer, "nuclide-grids");
+        const u64 G = prob.gridpointsPerNuclide;
+        const u64 stride = (xsChannels + 1) * sizeof(Real);
+        for (u64 k = 0; k < ir::defaultTraceProbes /
+                                (32 * 2 * (xsChannels + 1));
+             ++k) {
+            for (int s = 0; s < static_cast<int>(nucs); ++s) {
+                u64 n = rng.below(numNuclides);
+                u64 g = rng.below(G - 1);
+                Addr base = (n * G + g) * stride;
+                for (u64 e = 0; e < 2 * (xsChannels + 1); ++e)
+                    probe(base + e * sizeof(Real));
+            }
+        }
+    }
+}
+
+/** Each traced stream of a problem leaves an L2 of @p spec exactly as
+ *  its reference generator does: counters, Rng state and LRU state. */
+template <typename Real>
+void
+expectTracesMatchReference(const sim::DeviceSpec &spec, u64 seed)
+{
+    const apps::xsbench::Problem<Real> prob(512, 1000);
+    const ir::KernelDescriptor desc = prob.descriptor();
+    double nucs = 0.0;
+    for (const ir::MemStream &stream : desc.streams) {
+        if (stream.buffer == "union-index")
+            nucs = stream.bytesPerItemSp / 4.0; // exact: nucs * 4.0
+    }
+    ASSERT_GT(nucs, 1.0);
+    int traced = 0;
+    for (const ir::MemStream &stream : desc.streams) {
+        if (!stream.trace)
+            continue;
+        SCOPED_TRACE(stream.buffer);
+        ++traced;
+        sim::SetAssocCache ref(spec.l2Bytes, spec.l2LineBytes,
+                               spec.l2Assoc);
+        sim::SetAssocCache got(spec.l2Bytes, spec.l2LineBytes,
+                               spec.l2Assoc);
+        Rng ref_rng(seed);
+        Rng got_rng(seed);
+        referenceTrace(stream.buffer, prob, nucs, ref_rng,
+                       [&](Addr a) { ref.access(a); });
+        stream.trace(got, got_rng);
+        EXPECT_EQ(got.accesses(), ref.accesses());
+        EXPECT_EQ(got.misses(), ref.misses());
+        EXPECT_EQ(got_rng.next(), ref_rng.next());
+        // Same LRU state: both caches answer a further stream alike.
+        Rng follow(seed ^ 0xF0110);
+        u64 differ = 0;
+        referenceTrace(stream.buffer, prob, nucs, follow, [&](Addr a) {
+            differ += ref.access(a) != got.access(a);
+        });
+        EXPECT_EQ(differ, 0u);
+    }
+    EXPECT_EQ(traced, 3);
+}
+
+class XsbenchTraces
+    : public testing::TestWithParam<
+          std::tuple<sim::DeviceSpec (*)(), Precision, u64>>
+{
+};
+
+TEST_P(XsbenchTraces, CollapsedEqualPerAccessReference)
+{
+    auto [device, prec, seed] = GetParam();
+    const sim::DeviceSpec spec = device();
+    SCOPED_TRACE(spec.name);
+    if (prec == Precision::Double)
+        expectTracesMatchReference<double>(spec, seed);
+    else
+        expectTracesMatchReference<float>(spec, seed);
+}
+
+std::string
+xsbenchTracesName(
+    const testing::TestParamInfo<XsbenchTraces::ParamType> &info)
+{
+    auto [device, prec, seed] = info.param;
+    const char *l2 = device == &sim::a10_7850kCpu   ? "cpu"
+                     : device == &sim::a10_7850kGpu ? "apu"
+                                                    : "dgpu";
+    return std::string(l2) + (prec == Precision::Double ? "Dp" : "Sp") +
+           "Seed" + std::to_string(seed);
+}
+
+// The cpu (4096 sets), apu (512) and dgpu (768, not a power of two)
+// L2 geometries.
+INSTANTIATE_TEST_SUITE_P(
+    L2s, XsbenchTraces,
+    testing::Combine(testing::Values(&sim::a10_7850kCpu,
+                                     &sim::a10_7850kGpu,
+                                     &sim::radeonR9_280X),
+                     testing::Values(Precision::Single,
+                                     Precision::Double),
+                     testing::Values(u64(7), u64(0x5EED5))),
+    xsbenchTracesName);
+
+// Threadsafe style: a forked child of a process whose thread pool is
+// running crashes or hangs in exit-time teardown (see LoggingDeath).
+class XsbenchTracesDeath : public testing::Test
+{
+    void
+    SetUp() override
+    {
+        testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    }
+};
+
+TEST_F(XsbenchTracesDeath, UnionIndexRowMustSpanDistinctSets)
+{
+    const apps::xsbench::Problem<float> prob(512, 1000);
+    const ir::KernelDescriptor desc = prob.descriptor();
+    for (const ir::MemStream &stream : desc.streams) {
+        if (stream.buffer != "union-index")
+            continue;
+        Rng rng(1);
+        // 4 sets of 64-byte lines; a 272-byte row spans up to 6.
+        sim::SetAssocCache few_sets(4 * KiB, 64, 16);
+        EXPECT_EXIT(stream.trace(few_sets, rng),
+                    testing::ExitedWithCode(1),
+                    "272-byte row spans up to 6 lines");
+        // 2-byte lines: 138 lines, more than the 64-line mask.
+        sim::SetAssocCache tiny_lines(64 * KiB, 2, 1);
+        EXPECT_EXIT(stream.trace(tiny_lines, rng),
+                    testing::ExitedWithCode(1),
+                    "spans up to 138 lines");
     }
 }
 
