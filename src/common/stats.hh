@@ -30,6 +30,11 @@ struct Percentiles
     double max = 0.0;
 };
 
+/** From this many values on, percentiles() sorts values in
+ *  [+0.0, +inf] by a radix sort on their bit patterns (bitwise the
+ *  std::sort result); smaller or other inputs take std::sort. */
+inline constexpr size_t kPercentilesRadixMin = 768;
+
 /** @return nearest-rank percentiles over @p values (order
  *  irrelevant; the vector is consumed).  An empty vector yields the
  *  all-zero summary. */

@@ -9,18 +9,30 @@
  *    index on ties) - exactly the list schedule the serving layer's
  *    virtual cluster has always used, now shared;
  *  - first-fit:    the lowest-index node already idle at the job's
- *    arrival, falling back to least-loaded when every node is busy;
+ *    arrival, falling back to the least-loaded busy node - or, when
+ *    every alive node is idle but none is free yet, the least-loaded
+ *    idle one;
  *  - locality:     each job names a *home* node holding its input
  *    data; the scheduler compares finishing at home (no transfer)
  *    against the least-loaded node (paying the fabric transfer) and
  *    takes the earlier finish, preferring home on ties.
  *
- * Placement is O(log nodes) per job - a lazy min-heap of
- * (availability, index) entries with stale-entry discard - so a
- * million jobs over a thousand nodes schedule in well under a second.
- * Every decision is a pure function of the placement sequence:
- * ties break on the lowest node index, doubles compare exactly, and
- * no host state leaks in, so a schedule is bit-reproducible anywhere.
+ * Placement is O(log nodes) per job on a tournament tree: one leaf
+ * per node (padded to a power of two) holding the bit pattern of its
+ * availability as a u64 key, and one (key, winner) pair per inner
+ * node.  Availabilities are >= +0.0, so their bit patterns order like
+ * the doubles; dead and idle nodes and the padding leaves hold a
+ * sentinel above +inf.  Updating a leaf walks its fixed path to the
+ * root, carrying the winner in registers, reading only the siblings
+ * and selecting with a mask instead of a branch (a tie keeps the
+ * lower index), so a million jobs over a thousand nodes schedule in
+ * a few tens of milliseconds.  First-fit keeps its idle nodes in a
+ * bitset.  Every decision is a pure function of the placement
+ * sequence: ties break on the lowest node index, doubles compare
+ * exactly, and no host state leaks in, so a schedule is
+ * bit-reproducible anywhere.  Committed costs must be non-negative
+ * and not NaN (commit() and placeGang() fatal otherwise): that keeps
+ * availabilities non-decreasing and the key order exact.
  *
  * Gang placement (multi-node jobs) picks the k least-loaded alive
  * nodes, synchronizes them at the latest member availability, and
@@ -33,12 +45,12 @@
 #define HETSIM_FLEET_CLUSTER_HH
 
 #include <algorithm>
+#include <bit>
 #include <optional>
-#include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace hetsim::fleet
@@ -77,10 +89,17 @@ class Cluster
 
     Cluster(u32 nodes, Policy policy)
         : pol(policy), availv(nodes, 0.0), deadv(nodes, false),
-          aliveN(nodes)
+          idleBits((nodes + 63) / 64, 0),
+          leaves(std::bit_ceil(std::max<u32>(nodes, 1))),
+          tree(2 * static_cast<size_t>(leaves)), aliveN(nodes)
     {
-        for (u32 n = 0; n < nodes; ++n)
-            heap.push(Entry{0.0, n});
+        for (u32 i = 0; i < leaves; ++i)
+            tree[leaves + i] = Slot{i < nodes ? keyOf(0.0) : kAbsent, i};
+        for (size_t pos = leaves - 1; pos >= 1; --pos) {
+            const Slot &left = tree[2 * pos];
+            const Slot &right = tree[2 * pos + 1];
+            tree[pos] = right.key < left.key ? right : left;
+        }
     }
 
     u32 size() const { return static_cast<u32>(availv.size()); }
@@ -107,7 +126,8 @@ class Cluster
             return;
         deadv[node] = true;
         --aliveN;
-        idle.erase(node);
+        clearIdle(node);
+        setKey(node, kAbsent);
     }
 
     /**
@@ -128,18 +148,18 @@ class Cluster
         switch (pol) {
           case Policy::FirstFit: {
             promoteIdle(arrival);
-            auto it = idle.begin();
-            if (it != idle.end() && availv[*it] <= arrival)
-                node = *it;
+            const u32 first = firstIdle();
+            if (first < size() && availv[first] <= arrival)
+                node = first;
             else
-                node = peekMin();
+                node = leastLoaded();
             break;
           }
           case Policy::LeastLoaded:
-            node = peekMin();
+            node = leastLoaded();
             break;
           case Policy::Locality: {
-            node = peekMin();
+            node = leastLoaded();
             if (home != kNoHome && home < size() && !deadv[home]) {
                 const double homeFinish =
                     std::max(availv[home], arrival) + costOf(home);
@@ -180,33 +200,30 @@ class Cluster
             return members;
         members.reserve(k);
         start = arrival;
-        // Idle nodes (first-fit bookkeeping) left the heap when they
-        // were promoted; they are the least-loaded by construction.
-        for (auto it = idle.begin();
-             it != idle.end() && members.size() < k; ++it) {
-            members.push_back(*it);
-            start = std::max(start, availv[*it]);
+        // Idle nodes (first-fit bookkeeping) are out of the tree; they
+        // are the least-loaded by construction.
+        for (u32 node = firstIdle(); node < size() && members.size() < k;
+             node = nextIdle(node)) {
+            members.push_back(node);
+            start = std::max(start, availv[node]);
         }
-        std::set<u32> picked(members.begin(), members.end());
-        while (members.size() < k && !heap.empty()) {
-            const Entry top = heap.top();
-            heap.pop();
-            if (deadv[top.node] || availv[top.node] != top.avail ||
-                idle.count(top.node) != 0 ||
-                picked.count(top.node) != 0)
-                continue;
-            picked.insert(top.node);
-            members.push_back(top.node);
-            start = std::max(start, top.avail);
+        // Then the tree's winners in (availability, index) order; each
+        // leaves the tree until its new availability is committed.
+        while (members.size() < k && tree[1].key != kAbsent) {
+            const u32 node = static_cast<u32>(tree[1].winner);
+            setKey(node, kAbsent);
+            members.push_back(node);
+            start = std::max(start, availv[node]);
         }
         std::sort(members.begin(), members.end());
         cost = extraCost;
         for (u32 node : members)
             cost = std::max(cost, extraCost + costOf(node));
+        checkCost("placeGang", members.front(), cost);
         for (u32 node : members) {
             availv[node] = start + cost;
-            heap.push(Entry{availv[node], node});
-            idle.erase(node);
+            clearIdle(node);
+            setKey(node, keyOf(availv[node]));
         }
         return members;
     }
@@ -216,61 +233,118 @@ class Cluster
     double
     commit(u32 node, double arrival, double cost)
     {
+        checkCost("commit", node, cost);
         const double start = std::max(availv[node], arrival);
         availv[node] = start + cost;
-        heap.push(Entry{availv[node], node});
-        idle.erase(node);
+        clearIdle(node);
+        setKey(node, deadv[node] ? kAbsent : keyOf(availv[node]));
         return start;
     }
 
   private:
-    /** Min-heap entry; stale once the node's availability moved. */
-    struct Entry
+    /** Tree entry: the smallest key of a subtree and its node index
+     *  (the lowest index among equal keys). */
+    struct Slot
     {
-        double avail;
-        u32 node;
-
-        bool
-        operator>(const Entry &other) const
-        {
-            return avail > other.avail ||
-                   (avail == other.avail && node > other.node);
-        }
+        u64 key;
+        u64 winner;
     };
 
-    /** @return the alive node with the earliest availability (lowest
-     *  index on ties), discarding stale heap entries. */
-    u32
-    peekMin()
+    /** Key of a node out of the tree (dead, idle or padding): above
+     *  every non-negative double's bit pattern, +inf included, and
+     *  one below overflow so the tie-break's +1 stays exact. */
+    static constexpr u64 kAbsent = 0x7fffffffffffffffULL;
+
+    /** @return the u64 key of availability @p avail >= 0 (+ 0.0 maps
+     *  -0.0 onto +0.0's key, as the doubles compare equal). */
+    static u64 keyOf(double avail) { return std::bit_cast<u64>(avail + 0.0); }
+
+    static void
+    checkCost(const char *what, u32 node, double cost)
     {
-        while (true) {
-            const Entry top = heap.top();
-            if (!deadv[top.node] && availv[top.node] == top.avail &&
-                idle.count(top.node) == 0)
-                return top.node;
-            heap.pop();
+        if (!(cost >= 0.0))
+            fatal("fleet::Cluster::%s: cost %g on node %u is negative "
+                  "or NaN",
+                  what, cost, node);
+    }
+
+    /** Set @p node's leaf to @p key and replay its path to the root:
+     *  at each level the sibling wins on a smaller key, or on an equal
+     *  one when it is the left (lower-index) subtree. */
+    void
+    setKey(u32 node, u64 key)
+    {
+        size_t pos = leaves + static_cast<size_t>(node);
+        u64 wk = key;
+        u64 wi = node;
+        tree[pos] = Slot{wk, wi};
+        while (pos > 1) {
+            const Slot &sib = tree[pos ^ 1];
+            const u64 take = 0 - static_cast<u64>(sib.key < wk + (pos & 1));
+            wk ^= (wk ^ sib.key) & take;
+            wi ^= (wi ^ sib.winner) & take;
+            pos >>= 1;
+            tree[pos] = Slot{wk, wi};
         }
     }
 
-    /** Move nodes whose availability passed @p arrival into the idle
-     *  set (first-fit candidates, ordered by index). */
+    /** @return the alive non-idle node with the earliest availability
+     *  (lowest index on ties); when every alive node is idle, the
+     *  earliest idle one. */
+    u32
+    leastLoaded() const
+    {
+        if (tree[1].key != kAbsent)
+            return static_cast<u32>(tree[1].winner);
+        u32 best = firstIdle();
+        for (u32 node = nextIdle(best); node < size();
+             node = nextIdle(node)) {
+            if (availv[node] < availv[best])
+                best = node;
+        }
+        return best;
+    }
+
+    /** Move the nodes whose availability passed @p arrival out of the
+     *  tree into the idle set (first-fit candidates, by index). */
     void
     promoteIdle(double arrival)
     {
-        while (!heap.empty() && heap.top().avail <= arrival) {
-            const Entry top = heap.top();
-            heap.pop();
-            if (!deadv[top.node] && availv[top.node] == top.avail)
-                idle.insert(top.node);
+        while (tree[1].key != kAbsent &&
+               availv[tree[1].winner] <= arrival) {
+            const u32 node = static_cast<u32>(tree[1].winner);
+            idleBits[node >> 6] |= 1ULL << (node & 63);
+            setKey(node, kAbsent);
         }
     }
+
+    void clearIdle(u32 node) { idleBits[node >> 6] &= ~(1ULL << (node & 63)); }
+
+    /** @return the lowest idle node at or above @p from, or size(). */
+    u32
+    idleFrom(u32 from) const
+    {
+        size_t w = from >> 6;
+        if (w >= idleBits.size())
+            return size();
+        u64 bits = idleBits[w] & (~0ULL << (from & 63));
+        while (bits == 0) {
+            if (++w == idleBits.size())
+                return size();
+            bits = idleBits[w];
+        }
+        return static_cast<u32>(w * 64 + std::countr_zero(bits));
+    }
+
+    u32 firstIdle() const { return idleFrom(0); }
+    u32 nextIdle(u32 node) const { return idleFrom(node + 1); }
 
     Policy pol;
     std::vector<double> availv;
     std::vector<bool> deadv;
-    std::set<u32> idle; ///< first-fit candidates, by index
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap;
+    std::vector<u64> idleBits; ///< first-fit candidates, one bit each
+    u32 leaves;                ///< tree leaves: nodes padded to 2^k
+    std::vector<Slot> tree;    ///< [1] is the root, [leaves + n] node n
     u32 aliveN;
 };
 

@@ -362,7 +362,6 @@ simulateFleet(const Topology &topo, const FleetConfig &cfg,
             std::max(res.makespanSeconds, acc[n].finishSeconds);
     }
     res.digest = digest.digest();
-    res.latencyMs = percentiles(latenciesMs);
     if (res.makespanSeconds > 0.0) {
         res.throughputJobsPerSec =
             static_cast<double>(cfg.jobs) / res.makespanSeconds;
@@ -413,6 +412,7 @@ simulateFleet(const Topology &topo, const FleetConfig &cfg,
         metrics.set("fleet.utilization", res.utilization);
         metrics.observeMany("fleet.latency_ms", latenciesMs);
     }
+    res.latencyMs = percentiles(std::move(latenciesMs));
 
     // Per-node rollup shards for the profile report: one bounded
     // summary per node, merged deterministically by the Rollup.

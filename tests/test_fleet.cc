@@ -9,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <optional>
+#include <queue>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/flatjson.hh"
+#include "common/rng.hh"
 #include "cpu/threadpool.hh"
 #include "fault/fault.hh"
 #include "fleet/cluster.hh"
@@ -281,6 +285,364 @@ TEST(FleetCluster, DeadNodesAreNeverPicked)
     cluster.markDead(1);
     cluster.markDead(2);
     EXPECT_FALSE(cluster.place(0.0, unit).has_value());
+}
+
+TEST(FleetCluster, FirstFitFallbackWhenEveryAliveNodeIsIdle)
+{
+    // The retry-after-death pattern: the first idle node is not free
+    // yet and every alive node is idle, so no busy node is left to
+    // fall back to.  The rule is least-loaded over the alive nodes.
+    fleet::Cluster cluster(2, fleet::Policy::FirstFit);
+    auto unit = [](u32) { return 1.0; };
+    EXPECT_EQ(cluster.place(0.0, unit)->node, 0u);
+    EXPECT_EQ(cluster.place(0.0, unit)->node, 1u);
+    EXPECT_EQ(cluster.place(5.0, unit)->node, 0u); // both go idle
+    cluster.markDead(0);
+    const auto placed = cluster.place(0.5, unit);
+    ASSERT_TRUE(placed.has_value());
+    EXPECT_EQ(placed->node, 1u);
+    EXPECT_DOUBLE_EQ(placed->start, 1.0);
+
+    // Two idle survivors: the earlier one wins, the lower index on a
+    // tie - not simply the first idle node.
+    for (const double cost2 : {2.0, 3.0}) {
+        const double costs[] = {1.0, 3.0, cost2};
+        auto costOf = [&](u32 n) { return costs[n]; };
+        fleet::Cluster three(3, fleet::Policy::FirstFit);
+        for (u32 n = 0; n < 3; ++n)
+            EXPECT_EQ(three.place(0.0, costOf)->node, n);
+        EXPECT_EQ(three.place(10.0, costOf)->node, 0u);
+        three.markDead(0);
+        const auto retried = three.place(0.5, costOf);
+        ASSERT_TRUE(retried.has_value());
+        EXPECT_EQ(retried->node, cost2 < 3.0 ? 2u : 1u);
+        EXPECT_DOUBLE_EQ(retried->start, cost2);
+    }
+}
+
+class FleetClusterDeath : public testing::Test
+{
+    void
+    SetUp() override
+    {
+        testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    }
+};
+
+TEST_F(FleetClusterDeath, NegativeOrNaNCostsAreFatal)
+{
+    // Availabilities must stay >= +0.0 for the tree's key order.
+    fleet::Cluster cluster(4, fleet::Policy::LeastLoaded);
+    EXPECT_EXIT(cluster.commit(1, 0.0, -1.0),
+                testing::ExitedWithCode(1),
+                "commit: cost -1 on node 1 is negative or NaN");
+    EXPECT_EXIT(cluster.commit(2, 0.0, std::nan("")),
+                testing::ExitedWithCode(1), "is negative or NaN");
+    double start = 0.0, cost = 0.0;
+    EXPECT_EXIT(cluster.placeGang(
+                    0.0, 2, [](u32) { return 1.0; }, -5.0, start, cost),
+                testing::ExitedWithCode(1),
+                "placeGang: cost -4 on node 0 is negative or NaN");
+    EXPECT_EXIT(cluster.placeGang(
+                    0.0, 2, [](u32) { return std::nan(""); },
+                    std::nan(""), start, cost),
+                testing::ExitedWithCode(1), "is negative or NaN");
+    // -0.0 is not negative.
+    EXPECT_DOUBLE_EQ(cluster.commit(3, 0.0, -0.0), 0.0);
+    EXPECT_FALSE(std::signbit(cluster.avail(3)));
+}
+
+/**
+ * Oracle for the differential test: the lazy-heap scheduler the
+ * tournament tree replaced, verbatim, except that peekMin() falls back
+ * to the least-loaded idle node when the heap holds no valid entry
+ * (every alive node idle) instead of reading an empty heap.
+ */
+class LazyHeapCluster
+{
+  public:
+    static constexpr u32 kNoHome = 0xffffffffu;
+
+    LazyHeapCluster(u32 nodes, fleet::Policy policy)
+        : pol(policy), availv(nodes, 0.0), deadv(nodes, false),
+          aliveN(nodes)
+    {
+        for (u32 n = 0; n < nodes; ++n)
+            heap.push(Entry{0.0, n});
+    }
+
+    u32 aliveCount() const { return aliveN; }
+    double avail(u32 node) const { return availv[node]; }
+
+    double
+    makespan() const
+    {
+        double latest = 0.0;
+        for (double a : availv)
+            latest = std::max(latest, a);
+        return latest;
+    }
+
+    void
+    markDead(u32 node)
+    {
+        if (deadv[node])
+            return;
+        deadv[node] = true;
+        --aliveN;
+        idle.erase(node);
+    }
+
+    template <typename CostFn>
+    std::optional<fleet::Placement>
+    place(double arrival, const CostFn &costOf, u32 home = kNoHome,
+          double transferSeconds = 0.0)
+    {
+        if (aliveN == 0)
+            return std::nullopt;
+        u32 node = 0;
+        switch (pol) {
+          case fleet::Policy::FirstFit: {
+            promoteIdle(arrival);
+            auto it = idle.begin();
+            if (it != idle.end() && availv[*it] <= arrival)
+                node = *it;
+            else
+                node = peekMin();
+            break;
+          }
+          case fleet::Policy::LeastLoaded:
+            node = peekMin();
+            break;
+          case fleet::Policy::Locality: {
+            node = peekMin();
+            if (home != kNoHome && home < availv.size() &&
+                !deadv[home]) {
+                const double homeFinish =
+                    std::max(availv[home], arrival) + costOf(home);
+                const double awayFinish =
+                    std::max(availv[node], arrival) + costOf(node) +
+                    transferSeconds;
+                if (homeFinish <= awayFinish)
+                    node = home;
+            }
+            break;
+          }
+        }
+        fleet::Placement placed;
+        placed.node = node;
+        placed.offHome = home != kNoHome && node != home;
+        double cost = costOf(node);
+        if (placed.offHome)
+            cost += transferSeconds;
+        placed.start = commit(node, arrival, cost);
+        return placed;
+    }
+
+    template <typename CostFn>
+    std::vector<u32>
+    placeGang(double arrival, u32 k, const CostFn &costOf,
+              double extraCost, double &start, double &cost)
+    {
+        std::vector<u32> members;
+        if (k == 0 || k > aliveN)
+            return members;
+        members.reserve(k);
+        start = arrival;
+        for (auto it = idle.begin();
+             it != idle.end() && members.size() < k; ++it) {
+            members.push_back(*it);
+            start = std::max(start, availv[*it]);
+        }
+        std::set<u32> picked(members.begin(), members.end());
+        while (members.size() < k && !heap.empty()) {
+            const Entry top = heap.top();
+            heap.pop();
+            if (deadv[top.node] || availv[top.node] != top.avail ||
+                idle.count(top.node) != 0 ||
+                picked.count(top.node) != 0)
+                continue;
+            picked.insert(top.node);
+            members.push_back(top.node);
+            start = std::max(start, top.avail);
+        }
+        std::sort(members.begin(), members.end());
+        cost = extraCost;
+        for (u32 node : members)
+            cost = std::max(cost, extraCost + costOf(node));
+        for (u32 node : members) {
+            availv[node] = start + cost;
+            heap.push(Entry{availv[node], node});
+            idle.erase(node);
+        }
+        return members;
+    }
+
+    double
+    commit(u32 node, double arrival, double cost)
+    {
+        const double start = std::max(availv[node], arrival);
+        availv[node] = start + cost;
+        heap.push(Entry{availv[node], node});
+        idle.erase(node);
+        return start;
+    }
+
+  private:
+    struct Entry
+    {
+        double avail;
+        u32 node;
+
+        bool
+        operator>(const Entry &other) const
+        {
+            return avail > other.avail ||
+                   (avail == other.avail && node > other.node);
+        }
+    };
+
+    u32
+    peekMin()
+    {
+        while (!heap.empty()) {
+            const Entry top = heap.top();
+            if (!deadv[top.node] && availv[top.node] == top.avail &&
+                idle.count(top.node) == 0)
+                return top.node;
+            heap.pop();
+        }
+        u32 best = *idle.begin();
+        for (u32 node : idle) {
+            if (availv[node] < availv[best])
+                best = node;
+        }
+        return best;
+    }
+
+    void
+    promoteIdle(double arrival)
+    {
+        while (!heap.empty() && heap.top().avail <= arrival) {
+            const Entry top = heap.top();
+            heap.pop();
+            if (!deadv[top.node] && availv[top.node] == top.avail)
+                idle.insert(top.node);
+        }
+    }
+
+    fleet::Policy pol;
+    std::vector<double> availv;
+    std::vector<bool> deadv;
+    std::set<u32> idle;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
+        heap;
+    u32 aliveN;
+};
+
+/** Bit pattern of @p v: the differential test compares doubles
+ *  exactly, telling -0.0 from +0.0. */
+u64
+bitsOf(double v)
+{
+    return std::bit_cast<u64>(v);
+}
+
+TEST(FleetCluster, TournamentTreeMatchesLazyHeapOracle)
+{
+    // Seeded random place / placeGang / commit / markDead sequences
+    // on quarter-second grids (so availabilities tie often), with
+    // out-of-order ready times like retries; 1, 2, 3, 64 and 1000
+    // nodes cover the padding leaves of non-power-of-two trees.
+    for (fleet::Policy policy :
+         {fleet::Policy::FirstFit, fleet::Policy::LeastLoaded,
+          fleet::Policy::Locality}) {
+        for (u32 nodes : {1u, 2u, 3u, 64u, 1000u}) {
+            SCOPED_TRACE(std::string(fleet::toString(policy)) + " x" +
+                         std::to_string(nodes));
+            Rng rng(0xc1u + nodes * 7 + static_cast<u32>(policy));
+            fleet::Cluster tree(nodes, policy);
+            LazyHeapCluster oracle(nodes, policy);
+            std::vector<double> nodeCost(nodes);
+            for (double &c : nodeCost)
+                c = 0.25 * static_cast<double>(rng.below(9));
+            const auto costOf = [&](u32 n) { return nodeCost[n]; };
+            double clock = 0.0;
+            u32 lastPlaced = 0;
+            const u32 steps = nodes >= 64 ? 6000 : 1500;
+            for (u32 step = 0; step < steps; ++step) {
+                const u64 op = rng.below(100);
+                double ready = clock;
+                if (rng.below(4) == 0)
+                    ready += 0.25 * static_cast<double>(rng.below(40));
+                else if (rng.below(4) == 0)
+                    ready = std::max(
+                        0.0, ready - 0.25 * static_cast<double>(
+                                             rng.below(20)));
+                if (op < 80) {
+                    const u32 home = rng.below(4) == 0
+                                         ? fleet::Cluster::kNoHome
+                                         : static_cast<u32>(
+                                               rng.below(nodes));
+                    const double transfer =
+                        0.25 * static_cast<double>(rng.below(5));
+                    const auto got =
+                        tree.place(ready, costOf, home, transfer);
+                    const auto want =
+                        oracle.place(ready, costOf, home, transfer);
+                    ASSERT_EQ(got.has_value(), want.has_value());
+                    if (got) {
+                        lastPlaced = got->node;
+                        ASSERT_EQ(got->node, want->node)
+                            << "step " << step;
+                        ASSERT_EQ(bitsOf(got->start), bitsOf(want->start));
+                        ASSERT_EQ(got->offHome, want->offHome);
+                    }
+                } else if (op < 88) {
+                    const u32 k = static_cast<u32>(
+                        1 + rng.below(std::min<u32>(nodes, 6) + 1));
+                    const double extra =
+                        0.25 * static_cast<double>(rng.below(3));
+                    double gotStart = -1.0, gotCost = -1.0;
+                    double wantStart = -1.0, wantCost = -1.0;
+                    const auto got = tree.placeGang(
+                        ready, k, costOf, extra, gotStart, gotCost);
+                    const auto want = oracle.placeGang(
+                        ready, k, costOf, extra, wantStart, wantCost);
+                    ASSERT_EQ(got, want) << "step " << step;
+                    ASSERT_EQ(bitsOf(gotStart), bitsOf(wantStart));
+                    ASSERT_EQ(bitsOf(gotCost), bitsOf(wantCost));
+                } else if (op < 97) {
+                    // Any node, dead ones included.
+                    const u32 node = static_cast<u32>(rng.below(nodes));
+                    const double cost =
+                        0.25 * static_cast<double>(rng.below(8));
+                    ASSERT_EQ(bitsOf(tree.commit(node, ready, cost)),
+                              bitsOf(oracle.commit(node, ready, cost)));
+                } else if (tree.aliveCount() > std::max(1u, nodes / 2)) {
+                    // Deaths stop at half the nodes (the last one
+                    // always survives); half of them hit the node just
+                    // placed, as simulateFleet's death trigger does.
+                    const u32 node =
+                        rng.below(2) == 0
+                            ? lastPlaced
+                            : static_cast<u32>(rng.below(nodes));
+                    tree.markDead(node);
+                    oracle.markDead(node);
+                }
+                clock += 0.25 * static_cast<double>(rng.below(3));
+                ASSERT_EQ(tree.aliveCount(), oracle.aliveCount());
+                ASSERT_EQ(bitsOf(tree.makespan()),
+                          bitsOf(oracle.makespan()));
+                u32 firstDiff = nodes;
+                for (u32 n = 0; n < nodes && firstDiff == nodes; ++n) {
+                    if (bitsOf(tree.avail(n)) != bitsOf(oracle.avail(n)))
+                        firstDiff = n;
+                }
+                ASSERT_EQ(firstDiff, nodes) << "step " << step;
+            }
+        }
+    }
 }
 
 // --- fleet simulation --------------------------------------------------

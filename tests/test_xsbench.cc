@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -403,16 +404,30 @@ expectTracesMatchReference(const sim::DeviceSpec &spec, u64 seed)
     EXPECT_EQ(traced, 3);
 }
 
+// An L2 geometry under test. The tag, not the function's address,
+// is what the test's name and printed parameter show, so both stay
+// the same from one build and run to the next.
+struct L2Case
+{
+    const char *tag;
+    sim::DeviceSpec (*device)();
+};
+
+void
+PrintTo(const L2Case &l2, std::ostream *os)
+{
+    *os << l2.tag;
+}
+
 class XsbenchTraces
-    : public testing::TestWithParam<
-          std::tuple<sim::DeviceSpec (*)(), Precision, u64>>
+    : public testing::TestWithParam<std::tuple<L2Case, Precision, u64>>
 {
 };
 
 TEST_P(XsbenchTraces, CollapsedEqualPerAccessReference)
 {
-    auto [device, prec, seed] = GetParam();
-    const sim::DeviceSpec spec = device();
+    auto [l2, prec, seed] = GetParam();
+    const sim::DeviceSpec spec = l2.device();
     SCOPED_TRACE(spec.name);
     if (prec == Precision::Double)
         expectTracesMatchReference<double>(spec, seed);
@@ -424,11 +439,8 @@ std::string
 xsbenchTracesName(
     const testing::TestParamInfo<XsbenchTraces::ParamType> &info)
 {
-    auto [device, prec, seed] = info.param;
-    const char *l2 = device == &sim::a10_7850kCpu   ? "cpu"
-                     : device == &sim::a10_7850kGpu ? "apu"
-                                                    : "dgpu";
-    return std::string(l2) + (prec == Precision::Double ? "Dp" : "Sp") +
+    auto [l2, prec, seed] = info.param;
+    return std::string(l2.tag) + (prec == Precision::Double ? "Dp" : "Sp") +
            "Seed" + std::to_string(seed);
 }
 
@@ -436,9 +448,9 @@ xsbenchTracesName(
 // L2 geometries.
 INSTANTIATE_TEST_SUITE_P(
     L2s, XsbenchTraces,
-    testing::Combine(testing::Values(&sim::a10_7850kCpu,
-                                     &sim::a10_7850kGpu,
-                                     &sim::radeonR9_280X),
+    testing::Combine(testing::Values(L2Case{"cpu", &sim::a10_7850kCpu},
+                                     L2Case{"apu", &sim::a10_7850kGpu},
+                                     L2Case{"dgpu", &sim::radeonR9_280X}),
                      testing::Values(Precision::Single,
                                      Precision::Double),
                      testing::Values(u64(7), u64(0x5EED5))),
