@@ -4,57 +4,54 @@
  */
 
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim::core
 {
+
+namespace
+{
+
+const AppEntry kApps[] = {
+    {"readmem", makeReadMem}, {"lulesh", makeLulesh},
+    {"comd", makeComd},       {"xsbench", makeXsbench},
+    {"minife", makeMiniFe},
+};
+
+} // namespace
+
+std::span<const AppEntry>
+appTable()
+{
+    return kApps;
+}
 
 std::vector<std::unique_ptr<Workload>>
 makeAllWorkloads()
 {
     std::vector<std::unique_ptr<Workload>> workloads;
-    workloads.push_back(makeReadMem());
-    workloads.push_back(makeLulesh());
-    workloads.push_back(makeComd());
-    workloads.push_back(makeXsbench());
-    workloads.push_back(makeMiniFe());
+    for (const AppEntry &app : kApps)
+        workloads.push_back(app.make());
     return workloads;
 }
 
 std::unique_ptr<Workload>
 workloadByName(const std::string &name)
 {
-    if (name == "readmem")
-        return makeReadMem();
-    if (name == "lulesh")
-        return makeLulesh();
-    if (name == "comd")
-        return makeComd();
-    if (name == "xsbench")
-        return makeXsbench();
-    if (name == "minife")
-        return makeMiniFe();
+    for (const AppEntry &app : kApps) {
+        if (name == app.alias)
+            return app.make();
+    }
     return nullptr;
 }
 
 std::optional<ModelKind>
 modelByName(const std::string &name)
 {
-    if (name == "serial")
-        return ModelKind::Serial;
-    if (name == "openmp" || name == "omp")
-        return ModelKind::OpenMp;
-    if (name == "opencl" || name == "ocl")
-        return ModelKind::OpenCl;
-    if (name == "cppamp" || name == "amp")
-        return ModelKind::CppAmp;
-    if (name == "openacc" || name == "acc")
-        return ModelKind::OpenAcc;
-    if (name == "hc")
-        return ModelKind::Hc;
-    if (name == "omptarget" || name == "target")
-        return ModelKind::OmpTarget;
-    if (name == "cuda")
-        return ModelKind::Cuda;
+    for (const ir::BackendCaps &row : ir::backendTable()) {
+        if (name == row.name || (*row.alias != '\0' && name == row.alias))
+            return row.kind;
+    }
     return std::nullopt;
 }
 

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,6 +141,17 @@ std::unique_ptr<Workload> makeComd();
 std::unique_ptr<Workload> makeXsbench();
 std::unique_ptr<Workload> makeMiniFe();
 
+/** One proxy application: its CLI alias and its factory. */
+struct AppEntry
+{
+    const char *alias; ///< e.g. "lulesh"
+    std::unique_ptr<Workload> (*make)();
+};
+
+/** @return the five proxy applications, in the paper's order - the
+ *  one list of apps. */
+std::span<const AppEntry> appTable();
+
 /** All five proxy applications, in the paper's order. */
 std::vector<std::unique_ptr<Workload>> makeAllWorkloads();
 
@@ -148,8 +160,8 @@ std::vector<std::unique_ptr<Workload>> makeAllWorkloads();
  *  layer's JobSpec resolution. */
 std::unique_ptr<Workload> workloadByName(const std::string &name);
 
-/** @return the model kind for a CLI alias (serial, openmp/omp,
- *  opencl/ocl, cppamp/amp, openacc/acc, hc), if valid. */
+/** @return the model kind for a CLI name or alias (ir::BackendCaps
+ *  name/alias: serial, openmp/omp, opencl/ocl, ...), if valid. */
 std::optional<ModelKind> modelByName(const std::string &name);
 
 } // namespace hetsim::core

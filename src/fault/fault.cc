@@ -1,10 +1,10 @@
 #include "fault.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/numparse.hh"
 
 namespace hetsim::fault
 {
@@ -39,24 +39,6 @@ toString(DeviceHealth health)
     return "?";
 }
 
-namespace
-{
-
-/** Strictly parse a rate in [0, 1]; nullopt on junk. */
-std::optional<double>
-parseRate(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || v < 0.0 || v > 1.0)
-        return std::nullopt;
-    return v;
-}
-
-} // namespace
-
 std::optional<FaultConfig>
 parseFaultSpec(const std::string &spec)
 {
@@ -70,8 +52,8 @@ parseFaultSpec(const std::string &spec)
         if (colon == std::string::npos)
             return std::nullopt;
         const std::string kind = token.substr(0, colon);
-        auto rate = parseRate(token.substr(colon + 1));
-        if (!rate)
+        auto rate = parseFinite(token.substr(colon + 1));
+        if (!rate || *rate < 0.0 || *rate > 1.0)
             return std::nullopt;
         if (kind == "transfer")
             cfg.transferFailRate = *rate;

@@ -49,6 +49,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OpenMp,
         .name = "openmp",
+        .alias = "omp",
         .display = "OpenMP",
         .fileSuffix = "omp",
         .toolchain = "g++ -O3 -fopenmp",
@@ -66,6 +67,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OpenCl,
         .name = "opencl",
+        .alias = "ocl",
         .display = "OpenCL",
         .fileSuffix = "opencl",
         .toolchain = "AMD Catalyst driver v14.6",
@@ -86,6 +88,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::CppAmp,
         .name = "cppamp",
+        .alias = "amp",
         .display = "C++ AMP",
         .fileSuffix = "amp",
         .toolchain = "CLAMP v0.6.0",
@@ -113,6 +116,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OpenAcc,
         .name = "openacc",
+        .alias = "acc",
         .display = "OpenACC",
         .fileSuffix = "acc",
         .toolchain = "PGI v14.10 with AMD Catalyst driver v14.6",
@@ -160,6 +164,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OmpTarget,
         .name = "omptarget",
+        .alias = "target",
         .display = "OpenMP target",
         .fileSuffix = "omptarget",
         .toolchain = "GCC 6.1 -fopenmp (HSAIL offload)",

@@ -88,6 +88,8 @@ struct BackendCaps
     ModelKind kind = ModelKind::Serial;
     /** Short CLI identifier, e.g. "opencl". */
     const char *name = "";
+    /** Short `--model` alias, e.g. "ocl" ("" = none). */
+    const char *alias = "";
     /** Display name as used in the paper, e.g. "C++ AMP". */
     const char *display = "";
     /** Port file suffix under src/apps/<app>/<app>_<suffix>.cc - the

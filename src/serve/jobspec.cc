@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/flatjson.hh"
+#include "common/numparse.hh"
 
 namespace hetsim::serve
 {
@@ -50,31 +51,21 @@ backendByName(const std::string &name)
     return std::nullopt;
 }
 
-namespace
-{
-
-/** Parse a positive "core:mem" MHz pair. */
 std::optional<sim::FreqDomain>
 parseFreqPair(const std::string &text)
 {
     size_t colon = text.find(':');
     if (colon == std::string::npos)
         return std::nullopt;
-    auto positive = [](const std::string &part) -> std::optional<double> {
-        if (part.empty())
-            return std::nullopt;
-        char *end = nullptr;
-        double v = std::strtod(part.c_str(), &end);
-        if (end != part.c_str() + part.size() || v <= 0.0)
-            return std::nullopt;
-        return v;
-    };
-    auto core = positive(text.substr(0, colon));
-    auto mem = positive(text.substr(colon + 1));
-    if (!core || !mem)
+    auto core = parseFinite(text.substr(0, colon));
+    auto mem = parseFinite(text.substr(colon + 1));
+    if (!core || !mem || *core <= 0.0 || *mem <= 0.0)
         return std::nullopt;
     return sim::FreqDomain{*core, *mem};
 }
+
+namespace
+{
 
 /** JSON string escaper for the result writer. */
 std::string

@@ -127,6 +127,10 @@ const char *toString(JobStatus status);
  */
 std::optional<ir::ModelKind> backendByName(const std::string &name);
 
+/** @return a "core:mem" pair of finite positive MHz, if valid - the
+ *  JobSpec "freq" key and the CLI's --freq share this parser. */
+std::optional<sim::FreqDomain> parseFreqPair(const std::string &text);
+
 /** Outcome of one job. */
 struct JobResult
 {

@@ -12,9 +12,11 @@
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <variant>
 
 #include "apps/coexec_kernels.hh"
 #include "coexec/coexec.hh"
+#include "common/numparse.hh"
 #include "common/table.hh"
 #include "core/harness.hh"
 #include "fleet/costing.hh"
@@ -36,47 +38,6 @@
 namespace hetsim::cli
 {
 
-namespace
-{
-
-const char *kApps[] = {"readmem", "lulesh", "comd", "xsbench",
-                       "minife"};
-
-/** Strictly parse a positive number; nullopt on any trailing junk. */
-std::optional<double>
-parsePositive(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || v <= 0.0)
-        return std::nullopt;
-    return v;
-}
-
-/**
- * Strictly parse an unsigned integer count: digits only, no sign, no
- * trailing junk, no overflow.  Integer flags all route through this,
- * so "--chunk -5" or "--retry-max 3x" are rejected instead of being
- * silently truncated by strtod/atoi.
- */
-std::optional<u64>
-parseCount(const std::string &text)
-{
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return std::nullopt;
-    return static_cast<u64>(v);
-}
-
-} // namespace
-
 std::unique_ptr<core::Workload>
 workloadByName(const std::string &name)
 {
@@ -93,512 +54,6 @@ std::optional<sim::DeviceSpec>
 deviceByName(const std::string &name)
 {
     return sim::deviceByName(name);
-}
-
-Args
-parse(const std::vector<std::string> &argv)
-{
-    Args args;
-    if (argv.empty()) {
-        args.error = "missing command";
-        return args;
-    }
-    args.command = argv[0];
-    if (args.command != "list" && args.command != "backends" &&
-        args.command != "run" &&
-        args.command != "compare" && args.command != "sweep" &&
-        args.command != "coexec" && args.command != "breakdown" &&
-        args.command != "profile" && args.command != "batch" &&
-        args.command != "serve" && args.command != "fleet" &&
-        args.command != "predict") {
-        args.error = "unknown command '" + args.command + "'";
-        return args;
-    }
-
-    for (size_t i = 1; i < argv.size(); ++i) {
-        const std::string &arg = argv[i];
-        auto value = [&](const char *flag) -> std::optional<std::string> {
-            if (i + 1 >= argv.size()) {
-                args.error = std::string(flag) + " needs a value";
-                return std::nullopt;
-            }
-            return argv[++i];
-        };
-        if (arg == "--app") {
-            if (auto v = value("--app"))
-                args.app = *v;
-        } else if (arg == "--model") {
-            if (auto v = value("--model"))
-                args.model = *v;
-        } else if (arg == "--device") {
-            if (auto v = value("--device"))
-                args.device = *v;
-        } else if (arg == "--scale") {
-            if (auto v = value("--scale")) {
-                auto f = parsePositive(*v);
-                if (!f) {
-                    args.error = "--scale wants a positive number, "
-                                 "got '" + *v + "'";
-                } else {
-                    args.scale = *f;
-                }
-            }
-        } else if (arg == "--devices") {
-            if (auto v = value("--devices")) {
-                args.devices = *v;
-                args.devicesGiven = true;
-            }
-        } else if (arg == "--backend") {
-            if (auto v = value("--backend")) {
-                if (!serve::backendByName(*v)) {
-                    args.error = "--backend wants a device backend "
-                                 "(ocl, amp, acc, hc, omp, cuda), "
-                                 "got '" + *v + "'";
-                } else {
-                    args.backend = *v;
-                }
-            }
-        } else if (arg == "--power-model") {
-            if (auto v = value("--power-model")) {
-                if (v->empty())
-                    args.error = "--power-model wants a file path";
-                else
-                    args.powerModel = *v;
-            }
-        } else if (arg == "--energy-out") {
-            if (auto v = value("--energy-out")) {
-                if (v->empty())
-                    args.error = "--energy-out wants a file path";
-                else
-                    args.energyOut = *v;
-            }
-        } else if (arg == "--trace-out") {
-            if (auto v = value("--trace-out")) {
-                if (v->empty())
-                    args.error = "--trace-out wants a file path";
-                else
-                    args.traceOut = *v;
-            }
-        } else if (arg == "--metrics-out") {
-            if (auto v = value("--metrics-out")) {
-                if (v->empty())
-                    args.error = "--metrics-out wants a file path";
-                else
-                    args.metricsOut = *v;
-            }
-        } else if (arg == "--profile-out") {
-            if (auto v = value("--profile-out")) {
-                if (v->empty())
-                    args.error = "--profile-out wants a file path";
-                else
-                    args.profileOut = *v;
-            }
-        } else if (arg == "--observations-out") {
-            if (auto v = value("--observations-out")) {
-                if (v->empty())
-                    args.error = "--observations-out wants a file "
-                                 "path";
-                else
-                    args.observationsOut = *v;
-            }
-        } else if (arg == "--trace-sample") {
-            if (auto v = value("--trace-sample")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--trace-sample wants a positive "
-                                 "node count, got '" + *v + "'";
-                } else {
-                    args.traceSample = *n;
-                }
-            }
-        } else if (arg == "--policy") {
-            if (auto v = value("--policy"))
-                args.policy = *v;
-        } else if (arg == "--chunk") {
-            if (auto v = value("--chunk")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--chunk wants a positive item "
-                                 "count, got '" + *v + "'";
-                } else {
-                    args.chunk = *n;
-                }
-            }
-        } else if (arg == "--min-chunk") {
-            if (auto v = value("--min-chunk")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--min-chunk wants a positive item "
-                                 "count, got '" + *v + "'";
-                } else {
-                    args.minChunk = *n;
-                }
-            }
-        } else if (arg == "--inject-faults") {
-            if (auto v = value("--inject-faults")) {
-                auto cfg = fault::parseFaultSpec(*v);
-                if (!cfg) {
-                    args.error = "--inject-faults wants kind:rate "
-                                 "pairs (transfer|launch|stall, rate "
-                                 "in [0,1]), got '" + *v + "'";
-                } else {
-                    args.faultConfig.transferFailRate =
-                        cfg->transferFailRate;
-                    args.faultConfig.launchFailRate =
-                        cfg->launchFailRate;
-                    args.faultConfig.stallRate = cfg->stallRate;
-                    args.faultsGiven = true;
-                }
-            }
-        } else if (arg == "--fault-seed") {
-            if (auto v = value("--fault-seed")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--fault-seed wants an unsigned "
-                                 "integer, got '" + *v + "'";
-                } else {
-                    args.faultConfig.seed = *n;
-                }
-            }
-        } else if (arg == "--retry-max") {
-            if (auto v = value("--retry-max")) {
-                auto n = parseCount(*v);
-                if (!n || *n > 64) {
-                    args.error = "--retry-max wants a retry budget in "
-                                 "[0, 64], got '" + *v + "'";
-                } else {
-                    args.faultConfig.retryMax = static_cast<u32>(*n);
-                }
-            }
-        } else if (arg == "--fail-device") {
-            if (auto v = value("--fail-device")) {
-                if (v->empty()) {
-                    args.error = "--fail-device wants a device alias";
-                } else {
-                    args.faultConfig.failDevice = *v;
-                    args.faultsGiven = true;
-                }
-            }
-        } else if (arg == "--freq") {
-            if (auto v = value("--freq")) {
-                size_t colon = v->find(':');
-                std::optional<double> core, mem;
-                if (colon != std::string::npos) {
-                    core = parsePositive(v->substr(0, colon));
-                    mem = parsePositive(v->substr(colon + 1));
-                }
-                if (!core || !mem) {
-                    args.error = "--freq wants core:mem in positive "
-                                 "MHz, got '" + *v + "'";
-                } else {
-                    args.freq.coreMhz = *core;
-                    args.freq.memMhz = *mem;
-                }
-            }
-        } else if (arg == "--jobs") {
-            if (auto v = value("--jobs")) {
-                if (v->empty())
-                    args.error = "--jobs wants a file path";
-                else
-                    args.jobs = *v;
-            }
-        } else if (arg == "--results-out") {
-            if (auto v = value("--results-out")) {
-                if (v->empty())
-                    args.error = "--results-out wants a file path";
-                else
-                    args.resultsOut = *v;
-            }
-        } else if (arg == "--workers") {
-            if (auto v = value("--workers")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--workers wants a worker count, "
-                                 "got '" + *v + "'";
-                } else {
-                    // 0 parses fine; the server reports the
-                    // structured zero-worker configuration error.
-                    args.workers = *n;
-                }
-            }
-        } else if (arg == "--queue-cap") {
-            if (auto v = value("--queue-cap")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--queue-cap wants a job count "
-                                 "(0 = unbounded), got '" + *v + "'";
-                } else {
-                    args.queueCap = *n;
-                }
-            }
-        } else if (arg == "--deadline-ms") {
-            if (auto v = value("--deadline-ms")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--deadline-ms wants milliseconds "
-                                 "(0 = none), got '" + *v + "'";
-                } else {
-                    args.deadlineMs = *n;
-                }
-            }
-        } else if (arg == "--shots") {
-            if (auto v = value("--shots")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--shots wants a positive job "
-                                 "count, got '" + *v + "'";
-                } else {
-                    args.shots = *n;
-                }
-            }
-        } else if (arg == "--admission") {
-            if (auto v = value("--admission")) {
-                if (!serve::admissionByName(*v)) {
-                    args.error = "--admission wants reject, shed, or "
-                                 "block, got '" + *v + "'";
-                } else {
-                    args.admission = *v;
-                }
-            }
-        } else if (arg == "--stream") {
-            args.stream = true;
-        } else if (arg == "--tenants") {
-            if (auto v = value("--tenants")) {
-                serve::TenantTable probe;
-                std::string err;
-                if (!probe.applyWeights(*v, err))
-                    args.error = err;
-                else
-                    args.tenants = *v;
-            }
-        } else if (arg == "--quota") {
-            if (auto v = value("--quota")) {
-                serve::TenantTable probe;
-                std::string err;
-                if (!probe.applyQuotas(*v, err))
-                    args.error = err;
-                else
-                    args.quota = *v;
-            }
-        } else if (arg == "--service-deadline-ms") {
-            if (auto v = value("--service-deadline-ms")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--service-deadline-ms wants "
-                                 "simulated milliseconds (0 = none), "
-                                 "got '" + *v + "'";
-                } else {
-                    args.serviceDeadlineMs = *n;
-                }
-            }
-        } else if (arg == "--max-preemptions") {
-            if (auto v = value("--max-preemptions")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--max-preemptions wants a "
-                                 "preemption count, got '" + *v + "'";
-                } else {
-                    args.maxPreemptions = *n;
-                }
-            }
-        } else if (arg == "--autoscale") {
-            args.autoscale = true;
-        } else if (arg == "--min-workers") {
-            if (auto v = value("--min-workers")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--min-workers wants a positive "
-                                 "worker count, got '" + *v + "'";
-                } else {
-                    args.minWorkers = *n;
-                }
-            }
-        } else if (arg == "--max-workers") {
-            if (auto v = value("--max-workers")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--max-workers wants a positive "
-                                 "worker count (omit for --workers), "
-                                 "got '" + *v + "'";
-                } else {
-                    args.maxWorkers = *n;
-                }
-            }
-        } else if (arg == "--topology") {
-            if (auto v = value("--topology")) {
-                if (v->empty())
-                    args.error = "--topology wants a file path";
-                else
-                    args.topology = *v;
-            }
-        } else if (arg == "--nodes") {
-            if (auto v = value("--nodes")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--nodes wants a positive node "
-                                 "count, got '" + *v + "'";
-                } else {
-                    args.nodes = *n;
-                }
-            }
-        } else if (arg == "--njobs") {
-            if (auto v = value("--njobs")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--njobs wants a positive job "
-                                 "count, got '" + *v + "'";
-                } else {
-                    args.njobs = *n;
-                }
-            }
-        } else if (arg == "--placement") {
-            if (auto v = value("--placement")) {
-                if (!fleet::policyByName(*v)) {
-                    args.error = "--placement wants first-fit, "
-                                 "least-loaded, or locality, got '" +
-                                 *v + "'";
-                } else {
-                    args.placement = *v;
-                }
-            }
-        } else if (arg == "--rate") {
-            if (auto v = value("--rate")) {
-                auto f = parsePositive(*v);
-                if (!f) {
-                    args.error = "--rate wants a positive jobs/sec "
-                                 "arrival rate, got '" + *v + "'";
-                } else {
-                    args.rate = *f;
-                }
-            }
-        } else if (arg == "--slo-ms") {
-            if (auto v = value("--slo-ms")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--slo-ms wants milliseconds "
-                                 "(0 = none), got '" + *v + "'";
-                } else {
-                    args.sloMs = *n;
-                }
-            }
-        } else if (arg == "--node-fail-rate") {
-            if (auto v = value("--node-fail-rate")) {
-                char *end = nullptr;
-                const double f =
-                    v->empty() ? -1.0
-                               : std::strtod(v->c_str(), &end);
-                if (v->empty() ||
-                    end != v->c_str() + v->size() || f < 0.0 ||
-                    f > 1.0) {
-                    args.error = "--node-fail-rate wants a fraction "
-                                 "in [0, 1], got '" + *v + "'";
-                } else {
-                    args.nodeFailRate = f;
-                }
-            }
-        } else if (arg == "--seed") {
-            if (auto v = value("--seed")) {
-                auto n = parseCount(*v);
-                if (!n) {
-                    args.error = "--seed wants an unsigned integer, "
-                                 "got '" + *v + "'";
-                } else {
-                    args.seed = *n;
-                }
-            }
-        } else if (arg == "--model-in") {
-            if (auto v = value("--model-in")) {
-                if (v->empty())
-                    args.error = "--model-in wants a file path";
-                else
-                    args.modelIn = *v;
-            }
-        } else if (arg == "--model-out") {
-            if (auto v = value("--model-out")) {
-                if (v->empty())
-                    args.error = "--model-out wants a file path";
-                else
-                    args.modelOut = *v;
-            }
-        } else if (arg == "--fit") {
-            if (auto v = value("--fit")) {
-                if (v->empty())
-                    args.error = "--fit wants an observation JSONL "
-                                 "file path";
-                else
-                    args.fitObs = *v;
-            }
-        } else if (arg == "--kernel") {
-            if (auto v = value("--kernel")) {
-                if (v->empty())
-                    args.error = "--kernel wants a kernel name";
-                else
-                    args.kernel = *v;
-            }
-        } else if (arg == "--items") {
-            if (auto v = value("--items")) {
-                auto n = parseCount(*v);
-                if (!n || *n == 0) {
-                    args.error = "--items wants a positive item "
-                                 "count, got '" + *v + "'";
-                } else {
-                    args.items = *n;
-                }
-            }
-        } else if (arg == "--predict-admission") {
-            args.predictAdmission = true;
-        } else if (arg == "--no-surrogate") {
-            args.surrogate = false;
-        } else if (arg == "--sweep") {
-            args.fleetSweep = true;
-        } else if (arg == "--dp") {
-            args.doublePrecision = true;
-        } else if (arg == "--functional") {
-            args.functional = true;
-        } else if (arg == "--no-timing-cache") {
-            args.timingCache = false;
-        } else if (arg == "--stats") {
-            args.stats = true;
-        } else if (arg == "--kernels") {
-            args.kernels = true;
-        } else {
-            args.error = "unknown option '" + arg + "'";
-        }
-        if (!args.error.empty())
-            return args;
-    }
-    if (args.predictAdmission && args.modelIn.empty()) {
-        args.error = "--predict-admission needs --model-in FILE "
-                     "(recorded job costs to predict from)";
-        return args;
-    }
-    if (args.stream && args.command != "serve") {
-        args.error = "--stream is a serve-verb flag "
-                     "(hetsim serve --stream < jobs.jsonl)";
-        return args;
-    }
-    if (!args.energyOut.empty() && args.command != "run" &&
-        args.command != "coexec") {
-        args.error = "--energy-out writes one run's energy report; "
-                     "it is a run/coexec-verb flag";
-        return args;
-    }
-    if (args.autoscale) {
-        const u64 ceiling =
-            args.maxWorkers != 0 ? args.maxWorkers : args.workers;
-        if (args.minWorkers > ceiling) {
-            args.error = "--min-workers exceeds the autoscale "
-                         "ceiling (--max-workers, default --workers)";
-            return args;
-        }
-    }
-    if (args.command == "predict" && args.fitObs.empty() &&
-        args.modelIn.empty()) {
-        args.error = "predict needs --fit OBS_JSONL or --model-in "
-                     "FILE";
-        return args;
-    }
-    return args;
 }
 
 void
@@ -835,19 +290,19 @@ namespace
 {
 
 int
-cmdList(std::ostream &os)
+cmdList(const Args &, std::ostream &os)
 {
     Table table("Workloads");
     table.setHeader({"app", "paper command line", "models"});
-    for (const char *name : kApps) {
-        auto wl = workloadByName(name);
+    for (const core::AppEntry &app : core::appTable()) {
+        auto wl = app.make();
         std::string models;
         for (core::ModelKind model : wl->supportedModels()) {
             if (!models.empty())
                 models += ' ';
             models += ir::toString(model);
         }
-        table.addRow({name, wl->cmdline(), models});
+        table.addRow({app.alias, wl->cmdline(), models});
     }
     table.print(os);
     return 0;
@@ -861,7 +316,7 @@ cmdList(std::ostream &os)
  * enough for CI to diff.
  */
 int
-cmdBackends(std::ostream &os)
+cmdBackends(const Args &, std::ostream &os)
 {
     const auto yn = [](bool v) { return v ? "yes" : "-"; };
 
@@ -925,30 +380,42 @@ cmdBackends(std::ostream &os)
 }
 
 /**
- * Writes the --energy-out report (run/coexec verbs).  A path that
- * cannot be opened or written is loud and exits 2, like every other
- * output flag.
+ * Writes one output file through @p write; an empty @p path (flag not
+ * given) writes nothing.  A path that cannot be opened or written is
+ * loud and returns 2, for every output flag.
  */
+template <typename Write>
+int
+writeOutput(const std::string &path, const char *what, std::ostream &os,
+            Write &&write)
+{
+    if (path.empty())
+        return 0;
+    std::ofstream out(path);
+    if (!out.is_open()) {
+        os << "error: cannot open " << what << " output '" << path
+           << "': " << std::strerror(errno) << "\n";
+        return 2;
+    }
+    write(out);
+    out.flush();
+    if (!out) {
+        os << "error: failed writing " << what << " output '" << path
+           << "'\n";
+        return 2;
+    }
+    return 0;
+}
+
+/** Writes the --energy-out report (run/coexec verbs). */
 int
 writeEnergyOut(const Args &args, const power::EnergyReport &report,
                std::ostream &os)
 {
-    if (args.energyOut.empty())
-        return 0;
-    std::ofstream out(args.energyOut);
-    if (!out.is_open()) {
-        os << "error: cannot open energy output '" << args.energyOut
-           << "': " << std::strerror(errno) << "\n";
-        return 2;
-    }
-    power::writeEnergyJson(out, report);
-    out.flush();
-    if (!out) {
-        os << "error: failed writing energy output '"
-           << args.energyOut << "'\n";
-        return 2;
-    }
-    return 0;
+    return writeOutput(args.energyOut, "energy", os,
+                       [&](std::ostream &out) {
+                           power::writeEnergyJson(out, report);
+                       });
 }
 
 int
@@ -1089,20 +556,31 @@ cmdSweep(const Args &args, std::ostream &os)
     return 0;
 }
 
-int
-cmdCoexec(const Args &args, std::ostream &os)
+/** A co-execution launch as --devices, --policy, --backend, --app,
+ *  --scale, --dp, --chunk, --min-chunk and --functional ask for. */
+struct CoexecLaunch
+{
+    coexec::DevicePool pool;
+    coexec::CoKernel kernel;
+    coexec::ExecOptions opts;
+    Precision prec;
+};
+
+/** @return the requested launch, or nullopt with the error printed. */
+std::optional<CoexecLaunch>
+coexecLaunch(const Args &args, std::ostream &os)
 {
     auto pool = coexec::DevicePool::parse(args.devices);
     if (!pool) {
         os << "error: unknown device pool '" << args.devices
            << "' (want e.g. cpu+dgpu or cpu+apu)\n";
-        return 2;
+        return std::nullopt;
     }
     auto policy = coexec::policyByName(args.policy);
     if (!policy) {
         os << "error: unknown policy '" << args.policy
            << "' (static, dynamic, adaptive)\n";
-        return 2;
+        return std::nullopt;
     }
     if (!args.backend.empty())
         pool->setGpuModel(*serve::backendByName(args.backend));
@@ -1114,21 +592,30 @@ cmdCoexec(const Args &args, std::ostream &os)
         os << "error: app '" << args.app
            << "' has no co-execution kernel (readmem, xsbench, "
               "minife)\n";
-        return 2;
+        return std::nullopt;
     }
-
     coexec::ExecOptions opts;
     opts.policy = *policy;
     opts.chunkItems = args.chunk;
     opts.minChunkItems = args.minChunk;
     opts.functional = args.functional;
+    return CoexecLaunch{std::move(*pool), std::move(*kernel), opts, prec};
+}
+
+int
+cmdCoexec(const Args &args, std::ostream &os)
+{
+    auto launch = coexecLaunch(args, os);
+    if (!launch)
+        return 2;
+    auto &[pool, kernel, opts, prec] = *launch;
     // The plan outlives the launch; the solo reference runs below stay
     // fault-free so the speedup baseline is the healthy machine.
     fault::FaultPlan plan(args.faultConfig);
     if (args.faultsGiven)
         opts.faults = &plan;
-    coexec::CoExecutor executor(*pool, prec);
-    auto result = executor.execute(*kernel, opts);
+    coexec::CoExecutor executor(pool, prec);
+    auto result = executor.execute(kernel, opts);
     if (!result.ok) {
         os << "error: " << result.error << "\n";
         return 2;
@@ -1137,7 +624,7 @@ cmdCoexec(const Args &args, std::ostream &os)
     obs::Tracer &tracer = obs::Tracer::global();
     if (tracer.enabled()) {
         tracer.span(tracer.track("run"),
-                    kernel->name + " | " + pool->name() + " | " +
+                    kernel.name + " | " + pool.name() + " | " +
                         result.policy,
                     "run", 0.0, result.seconds);
     }
@@ -1151,22 +638,22 @@ cmdCoexec(const Args &args, std::ostream &os)
     obs::Metrics::global().setEnabled(false);
     double best_single = 0.0;
     std::string best_name;
-    for (size_t d = 0; d < pool->size(); ++d) {
+    for (size_t d = 0; d < pool.size(); ++d) {
         coexec::CoExecutor solo(
-            coexec::DevicePool({pool->spec(d)}), prec);
+            coexec::DevicePool({pool.spec(d)}), prec);
         coexec::ExecOptions solo_opts;
         solo_opts.policy = coexec::Policy::StaticRatio;
         solo_opts.functional = false;
-        double secs = solo.execute(*kernel, solo_opts).seconds;
+        double secs = solo.execute(kernel, solo_opts).seconds;
         if (best_name.empty() || secs < best_single) {
             best_single = secs;
-            best_name = pool->spec(d).name;
+            best_name = pool.spec(d).name;
         }
     }
     tracer.setEnabled(was_tracing);
     obs::Metrics::global().setEnabled(was_metering);
 
-    Table table(kernel->name + " co-executed on " + pool->name() +
+    Table table(kernel.name + " co-executed on " + pool.name() +
                 " (" + result.policy + ", " + toString(prec) + ")");
     table.setHeader({"device", "share", "items", "chunks",
                      "kernel (s)", "pcie (s)", "idle (s)",
@@ -1237,42 +724,18 @@ double
 runForBreakdown(const Args &args, std::ostream &os, std::string &title)
 {
     if (args.devicesGiven) {
-        auto pool = coexec::DevicePool::parse(args.devices);
-        if (!pool) {
-            os << "error: unknown device pool '" << args.devices
-               << "' (want e.g. cpu+dgpu or cpu+apu)\n";
+        auto launch = coexecLaunch(args, os);
+        if (!launch)
             return -1.0;
-        }
-        auto policy = coexec::policyByName(args.policy);
-        if (!policy) {
-            os << "error: unknown policy '" << args.policy
-               << "' (static, dynamic, adaptive)\n";
-            return -1.0;
-        }
-        if (!args.backend.empty())
-            pool->setGpuModel(*serve::backendByName(args.backend));
-        Precision prec = args.doublePrecision ? Precision::Double
-                                              : Precision::Single;
-        auto kernel = apps::coex::coKernelByName(args.app, args.scale,
-                                                 prec);
-        if (!kernel) {
-            os << "error: app '" << args.app
-               << "' has no co-execution kernel (readmem, xsbench, "
-                  "minife)\n";
-            return -1.0;
-        }
-        coexec::ExecOptions opts;
-        opts.policy = *policy;
-        opts.chunkItems = args.chunk;
-        opts.minChunkItems = args.minChunk;
+        auto &[pool, kernel, opts, prec] = *launch;
         opts.functional = false;
-        coexec::CoExecutor executor(*pool, prec);
-        auto result = executor.execute(*kernel, opts);
+        coexec::CoExecutor executor(pool, prec);
+        auto result = executor.execute(kernel, opts);
         if (!result.ok) {
             os << "error: " << result.error << "\n";
             return -1.0;
         }
-        title = kernel->name + " | " + pool->name() + " | " +
+        title = kernel.name + " | " + pool.name() + " | " +
                 result.policy;
         return result.seconds;
     }
@@ -1394,9 +857,10 @@ cmdProfile(const Args &args, std::ostream &os)
     return analysis.attributionError() > 1e-9 ? 1 : 0;
 }
 
-/** Assemble the serving config shared by the batch and serve verbs. */
+/** Assemble the serving config shared by the batch and serve verbs;
+ *  --predict-admission answers from @p surrogate. */
 serve::ServerConfig
-serveConfig(const Args &args)
+serveConfig(const Args &args, const model::Surrogate &surrogate)
 {
     serve::ServerConfig cfg;
     cfg.workers = static_cast<u32>(args.workers);
@@ -1416,6 +880,10 @@ serveConfig(const Args &args)
     cfg.autoscale = args.autoscale;
     cfg.minWorkers = static_cast<u32>(args.minWorkers);
     cfg.maxWorkers = static_cast<u32>(args.maxWorkers);
+    if (args.predictAdmission && args.surrogate) {
+        cfg.predictAdmission = true;
+        cfg.surrogate = &surrogate;
+    }
     return cfg;
 }
 
@@ -1448,22 +916,8 @@ int
 writeModelOut(const Args &args, const model::Surrogate &surrogate,
               std::ostream &os)
 {
-    if (args.modelOut.empty())
-        return 0;
-    std::ofstream out(args.modelOut);
-    if (!out.is_open()) {
-        os << "error: cannot open model output '" << args.modelOut
-           << "': " << std::strerror(errno) << "\n";
-        return 2;
-    }
-    surrogate.save(out);
-    out.flush();
-    if (!out) {
-        os << "error: failed writing model output '" << args.modelOut
-           << "'\n";
-        return 2;
-    }
-    return 0;
+    return writeOutput(args.modelOut, "model", os,
+                       [&](std::ostream &out) { surrogate.save(out); });
 }
 
 /**
@@ -1572,20 +1026,10 @@ writeServeResults(const Args &args,
         serve::writeResultsJsonl(os, results);
         return 0;
     }
-    std::ofstream out(args.resultsOut);
-    if (!out.is_open()) {
-        os << "error: cannot open results output '" << args.resultsOut
-           << "': " << std::strerror(errno) << "\n";
-        return 2;
-    }
-    serve::writeResultsJsonl(out, results);
-    out.flush();
-    if (!out) {
-        os << "error: failed writing results output '"
-           << args.resultsOut << "'\n";
-        return 2;
-    }
-    return 0;
+    return writeOutput(args.resultsOut, "results", os,
+                       [&](std::ostream &out) {
+                           serve::writeResultsJsonl(out, results);
+                       });
 }
 
 int
@@ -1617,11 +1061,7 @@ cmdBatch(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args);
-    if (args.predictAdmission && args.surrogate) {
-        cfg.predictAdmission = true;
-        cfg.surrogate = &surrogate;
-    }
+    serve::ServerConfig cfg = serveConfig(args, surrogate);
     std::string error;
     auto outcome = serve::runBatch(*jobs, cfg, error);
     if (!outcome) {
@@ -1657,11 +1097,7 @@ cmdServeStream(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args);
-    if (args.predictAdmission && args.surrogate) {
-        cfg.predictAdmission = true;
-        cfg.surrogate = &surrogate;
-    }
+    serve::ServerConfig cfg = serveConfig(args, surrogate);
     std::string error;
     auto outcome = serve::runStream(std::cin, os, cfg, error);
     if (!outcome) {
@@ -1732,11 +1168,7 @@ cmdServe(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args);
-    if (args.predictAdmission && args.surrogate) {
-        cfg.predictAdmission = true;
-        cfg.surrogate = &surrogate;
-    }
+    serve::ServerConfig cfg = serveConfig(args, surrogate);
     if (auto err = serve::Server::validateConfig(cfg)) {
         os << "error: " << *err << "\n";
         return 2;
@@ -2263,74 +1695,29 @@ writeObsOutputs(const Args &args, std::ostream &os)
            << " events (oldest first); raise the tracer capacity or "
               "use --trace-sample to bound span volume\n";
     }
-    if (!args.traceOut.empty()) {
-        std::ofstream out(args.traceOut);
-        if (!out.is_open()) {
-            os << "error: cannot open trace output '" << args.traceOut
-               << "': " << std::strerror(errno) << "\n";
-            return 2;
-        }
-        obs::Tracer::global().writeJson(out);
-        out.flush();
-        if (!out) {
-            os << "error: failed writing trace output '"
-               << args.traceOut << "'\n";
-            return 2;
-        }
-    }
-    if (!args.metricsOut.empty()) {
-        std::ofstream out(args.metricsOut);
-        if (!out.is_open()) {
-            os << "error: cannot open metrics output '"
-               << args.metricsOut << "': " << std::strerror(errno)
-               << "\n";
-            return 2;
-        }
-        obs::Metrics::global().dumpJson(out);
-        out.flush();
-        if (!out) {
-            os << "error: failed writing metrics output '"
-               << args.metricsOut << "'\n";
-            return 2;
-        }
-    }
-    if (!args.profileOut.empty()) {
-        std::ofstream out(args.profileOut);
-        if (!out.is_open()) {
-            os << "error: cannot open profile output '"
-               << args.profileOut << "': " << std::strerror(errno)
-               << "\n";
-            return 2;
-        }
-        const obs::ProfileReport report = obs::buildProfile(
-            obs::Tracer::global(), obs::Profiler::global(),
-            obs::FlightRecorder::global());
-        obs::writeProfileJson(out, report);
-        out.flush();
-        if (!out) {
-            os << "error: failed writing profile output '"
-               << args.profileOut << "'\n";
-            return 2;
-        }
-    }
-    if (!args.observationsOut.empty()) {
-        std::ofstream out(args.observationsOut);
-        if (!out.is_open()) {
-            os << "error: cannot open observations output '"
-               << args.observationsOut << "': "
-               << std::strerror(errno) << "\n";
-            return 2;
-        }
-        obs::writeObservationsJsonl(
-            out, obs::Profiler::global().observations());
-        out.flush();
-        if (!out) {
-            os << "error: failed writing observations output '"
-               << args.observationsOut << "'\n";
-            return 2;
-        }
-    }
-    return 0;
+    if (int rc = writeOutput(args.traceOut, "trace", os,
+                             [](std::ostream &out) {
+                                 obs::Tracer::global().writeJson(out);
+                             }))
+        return rc;
+    if (int rc = writeOutput(args.metricsOut, "metrics", os,
+                             [](std::ostream &out) {
+                                 obs::Metrics::global().dumpJson(out);
+                             }))
+        return rc;
+    if (int rc = writeOutput(
+            args.profileOut, "profile", os, [](std::ostream &out) {
+                obs::writeProfileJson(
+                    out, obs::buildProfile(obs::Tracer::global(),
+                                           obs::Profiler::global(),
+                                           obs::FlightRecorder::global()));
+            }))
+        return rc;
+    return writeOutput(args.observationsOut, "observations", os,
+                       [](std::ostream &out) {
+                           obs::writeObservationsJsonl(
+                               out, obs::Profiler::global().observations());
+                       });
 }
 
 /**
@@ -2408,7 +1795,344 @@ struct PowerSession
     power::PowerTable prior;
 };
 
+/** One verb of the command line. */
+struct Verb
+{
+    const char *name;
+    int (*run)(const Args &, std::ostream &);
+    /** Reads the tracer's spans, so it always runs with
+     *  observability on. */
+    bool traced = false;
+};
+
+/** Every verb; parse() accepts exactly these and execute() dispatches
+ *  through them. */
+const Verb kVerbs[] = {
+    {"list", cmdList},
+    {"backends", cmdBackends},
+    {"run", cmdRun},
+    {"compare", cmdCompare},
+    {"sweep", cmdSweep},
+    {"coexec", cmdCoexec},
+    {"breakdown", cmdBreakdown, true},
+    {"profile", cmdProfile, true},
+    {"batch", cmdBatch},
+    {"serve", cmdServe},
+    {"fleet", cmdFleet},
+    {"predict", cmdPredict},
+};
+
+/**
+ * Strictly parse an unsigned integer count: digits only, no sign, no
+ * trailing junk, no overflow.  Integer flags all route through this,
+ * so "--chunk -5" or "--retry-max 3x" are rejected instead of being
+ * silently truncated by strtod/atoi.
+ */
+std::optional<u64>
+parseCount(const std::string &text)
+{
+    if (text.empty() ||
+        !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (errno == ERANGE || end != text.c_str() + text.size())
+        return std::nullopt;
+    return static_cast<u64>(v);
+}
+
+/** How a flag reads its value.  Every kind but On and Off consumes
+ *  the next argv entry, even one that starts with "--". */
+enum class Kind
+{
+    On,            ///< no value; sets the bool field
+    Off,           ///< no value; clears the bool field
+    Text,          ///< any string
+    Path,          ///< a non-empty string
+    Count,         ///< an unsigned integer
+    PositiveCount, ///< an unsigned integer > 0
+    Positive,      ///< a finite number > 0
+    Custom,        ///< FlagSpec::check validates and stores
+};
+
+/**
+ * One flag of the command line.  A rejected value sets the error
+ * "<name> wants <what>, got '<value>'" - just "<name> wants <what>"
+ * for an empty Path - unless a Custom check wrote its own.
+ */
+struct FlagSpec
+{
+    const char *name;
+    Kind kind;
+    const char *what;
+    /** The Args field the value goes to; a Custom check stores any
+     *  other fields itself, and its string field (if any) gets the
+     *  value once the check accepts it. */
+    std::variant<std::monostate, bool Args::*, std::string Args::*,
+                 u64 Args::*, double Args::*>
+        field;
+    /** Custom kinds: @return whether @p value is accepted. */
+    bool (*check)(Args &args, const std::string &value) = nullptr;
+};
+
+const FlagSpec kFlags[] = {
+    {"--app", Kind::Text, nullptr, &Args::app},
+    {"--model", Kind::Text, nullptr, &Args::model},
+    {"--device", Kind::Text, nullptr, &Args::device},
+    {"--scale", Kind::Positive, "a positive number", &Args::scale},
+    {"--devices", Kind::Custom, nullptr, &Args::devices,
+     [](Args &a, const std::string &) {
+         a.devicesGiven = true;
+         return true;
+     }},
+    {"--backend", Kind::Custom,
+     "a device backend (ocl, amp, acc, hc, omp, cuda)", &Args::backend,
+     [](Args &, const std::string &v) {
+         return serve::backendByName(v).has_value();
+     }},
+    {"--power-model", Kind::Path, "a file path", &Args::powerModel},
+    {"--energy-out", Kind::Path, "a file path", &Args::energyOut},
+    {"--trace-out", Kind::Path, "a file path", &Args::traceOut},
+    {"--metrics-out", Kind::Path, "a file path", &Args::metricsOut},
+    {"--profile-out", Kind::Path, "a file path", &Args::profileOut},
+    {"--observations-out", Kind::Path, "a file path",
+     &Args::observationsOut},
+    {"--trace-sample", Kind::PositiveCount, "a positive node count",
+     &Args::traceSample},
+    {"--policy", Kind::Text, nullptr, &Args::policy},
+    {"--chunk", Kind::PositiveCount, "a positive item count",
+     &Args::chunk},
+    {"--min-chunk", Kind::PositiveCount, "a positive item count",
+     &Args::minChunk},
+    {"--inject-faults", Kind::Custom,
+     "kind:rate pairs (transfer|launch|stall, rate in [0,1])", {},
+     [](Args &a, const std::string &v) {
+         const auto cfg = fault::parseFaultSpec(v);
+         if (!cfg)
+             return false;
+         a.faultConfig.transferFailRate = cfg->transferFailRate;
+         a.faultConfig.launchFailRate = cfg->launchFailRate;
+         a.faultConfig.stallRate = cfg->stallRate;
+         a.faultsGiven = true;
+         return true;
+     }},
+    {"--fault-seed", Kind::Custom, "an unsigned integer", {},
+     [](Args &a, const std::string &v) {
+         const auto n = parseCount(v);
+         if (n)
+             a.faultConfig.seed = *n;
+         return n.has_value();
+     }},
+    {"--retry-max", Kind::Custom, "a retry budget in [0, 64]", {},
+     [](Args &a, const std::string &v) {
+         const auto n = parseCount(v);
+         if (!n || *n > 64)
+             return false;
+         a.faultConfig.retryMax = static_cast<u32>(*n);
+         return true;
+     }},
+    {"--fail-device", Kind::Custom, nullptr, {},
+     [](Args &a, const std::string &v) {
+         if (v.empty()) {
+             a.error = "--fail-device wants a device alias";
+             return false;
+         }
+         a.faultConfig.failDevice = v;
+         a.faultsGiven = true;
+         return true;
+     }},
+    {"--freq", Kind::Custom, "core:mem in positive MHz", {},
+     [](Args &a, const std::string &v) {
+         const auto freq = serve::parseFreqPair(v);
+         if (freq)
+             a.freq = *freq;
+         return freq.has_value();
+     }},
+    {"--jobs", Kind::Path, "a file path", &Args::jobs},
+    {"--results-out", Kind::Path, "a file path", &Args::resultsOut},
+    // 0 parses fine; the server reports the structured zero-worker
+    // configuration error.
+    {"--workers", Kind::Count, "a worker count", &Args::workers},
+    {"--queue-cap", Kind::Count, "a job count (0 = unbounded)",
+     &Args::queueCap},
+    {"--deadline-ms", Kind::Count, "milliseconds (0 = none)",
+     &Args::deadlineMs},
+    {"--shots", Kind::PositiveCount, "a positive job count", &Args::shots},
+    {"--admission", Kind::Custom, "reject, shed, or block",
+     &Args::admission,
+     [](Args &, const std::string &v) {
+         return serve::admissionByName(v).has_value();
+     }},
+    {"--stream", Kind::On, nullptr, &Args::stream},
+    {"--tenants", Kind::Custom, nullptr, &Args::tenants,
+     [](Args &a, const std::string &v) {
+         return serve::TenantTable().applyWeights(v, a.error);
+     }},
+    {"--quota", Kind::Custom, nullptr, &Args::quota,
+     [](Args &a, const std::string &v) {
+         return serve::TenantTable().applyQuotas(v, a.error);
+     }},
+    {"--service-deadline-ms", Kind::Count,
+     "simulated milliseconds (0 = none)", &Args::serviceDeadlineMs},
+    {"--max-preemptions", Kind::Count, "a preemption count",
+     &Args::maxPreemptions},
+    {"--autoscale", Kind::On, nullptr, &Args::autoscale},
+    {"--min-workers", Kind::PositiveCount, "a positive worker count",
+     &Args::minWorkers},
+    {"--max-workers", Kind::PositiveCount,
+     "a positive worker count (omit for --workers)", &Args::maxWorkers},
+    {"--topology", Kind::Path, "a file path", &Args::topology},
+    {"--nodes", Kind::PositiveCount, "a positive node count",
+     &Args::nodes},
+    {"--njobs", Kind::PositiveCount, "a positive job count",
+     &Args::njobs},
+    {"--placement", Kind::Custom, "first-fit, least-loaded, or locality",
+     &Args::placement,
+     [](Args &, const std::string &v) {
+         return fleet::policyByName(v).has_value();
+     }},
+    {"--rate", Kind::Positive, "a positive jobs/sec arrival rate",
+     &Args::rate},
+    {"--slo-ms", Kind::Count, "milliseconds (0 = none)", &Args::sloMs},
+    {"--node-fail-rate", Kind::Custom, "a fraction in [0, 1]", {},
+     [](Args &a, const std::string &v) {
+         const auto f = parseFinite(v);
+         if (!f || *f < 0.0 || *f > 1.0)
+             return false;
+         a.nodeFailRate = *f;
+         return true;
+     }},
+    {"--seed", Kind::Count, "an unsigned integer", &Args::seed},
+    {"--model-in", Kind::Path, "a file path", &Args::modelIn},
+    {"--model-out", Kind::Path, "a file path", &Args::modelOut},
+    {"--fit", Kind::Path, "an observation JSONL file path",
+     &Args::fitObs},
+    {"--kernel", Kind::Path, "a kernel name", &Args::kernel},
+    {"--items", Kind::PositiveCount, "a positive item count",
+     &Args::items},
+    {"--predict-admission", Kind::On, nullptr, &Args::predictAdmission},
+    {"--no-surrogate", Kind::Off, nullptr, &Args::surrogate},
+    {"--sweep", Kind::On, nullptr, &Args::fleetSweep},
+    {"--dp", Kind::On, nullptr, &Args::doublePrecision},
+    {"--functional", Kind::On, nullptr, &Args::functional},
+    {"--no-timing-cache", Kind::Off, nullptr, &Args::timingCache},
+    {"--stats", Kind::On, nullptr, &Args::stats},
+    {"--kernels", Kind::On, nullptr, &Args::kernels},
+};
+
+/** @return the row of @p table called @p name, or null. */
+template <typename Row, size_t N>
+const Row *
+byName(const Row (&table)[N], const std::string &name)
+{
+    for (const Row &row : table) {
+        if (name == row.name)
+            return &row;
+    }
+    return nullptr;
+}
+
+/** Validates @p value for @p flag and stores it, or sets args.error. */
+void
+storeValue(const FlagSpec &flag, const std::string &value, Args &args)
+{
+    bool ok = true;
+    switch (flag.kind) {
+      case Kind::On:
+      case Kind::Off:
+        break;
+      case Kind::Text:
+        args.*std::get<std::string Args::*>(flag.field) = value;
+        break;
+      case Kind::Path:
+        if (value.empty()) {
+            args.error = std::string(flag.name) + " wants " + flag.what;
+            return;
+        }
+        args.*std::get<std::string Args::*>(flag.field) = value;
+        break;
+      case Kind::Count:
+      case Kind::PositiveCount: {
+        const auto n = parseCount(value);
+        ok = n && (flag.kind == Kind::Count || *n > 0);
+        if (ok)
+            args.*std::get<u64 Args::*>(flag.field) = *n;
+        break;
+      }
+      case Kind::Positive: {
+        const auto v = parseFinite(value);
+        ok = v && *v > 0.0;
+        if (ok)
+            args.*std::get<double Args::*>(flag.field) = *v;
+        break;
+      }
+      case Kind::Custom:
+        ok = flag.check(args, value);
+        if (ok && std::holds_alternative<std::string Args::*>(flag.field))
+            args.*std::get<std::string Args::*>(flag.field) = value;
+        break;
+    }
+    if (!ok && args.error.empty()) {
+        args.error = std::string(flag.name) + " wants " + flag.what +
+                     ", got '" + value + "'";
+    }
+}
+
 } // namespace
+
+Args
+parse(const std::vector<std::string> &argv)
+{
+    Args args;
+    if (argv.empty()) {
+        args.error = "missing command";
+        return args;
+    }
+    args.command = argv[0];
+    if (byName(kVerbs, args.command) == nullptr) {
+        args.error = "unknown command '" + args.command + "'";
+        return args;
+    }
+
+    for (size_t i = 1; i < argv.size() && args.error.empty(); ++i) {
+        const std::string &arg = argv[i];
+        const FlagSpec *flag = byName(kFlags, arg);
+        if (flag == nullptr)
+            args.error = "unknown option '" + arg + "'";
+        else if (flag->kind == Kind::On || flag->kind == Kind::Off)
+            args.*std::get<bool Args::*>(flag->field) =
+                flag->kind == Kind::On;
+        else if (i + 1 == argv.size())
+            args.error = arg + " needs a value";
+        else
+            storeValue(*flag, argv[++i], args);
+    }
+    if (!args.error.empty())
+        return args;
+
+    const u64 ceiling =
+        args.maxWorkers != 0 ? args.maxWorkers : args.workers;
+    if (args.predictAdmission && args.modelIn.empty()) {
+        args.error = "--predict-admission needs --model-in FILE "
+                     "(recorded job costs to predict from)";
+    } else if (args.stream && args.command != "serve") {
+        args.error = "--stream is a serve-verb flag "
+                     "(hetsim serve --stream < jobs.jsonl)";
+    } else if (!args.energyOut.empty() && args.command != "run" &&
+               args.command != "coexec") {
+        args.error = "--energy-out writes one run's energy report; "
+                     "it is a run/coexec-verb flag";
+    } else if (args.autoscale && args.minWorkers > ceiling) {
+        args.error = "--min-workers exceeds the autoscale "
+                     "ceiling (--max-workers, default --workers)";
+    } else if (args.command == "predict" && args.fitObs.empty() &&
+               args.modelIn.empty()) {
+        args.error = "predict needs --fit OBS_JSONL or --model-in "
+                     "FILE";
+    }
+    return args;
+}
 
 int
 execute(const Args &args, std::ostream &os)
@@ -2419,6 +2143,7 @@ execute(const Args &args, std::ostream &os)
         return 2;
     }
 
+    const Verb *verb = byName(kVerbs, args.command);
     // --model-out fits from the profiler's observation records, so a
     // model-writing run needs the observability globals live too.
     ObsSession obs_session(!args.traceOut.empty() ||
@@ -2426,8 +2151,7 @@ execute(const Args &args, std::ostream &os)
                                !args.profileOut.empty() ||
                                !args.observationsOut.empty() ||
                                !args.modelOut.empty() ||
-                               args.command == "breakdown" ||
-                               args.command == "profile",
+                               (verb != nullptr && verb->traced),
                            args.traceOut, args.metricsOut);
     TimingCacheSession cache_session(args.timingCache);
 
@@ -2449,35 +2173,11 @@ execute(const Args &args, std::ostream &os)
         power::PowerTable::active() = *table;
     }
 
-    int rc;
-    if (args.command == "list")
-        rc = cmdList(os);
-    else if (args.command == "backends")
-        rc = cmdBackends(os);
-    else if (args.command == "run")
-        rc = cmdRun(args, os);
-    else if (args.command == "compare")
-        rc = cmdCompare(args, os);
-    else if (args.command == "sweep")
-        rc = cmdSweep(args, os);
-    else if (args.command == "coexec")
-        rc = cmdCoexec(args, os);
-    else if (args.command == "breakdown")
-        rc = cmdBreakdown(args, os);
-    else if (args.command == "profile")
-        rc = cmdProfile(args, os);
-    else if (args.command == "batch")
-        rc = cmdBatch(args, os);
-    else if (args.command == "serve")
-        rc = cmdServe(args, os);
-    else if (args.command == "fleet")
-        rc = cmdFleet(args, os);
-    else if (args.command == "predict")
-        rc = cmdPredict(args, os);
-    else {
+    if (verb == nullptr) {
         usage(os);
         return 2;
     }
+    int rc = verb->run(args, os);
 
     if (obs_session.active) {
         int obs_rc = writeObsOutputs(args, os);

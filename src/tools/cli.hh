@@ -1,58 +1,8 @@
 /**
  * @file
- * Command-line driver for the hetsim workload suite.
- *
- *   hetsim list
- *   hetsim backends
- *   hetsim run --app lulesh --model opencl --device dgpu
- *              [--scale 1.0] [--dp] [--functional] [--freq 925:1500]
- *              [--stats]
- *   hetsim compare --app xsbench --device apu [--scale 1.0] [--dp]
- *   hetsim sweep --app comd [--scale 0.5]
- *   hetsim coexec --app readmem --devices cpu+dgpu
- *                 [--backend hc|ocl|amp|acc|omp|cuda]
- *                 [--policy adaptive] [--chunk N] [--scale 1.0]
- *                 [--dp] [--functional]
- *   hetsim breakdown --app xsbench --device dgpu [--model opencl]
- *                 [--devices cpu+dgpu] [--scale 1.0] [--dp]
- *   hetsim profile --app xsbench --device dgpu [--model opencl]
- *                 [--devices cpu+dgpu] [--scale 1.0] [--dp]
- *                 [--profile-out report.json]
- *                 [--observations-out obs.jsonl]
- *   hetsim batch --jobs jobs.jsonl [--results-out results.jsonl]
- *                 [--workers 4] [--queue-cap N] [--deadline-ms N]
- *                 [--admission reject|shed|block]
- *   hetsim serve --shots 16 [--workers 4] [--queue-cap N]
- *                 [--deadline-ms N] [--admission reject|shed|block]
- *                 [--scale 1.0] [--results-out results.jsonl]
- *   hetsim serve --stream [--workers 4] [--tenants a:3,b:1]
- *                 [--quota a:10] [--service-deadline-ms N]
- *                 [--max-preemptions N] [--autoscale]
- *                 [--min-workers N] [--max-workers N]
- *                 [--results-out results.jsonl]  < jobs.jsonl
- *   hetsim fleet [--topology FILE | --nodes N] [--njobs N]
- *                 [--placement first-fit|least-loaded|locality]
- *                 [--rate J/S] [--slo-ms N] [--node-fail-rate F]
- *                 [--seed N] [--sweep] [--inject-faults spec]
- *                 [--model-in FILE] [--model-out FILE]
- *                 [--no-surrogate]
- *   hetsim predict --fit obs.jsonl | --model-in model.json
- *                 [--model-out model.json] [--kernel K --items N]
- *                 [--device d] [--model m] [--freq core:mem]
- *                 [--sweep] [--devices d1+d2] [--dp]
- *
- * Every verb accepts --trace-out FILE (Chrome trace-event JSON for
- * chrome://tracing / Perfetto), --metrics-out FILE (metrics registry
- * dump as JSON), --profile-out FILE (self-contained profile report:
- * critical-path attribution, bottleneck label, observation records,
- * rollups, flight records), and --observations-out FILE
- * (per-signature observation records as JSONL).  The fleet verb
- * additionally accepts --trace-sample K to bound trace memory.
- *
- * Every verb also accepts --power-model FILE (per-device idle/busy
- * wattages as JSONL, replacing the built-in table) and --energy-out
- * FILE (the run's energy report as JSON); energy-to-solution columns
- * appear on run/compare/coexec/batch/serve/fleet output.
+ * Command-line driver for the hetsim workload suite.  usage() is the
+ * one listing of its verbs and flags (`hetsim` with no arguments
+ * prints it).
  *
  * The parsing and command logic live here (unit-testable); main.cc is
  * a thin wrapper.

@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tools/cli.hh"
 
@@ -138,6 +141,327 @@ TEST(CliParse, StrictIntegerFlagsRejectJunk)
         parse({"coexec", "--inject-faults", "transfer:0.1,"})
             .error.empty());
     EXPECT_FALSE(parse({"coexec", "--fail-device", ""}).error.empty());
+}
+
+/** One flag's pinned parse behaviour. */
+struct FlagPin
+{
+    const char *flag;
+    const char *bad;   ///< a rejected value (null: none exists)
+    const char *error; ///< exact Args::error for @c bad
+    const char *good;  ///< an accepted value (null: boolean flag)
+    bool (*set)(const Args &); ///< the field @c good (or the flag) set
+};
+
+const FlagPin kFlagPins[] = {
+    {"--app", nullptr, nullptr, "comd",
+     [](const Args &a) { return a.app == "comd"; }},
+    {"--model", nullptr, nullptr, "amp",
+     [](const Args &a) { return a.model == "amp"; }},
+    {"--device", nullptr, nullptr, "apu",
+     [](const Args &a) { return a.device == "apu"; }},
+    {"--scale", "-1", "--scale wants a positive number, got '-1'", "0.5",
+     [](const Args &a) { return a.scale == 0.5; }},
+    {"--devices", nullptr, nullptr, "cpu+apu",
+     [](const Args &a) { return a.devices == "cpu+apu" && a.devicesGiven; }},
+    {"--backend", "sycl",
+     "--backend wants a device backend (ocl, amp, acc, hc, omp, cuda), "
+     "got 'sycl'",
+     "cuda", [](const Args &a) { return a.backend == "cuda"; }},
+    {"--power-model", "", "--power-model wants a file path", "w.jsonl",
+     [](const Args &a) { return a.powerModel == "w.jsonl"; }},
+    {"--energy-out", "", "--energy-out wants a file path", "e.json",
+     [](const Args &a) { return a.energyOut == "e.json"; }},
+    {"--trace-out", "", "--trace-out wants a file path", "t.json",
+     [](const Args &a) { return a.traceOut == "t.json"; }},
+    {"--metrics-out", "", "--metrics-out wants a file path", "m.json",
+     [](const Args &a) { return a.metricsOut == "m.json"; }},
+    {"--profile-out", "", "--profile-out wants a file path", "p.json",
+     [](const Args &a) { return a.profileOut == "p.json"; }},
+    {"--observations-out", "", "--observations-out wants a file path",
+     "o.jsonl", [](const Args &a) { return a.observationsOut == "o.jsonl"; }},
+    {"--trace-sample", "0",
+     "--trace-sample wants a positive node count, got '0'", "8",
+     [](const Args &a) { return a.traceSample == 8; }},
+    {"--policy", nullptr, nullptr, "static",
+     [](const Args &a) { return a.policy == "static"; }},
+    {"--chunk", "0", "--chunk wants a positive item count, got '0'", "256",
+     [](const Args &a) { return a.chunk == 256; }},
+    {"--min-chunk", "x", "--min-chunk wants a positive item count, got 'x'",
+     "64", [](const Args &a) { return a.minChunk == 64; }},
+    {"--inject-faults", "transfer",
+     "--inject-faults wants kind:rate pairs (transfer|launch|stall, rate "
+     "in [0,1]), got 'transfer'",
+     "launch:0.25", [](const Args &a) {
+         return a.faultConfig.launchFailRate == 0.25 && a.faultsGiven;
+     }},
+    {"--fault-seed", "-1", "--fault-seed wants an unsigned integer, got '-1'",
+     "42", [](const Args &a) { return a.faultConfig.seed == 42; }},
+    {"--retry-max", "65",
+     "--retry-max wants a retry budget in [0, 64], got '65'", "7",
+     [](const Args &a) { return a.faultConfig.retryMax == 7; }},
+    {"--fail-device", "", "--fail-device wants a device alias", "gpu",
+     [](const Args &a) {
+         return a.faultConfig.failDevice == "gpu" && a.faultsGiven;
+     }},
+    {"--freq", "925", "--freq wants core:mem in positive MHz, got '925'",
+     "600:810", [](const Args &a) {
+         return a.freq.coreMhz == 600 && a.freq.memMhz == 810;
+     }},
+    {"--jobs", "", "--jobs wants a file path", "j.jsonl",
+     [](const Args &a) { return a.jobs == "j.jsonl"; }},
+    {"--results-out", "", "--results-out wants a file path", "r.jsonl",
+     [](const Args &a) { return a.resultsOut == "r.jsonl"; }},
+    {"--workers", "x", "--workers wants a worker count, got 'x'", "0",
+     [](const Args &a) { return a.workers == 0; }},
+    {"--queue-cap", "-3",
+     "--queue-cap wants a job count (0 = unbounded), got '-3'", "32",
+     [](const Args &a) { return a.queueCap == 32; }},
+    {"--deadline-ms", "fast",
+     "--deadline-ms wants milliseconds (0 = none), got 'fast'", "250",
+     [](const Args &a) { return a.deadlineMs == 250; }},
+    {"--shots", "0", "--shots wants a positive job count, got '0'", "4",
+     [](const Args &a) { return a.shots == 4; }},
+    {"--admission", "greedy",
+     "--admission wants reject, shed, or block, got 'greedy'", "shed",
+     [](const Args &a) { return a.admission == "shed"; }},
+    {"--stream", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.stream; }},
+    {"--tenants", "a:0",
+     "--tenants: weight '0' for tenant 'a' is not a finite number > 0",
+     "a:3,b:1", [](const Args &a) { return a.tenants == "a:3,b:1"; }},
+    {"--quota", "a:1.5",
+     "--quota: quota '1.5' for tenant 'a' is not an integer >= 1", "a:10",
+     [](const Args &a) { return a.quota == "a:10"; }},
+    {"--service-deadline-ms", "soon",
+     "--service-deadline-ms wants simulated milliseconds (0 = none), got "
+     "'soon'",
+     "5", [](const Args &a) { return a.serviceDeadlineMs == 5; }},
+    {"--max-preemptions", "-2",
+     "--max-preemptions wants a preemption count, got '-2'", "3",
+     [](const Args &a) { return a.maxPreemptions == 3; }},
+    {"--autoscale", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.autoscale; }},
+    {"--min-workers", "0",
+     "--min-workers wants a positive worker count, got '0'", "2",
+     [](const Args &a) { return a.minWorkers == 2; }},
+    {"--max-workers", "0",
+     "--max-workers wants a positive worker count (omit for --workers), "
+     "got '0'",
+     "6", [](const Args &a) { return a.maxWorkers == 6; }},
+    {"--topology", "", "--topology wants a file path", "c.jsonl",
+     [](const Args &a) { return a.topology == "c.jsonl"; }},
+    {"--nodes", "3x", "--nodes wants a positive node count, got '3x'", "12",
+     [](const Args &a) { return a.nodes == 12; }},
+    {"--njobs", "0", "--njobs wants a positive job count, got '0'", "500",
+     [](const Args &a) { return a.njobs == 500; }},
+    {"--placement", "greedy",
+     "--placement wants first-fit, least-loaded, or locality, got 'greedy'",
+     "locality", [](const Args &a) { return a.placement == "locality"; }},
+    {"--rate", "-5",
+     "--rate wants a positive jobs/sec arrival rate, got '-5'", "250",
+     [](const Args &a) { return a.rate == 250.0; }},
+    {"--slo-ms", "-1", "--slo-ms wants milliseconds (0 = none), got '-1'",
+     "40", [](const Args &a) { return a.sloMs == 40; }},
+    {"--node-fail-rate", "1.5",
+     "--node-fail-rate wants a fraction in [0, 1], got '1.5'", "0.25",
+     [](const Args &a) { return a.nodeFailRate == 0.25; }},
+    {"--seed", "-2", "--seed wants an unsigned integer, got '-2'", "7",
+     [](const Args &a) { return a.seed == 7; }},
+    {"--model-in", "", "--model-in wants a file path", "m.json",
+     [](const Args &a) { return a.modelIn == "m.json"; }},
+    {"--model-out", "", "--model-out wants a file path", "m.json",
+     [](const Args &a) { return a.modelOut == "m.json"; }},
+    {"--fit", "", "--fit wants an observation JSONL file path", "o.jsonl",
+     [](const Args &a) { return a.fitObs == "o.jsonl"; }},
+    {"--kernel", "", "--kernel wants a kernel name", "read_mem",
+     [](const Args &a) { return a.kernel == "read_mem"; }},
+    {"--items", "1.5", "--items wants a positive item count, got '1.5'",
+     "4096", [](const Args &a) { return a.items == 4096; }},
+    {"--predict-admission", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.predictAdmission; }},
+    {"--no-surrogate", nullptr, nullptr, nullptr,
+     [](const Args &a) { return !a.surrogate; }},
+    {"--sweep", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.fleetSweep; }},
+    {"--dp", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.doublePrecision; }},
+    {"--functional", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.functional; }},
+    {"--no-timing-cache", nullptr, nullptr, nullptr,
+     [](const Args &a) { return !a.timingCache; }},
+    {"--stats", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.stats; }},
+    {"--kernels", nullptr, nullptr, nullptr,
+     [](const Args &a) { return a.kernels; }},
+};
+
+/** Parses `<verb> <flag> [value]` under a verb every flag is valid on;
+ *  --predict-admission also needs --model-in. */
+Args
+parseOne(const FlagPin &pin, const char *value)
+{
+    const std::string flag = pin.flag;
+    std::vector<std::string> argv{flag == "--stream" ? "serve" : "run",
+                                  flag};
+    if (value != nullptr)
+        argv.push_back(value);
+    if (flag == "--predict-admission")
+        argv.insert(argv.end(), {"--model-in", "m.json"});
+    return parse(argv);
+}
+
+TEST(CliParse, EveryFlagErrorIsPinned)
+{
+    EXPECT_EQ(std::size(kFlagPins), 57u);
+    const Args defaults;
+    for (const FlagPin &pin : kFlagPins) {
+        const bool boolean = pin.good == nullptr;
+        const Args noValue = parseOne(pin, nullptr);
+        if (boolean) {
+            EXPECT_EQ(noValue.error, "") << pin.flag;
+            EXPECT_TRUE(pin.set(noValue)) << pin.flag;
+            EXPECT_FALSE(pin.set(defaults)) << pin.flag;
+            continue;
+        }
+        EXPECT_EQ(noValue.error, std::string(pin.flag) + " needs a value");
+        if (pin.bad != nullptr) {
+            EXPECT_EQ(parseOne(pin, pin.bad).error, pin.error) << pin.flag;
+        }
+        const Args good = parseOne(pin, pin.good);
+        EXPECT_EQ(good.error, "") << pin.flag;
+        EXPECT_TRUE(pin.set(good)) << pin.flag;
+        EXPECT_FALSE(pin.set(defaults)) << pin.flag;
+    }
+
+    // The command word comes first and must be a verb.
+    EXPECT_EQ(parse({}).error, "missing command");
+    EXPECT_EQ(parse({"frobnicate"}).error, "unknown command 'frobnicate'");
+    EXPECT_EQ(parse({"run", "--wat"}).error, "unknown option '--wat'");
+    EXPECT_EQ(parse({"run", "wat"}).error, "unknown option 'wat'");
+
+    // The five cross-flag checks, in the order they run.
+    const std::string predictAdmission =
+        "--predict-admission needs --model-in FILE (recorded job costs "
+        "to predict from)";
+    const std::string stream =
+        "--stream is a serve-verb flag (hetsim serve --stream < "
+        "jobs.jsonl)";
+    const std::string energyOut =
+        "--energy-out writes one run's energy report; it is a "
+        "run/coexec-verb flag";
+    const std::string autoscale =
+        "--min-workers exceeds the autoscale ceiling (--max-workers, "
+        "default --workers)";
+    const std::string predict =
+        "predict needs --fit OBS_JSONL or --model-in FILE";
+    EXPECT_EQ(parse({"serve", "--predict-admission"}).error,
+              predictAdmission);
+    EXPECT_EQ(parse({"batch", "--stream"}).error, stream);
+    EXPECT_EQ(parse({"serve", "--energy-out", "e.json"}).error, energyOut);
+    EXPECT_EQ(parse({"serve", "--autoscale", "--workers", "2",
+                     "--min-workers", "3"})
+                  .error,
+              autoscale);
+    EXPECT_EQ(parse({"serve", "--autoscale", "--min-workers", "8",
+                     "--max-workers", "2"})
+                  .error,
+              autoscale);
+    EXPECT_EQ(parse({"predict"}).error, predict);
+    EXPECT_EQ(parse({"predict", "--stream", "--predict-admission"}).error,
+              predictAdmission);
+    EXPECT_EQ(parse({"predict", "--stream", "--energy-out", "e"}).error,
+              stream);
+    EXPECT_EQ(parse({"predict", "--energy-out", "e", "--autoscale",
+                     "--min-workers", "9"})
+                  .error,
+              energyOut);
+    EXPECT_EQ(parse({"predict", "--autoscale", "--min-workers", "9"}).error,
+              autoscale);
+
+    // In-loop errors win over cross-flag ones, and the first in argv
+    // order wins among them.
+    EXPECT_EQ(parse({"run", "--stream", "--scale", "-1"}).error,
+              "--scale wants a positive number, got '-1'");
+    EXPECT_EQ(parse({"run", "--scale", "-1", "--chunk", "0"}).error,
+              "--scale wants a positive number, got '-1'");
+    EXPECT_EQ(parse({"run", "--chunk", "0", "--wat"}).error,
+              "--chunk wants a positive item count, got '0'");
+    EXPECT_EQ(parse({"run", "--wat", "--chunk", "0"}).error,
+              "unknown option '--wat'");
+
+    // A value is the next entry, even one that looks like a flag.
+    const Args app = parse({"run", "--app", "--dp"});
+    EXPECT_EQ(app.error, "");
+    EXPECT_EQ(app.app, "--dp");
+    EXPECT_FALSE(app.doublePrecision);
+
+    // A later occurrence overrides an earlier one.
+    const Args twice = parse({"run", "--scale", "2", "--scale", "0.25",
+                              "--app", "comd", "--app", "lulesh"});
+    EXPECT_EQ(twice.error, "");
+    EXPECT_EQ(twice.scale, 0.25);
+    EXPECT_EQ(twice.app, "lulesh");
+
+    // --inject-faults writes only the three rates.
+    const Args faults = parse({"coexec", "--fault-seed", "9", "--retry-max",
+                               "3", "--fail-device", "cpu",
+                               "--inject-faults", "stall:0.5"});
+    EXPECT_EQ(faults.error, "");
+    EXPECT_EQ(faults.faultConfig.seed, 9u);
+    EXPECT_EQ(faults.faultConfig.retryMax, 3u);
+    EXPECT_EQ(faults.faultConfig.failDevice, "cpu");
+    EXPECT_EQ(faults.faultConfig.stallRate, 0.5);
+    EXPECT_EQ(faults.faultConfig.transferFailRate, 0.0);
+}
+
+TEST(CliParse, UsageListsEveryFlag)
+{
+    std::ostringstream os;
+    usage(os);
+    const std::string text = os.str();
+    // Every "--flag" token: "--" plus the letters and dashes after it.
+    std::set<std::string> listed;
+    for (size_t at = text.find("--"); at != std::string::npos;
+         at = text.find("--", at + 2)) {
+        const size_t end = text.find_first_not_of(
+            "abcdefghijklmnopqrstuvwxyz-", at + 2);
+        listed.insert(text.substr(at, end - at));
+    }
+
+    for (const FlagPin &pin : kFlagPins)
+        EXPECT_EQ(listed.count(pin.flag), 1u) << pin.flag;
+    for (const std::string &flag : listed) {
+        const std::string error = parse({"run", flag}).error;
+        EXPECT_EQ(error.find("unknown option"), std::string::npos)
+            << flag << ": " << error;
+    }
+}
+
+TEST(CliParse, NonFiniteNumbersAreRejected)
+{
+    for (const std::string v : {"nan", "inf", "-inf"}) {
+        const auto error = [](std::vector<std::string> argv) {
+            return parse(argv).error;
+        };
+        EXPECT_EQ(error({"run", "--scale", v}),
+                  "--scale wants a positive number, got '" + v + "'");
+        EXPECT_EQ(error({"fleet", "--rate", v}),
+                  "--rate wants a positive jobs/sec arrival rate, got '" +
+                      v + "'");
+        for (const std::string &freq : {v + ":1500", "925:" + v}) {
+            EXPECT_EQ(error({"run", "--freq", freq}),
+                      "--freq wants core:mem in positive MHz, got '" +
+                          freq + "'");
+        }
+        EXPECT_EQ(error({"fleet", "--node-fail-rate", v}),
+                  "--node-fail-rate wants a fraction in [0, 1], got '" + v +
+                      "'");
+        EXPECT_EQ(error({"coexec", "--inject-faults", "transfer:" + v}),
+                  "--inject-faults wants kind:rate pairs "
+                  "(transfer|launch|stall, rate in [0,1]), got 'transfer:" +
+                      v + "'");
+    }
 }
 
 TEST(CliExecute, CoexecFailDeviceDegradesAndValidates)

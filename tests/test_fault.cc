@@ -88,6 +88,14 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     }
 }
 
+TEST(FaultSpec, RejectsNonFiniteRates)
+{
+    for (const char *bad : {"transfer:nan", "launch:inf", "stall:-inf",
+                            "transfer:0.1,stall:nan"}) {
+        EXPECT_FALSE(fault::parseFaultSpec(bad).has_value()) << bad;
+    }
+}
+
 TEST(FaultBackoff, ExponentialAndCapped)
 {
     EXPECT_DOUBLE_EQ(fault::backoffSeconds(0, 1e-3), 0.0);

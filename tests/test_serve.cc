@@ -95,6 +95,22 @@ TEST(JobSpecParse, MalformedLinesCarryTheLineNumber)
     }
 }
 
+TEST(JobSpecParse, NonFiniteFreqIsRejected)
+{
+    for (const char *freq :
+         {"nan:nan", "nan:1500", "925:inf", "-inf:1500"}) {
+        std::string err;
+        auto spec = parseJobLine(
+            std::string("{\"freq\": \"") + freq + "\"}", 3, err);
+        EXPECT_FALSE(spec.has_value()) << freq;
+        EXPECT_NE(err.find(std::string("\"freq\" wants positive core:mem "
+                                       "MHz, got '") +
+                           freq + "'"),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(JobSpecParse, StreamAssignsLineIdsAndRejectsDuplicates)
 {
     std::istringstream ok(R"({"app": "readmem"}
