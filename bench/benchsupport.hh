@@ -29,6 +29,7 @@
 #include "common/table.hh"
 #include "core/harness.hh"
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 #include "sim/device.hh"
 
 namespace hetsim::bench
@@ -135,7 +136,8 @@ printSpeedupFigure(const std::string &caption,
                          : ""));
         table.setHeader({"Model", "SP time (s)", "SP speedup",
                          "DP time (s)", "DP speedup"});
-        for (core::ModelKind model : wl->supportedModels()) {
+        for (const ir::BackendCaps &row : ir::backendTable()) {
+            const core::ModelKind model = row.kind;
             if (model == core::ModelKind::Serial ||
                 model == core::ModelKind::OpenMp) {
                 continue;

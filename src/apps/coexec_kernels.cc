@@ -6,6 +6,7 @@
 #include "apps/minife/minife_core.hh"
 #include "apps/readmem/readmem_core.hh"
 #include "apps/xsbench/xsbench_core.hh"
+#include "core/workload.hh"
 
 namespace hetsim::apps::coex
 {
@@ -140,13 +141,10 @@ makeMinifeSpmvCoKernel(double scale, Precision prec)
 std::optional<coexec::CoKernel>
 coKernelByName(const std::string &app, double scale, Precision prec)
 {
-    if (app == "readmem")
-        return makeReadmemCoKernel(scale, prec);
-    if (app == "xsbench")
-        return makeXsbenchCoKernel(scale, prec);
-    if (app == "minife" || app == "minife-spmv")
-        return makeMinifeSpmvCoKernel(scale, prec);
-    return std::nullopt;
+    const core::AppEntry *row = core::appByName(app);
+    if (!row || !row->coKernel)
+        return std::nullopt;
+    return row->coKernel(scale, prec);
 }
 
 } // namespace hetsim::apps::coex

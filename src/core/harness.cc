@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim::core
 {
@@ -66,12 +67,12 @@ std::vector<SpeedupPoint>
 Harness::speedups(const sim::DeviceSpec &device)
 {
     std::vector<SpeedupPoint> points;
-    for (ModelKind model : app.supportedModels()) {
-        if (model == ModelKind::Serial || model == ModelKind::OpenMp)
+    for (const ir::BackendCaps &row : ir::backendTable()) {
+        if (row.kind == ModelKind::Serial || row.kind == ModelKind::OpenMp)
             continue;
         for (Precision prec :
              {Precision::Single, Precision::Double}) {
-            points.push_back(speedup(device, model, prec));
+            points.push_back(speedup(device, row.kind, prec));
         }
     }
     return points;

@@ -17,7 +17,6 @@
 #ifndef HETSIM_CORE_SLOC_HH
 #define HETSIM_CORE_SLOC_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,8 @@ std::vector<std::string> codeLines(const std::string &source);
 /** Count SLOC of a file on disk; fatal() if unreadable. */
 int slocOfFile(const std::string &path);
 
-/** Maps app x model to the implementing source files. */
+/** Maps app x model to the implementing source files (implemented in
+ *  src/apps: the app names and source stems come from appTable()). */
 class SlocManifest
 {
   public:

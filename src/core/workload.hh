@@ -1,8 +1,9 @@
 /**
  * @file
- * The Workload interface: one proxy application, runnable under any
- * programming model on any device.  This layer is the paper's object
- * of study - it is what the experiment harness drives.
+ * The app table and the Workload handle over its rows: one proxy
+ * application, runnable under any programming model on any device.
+ * This layer is the paper's object of study - it is what the
+ * experiment harness drives.
  */
 
 #ifndef HETSIM_CORE_WORKLOAD_HH
@@ -20,6 +21,11 @@
 #include "power/power.hh"
 #include "runtime/context.hh"
 #include "sim/device.hh"
+
+namespace hetsim::coexec
+{
+struct CoKernel;
+} // namespace hetsim::coexec
 
 namespace hetsim::core
 {
@@ -107,57 +113,76 @@ struct KernelBreakdown
 std::vector<KernelBreakdown>
 kernelBreakdown(const RunResult &result);
 
-/** One proxy application. */
+/** Builds and runs one app under one model: an `apps::<app>::run<Model>`
+ *  entry point (host-only ports ignore the device). */
+using AppRunner = RunResult (*)(const sim::DeviceSpec &device,
+                                const WorkloadConfig &cfg);
+
+/** Builds an app's co-execution kernel at a scale and precision. */
+using CoKernelFactory = coexec::CoKernel (*)(double scale, Precision prec);
+
+/** One proxy application: everything the harness, the CLI, the serve
+ *  layer and Table IV know about it. */
+struct AppEntry
+{
+    const char *alias;   ///< CLI alias and source stem, e.g. "minife"
+    const char *display; ///< paper name, e.g. "miniFE"
+    const char *cmdline; ///< paper command line, e.g. "./miniFE -nx 100 ..."
+    /** The paper compares this app on kernel time only (true for the
+     *  read-memory micro-benchmark, whose figures exclude transfers). */
+    bool kernelOnly = false;
+    AppRunner run[8]; ///< one port per programming model, by ModelKind
+    CoKernelFactory coKernel; ///< null: no co-execution adapter
+};
+
+/** @return the five proxy applications, in the paper's order - the
+ *  one list of apps (implemented in src/apps). */
+std::span<const AppEntry> appTable();
+
+/** One proxy application, runnable under any programming model on any
+ *  device: a handle on its appTable() row. */
 class Workload
 {
   public:
-    virtual ~Workload() = default;
+    explicit Workload(const AppEntry &entry) : row(&entry) {}
 
     /** Display name, e.g. "LULESH". */
-    virtual std::string name() const = 0;
+    std::string name() const { return row->display; }
 
     /** The paper's command line, e.g. "./LULESH -s 100 -i 100". */
-    virtual std::string cmdline() const = 0;
+    std::string cmdline() const { return row->cmdline; }
 
-    /** Models this workload is implemented in. */
-    virtual std::vector<ModelKind> supportedModels() const = 0;
-
-    /**
-     * Whether the paper compares this workload on kernel time only
-     * (true for the read-memory micro-benchmark, whose figures
-     * exclude data transfers).
-     */
-    virtual bool kernelOnlyComparison() const { return false; }
+    /** Whether the paper compares this workload on kernel time only. */
+    bool kernelOnlyComparison() const { return row->kernelOnly; }
 
     /** Build and run under @p model on @p device. */
-    virtual RunResult run(ModelKind model, const sim::DeviceSpec &device,
-                          const WorkloadConfig &cfg) = 0;
+    RunResult
+    run(ModelKind model, const sim::DeviceSpec &device,
+        const WorkloadConfig &cfg) const
+    {
+        return row->run[static_cast<int>(model)](device, cfg);
+    }
+
+  private:
+    const AppEntry *row;
 };
 
-/** Factory functions (implemented in src/apps). */
+/** Factory functions, one per appTable() row. */
 std::unique_ptr<Workload> makeReadMem();
 std::unique_ptr<Workload> makeLulesh();
 std::unique_ptr<Workload> makeComd();
 std::unique_ptr<Workload> makeXsbench();
 std::unique_ptr<Workload> makeMiniFe();
 
-/** One proxy application: its CLI alias and its factory. */
-struct AppEntry
-{
-    const char *alias; ///< e.g. "lulesh"
-    std::unique_ptr<Workload> (*make)();
-};
-
-/** @return the five proxy applications, in the paper's order - the
- *  one list of apps. */
-std::span<const AppEntry> appTable();
-
 /** All five proxy applications, in the paper's order. */
 std::vector<std::unique_ptr<Workload>> makeAllWorkloads();
 
-/** @return the workload for a CLI alias (readmem, lulesh, comd,
- *  xsbench, minife), or null.  Shared by the CLI and the serve
- *  layer's JobSpec resolution. */
+/** @return the appTable() row for a CLI alias (readmem, lulesh, comd,
+ *  xsbench, minife), or null. */
+const AppEntry *appByName(const std::string &name);
+
+/** @return the workload for a CLI alias, or null.  Shared by the CLI
+ *  and the serve layer's JobSpec resolution. */
 std::unique_ptr<Workload> workloadByName(const std::string &name);
 
 /** @return the model kind for a CLI name or alias (ir::BackendCaps

@@ -11,6 +11,7 @@
 
 #include "common/flatjson.hh"
 #include "common/numparse.hh"
+#include "core/workload.hh"
 
 namespace hetsim::serve
 {
@@ -36,19 +37,14 @@ toString(JobStatus status)
 std::optional<ir::ModelKind>
 backendByName(const std::string &name)
 {
-    if (name == "ocl" || name == "opencl")
-        return ir::ModelKind::OpenCl;
-    if (name == "amp" || name == "cppamp")
-        return ir::ModelKind::CppAmp;
-    if (name == "acc" || name == "openacc")
-        return ir::ModelKind::OpenAcc;
-    if (name == "hc")
-        return ir::ModelKind::Hc;
-    if (name == "omp" || name == "omptarget" || name == "target")
+    // A backend always names a device model: "omp" is OpenMP target
+    // offload here, not the --model alias for the host-CPU baseline.
+    if (name == "omp")
         return ir::ModelKind::OmpTarget;
-    if (name == "cuda")
-        return ir::ModelKind::Cuda;
-    return std::nullopt;
+    auto kind = core::modelByName(name);
+    if (kind == ir::ModelKind::Serial || kind == ir::ModelKind::OpenMp)
+        return std::nullopt;
+    return kind;
 }
 
 std::optional<sim::FreqDomain>

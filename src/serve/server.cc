@@ -114,14 +114,6 @@ runSingleDeviceJob(const JobSpec &spec, JobResult &res)
         res.error = "unknown device '" + spec.device + "'";
         return;
     }
-    auto supported = wl->supportedModels();
-    if (std::find(supported.begin(), supported.end(), *model) ==
-        supported.end()) {
-        res.error = "app '" + spec.app + "' does not support model '" +
-                    spec.model + "'";
-        return;
-    }
-
     core::WorkloadConfig cfg;
     cfg.scale = spec.scale;
     cfg.functional = spec.functional;

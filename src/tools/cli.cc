@@ -38,23 +38,39 @@
 namespace hetsim::cli
 {
 
-std::unique_ptr<core::Workload>
-workloadByName(const std::string &name)
+namespace
 {
-    return core::workloadByName(name);
+
+/** @return the app aliases in paper order (only those with a
+ *  co-execution kernel when @p coexecOnly), joined by @p sep. */
+std::string
+appNames(const char *sep, bool coexecOnly)
+{
+    std::string names;
+    for (const core::AppEntry &app : core::appTable()) {
+        if (coexecOnly && !app.coKernel)
+            continue;
+        if (!names.empty())
+            names += sep;
+        names += app.alias;
+    }
+    return names;
 }
 
-std::optional<core::ModelKind>
-modelByName(const std::string &name)
+/** @return every --model name in ModelKind order, space-separated. */
+std::string
+modelNames()
 {
-    return core::modelByName(name);
+    std::string names;
+    for (const ir::BackendCaps &row : ir::backendTable()) {
+        if (!names.empty())
+            names += ' ';
+        names += row.name;
+    }
+    return names;
 }
 
-std::optional<sim::DeviceSpec>
-deviceByName(const std::string &name)
-{
-    return sim::deviceByName(name);
-}
+} // namespace
 
 void
 usage(std::ostream &os)
@@ -279,10 +295,9 @@ usage(std::ostream &os)
           "every cost\n"
           "                      (A/B escape hatch; disables "
           "predict-admission)\n\n"
-          "apps:    readmem lulesh comd xsbench minife\n"
-          "         (coexec: readmem xsbench minife)\n"
-          "models:  serial openmp opencl cppamp openacc hc omptarget "
-          "cuda\n"
+          "apps:    " << appNames(" ", false) << "\n"
+          "         (coexec: " << appNames(" ", true) << ")\n"
+          "models:  " << modelNames() << "\n"
           "devices: dgpu apu cpu hd7950\n";
 }
 
@@ -294,16 +309,8 @@ cmdList(const Args &, std::ostream &os)
 {
     Table table("Workloads");
     table.setHeader({"app", "paper command line", "models"});
-    for (const core::AppEntry &app : core::appTable()) {
-        auto wl = app.make();
-        std::string models;
-        for (core::ModelKind model : wl->supportedModels()) {
-            if (!models.empty())
-                models += ' ';
-            models += ir::toString(model);
-        }
-        table.addRow({app.alias, wl->cmdline(), models});
-    }
+    for (const core::AppEntry &app : core::appTable())
+        table.addRow({app.alias, app.cmdline, modelNames()});
     table.print(os);
     return 0;
 }
@@ -421,9 +428,9 @@ writeEnergyOut(const Args &args, const power::EnergyReport &report,
 int
 cmdRun(const Args &args, std::ostream &os)
 {
-    auto wl = workloadByName(args.app);
-    auto model = modelByName(args.model);
-    auto device = deviceByName(args.device);
+    auto wl = core::workloadByName(args.app);
+    auto model = core::modelByName(args.model);
+    auto device = sim::deviceByName(args.device);
     if (!wl || !model || !device) {
         os << "error: unknown app/model/device\n";
         return 2;
@@ -499,8 +506,8 @@ cmdRun(const Args &args, std::ostream &os)
 int
 cmdCompare(const Args &args, std::ostream &os)
 {
-    auto wl = workloadByName(args.app);
-    auto device = deviceByName(args.device);
+    auto wl = core::workloadByName(args.app);
+    auto device = sim::deviceByName(args.device);
     if (!wl || !device) {
         os << "error: unknown app/device\n";
         return 2;
@@ -511,12 +518,12 @@ cmdCompare(const Args &args, std::ostream &os)
     Table table(wl->name() + " on " + device->name + " (" +
                 toString(prec) + ", vs 4-core OpenMP)");
     table.setHeader({"model", "time (s)", "speedup", "energy (J)"});
-    for (core::ModelKind model : wl->supportedModels()) {
-        if (model == core::ModelKind::Serial ||
-            model == core::ModelKind::OpenMp)
+    for (const ir::BackendCaps &row : ir::backendTable()) {
+        if (row.kind == core::ModelKind::Serial ||
+            row.kind == core::ModelKind::OpenMp)
             continue;
-        auto point = harness.speedup(*device, model, prec);
-        table.addRow({ir::displayName(model),
+        auto point = harness.speedup(*device, row.kind, prec);
+        table.addRow({row.display,
                       Table::num(point.seconds, 5),
                       Table::num(point.speedup, 2),
                       Table::num(point.energyJoules, 4)});
@@ -528,9 +535,9 @@ cmdCompare(const Args &args, std::ostream &os)
 int
 cmdSweep(const Args &args, std::ostream &os)
 {
-    auto wl = workloadByName(args.app);
-    auto device = deviceByName(args.device);
-    auto model = modelByName(args.model);
+    auto wl = core::workloadByName(args.app);
+    auto device = sim::deviceByName(args.device);
+    auto model = core::modelByName(args.model);
     if (!wl || !device || !model) {
         os << "error: unknown app/model/device\n";
         return 2;
@@ -590,8 +597,8 @@ coexecLaunch(const Args &args, std::ostream &os)
                                              prec);
     if (!kernel) {
         os << "error: app '" << args.app
-           << "' has no co-execution kernel (readmem, xsbench, "
-              "minife)\n";
+           << "' has no co-execution kernel (" << appNames(", ", true)
+           << ")\n";
         return std::nullopt;
     }
     coexec::ExecOptions opts;
@@ -740,9 +747,9 @@ runForBreakdown(const Args &args, std::ostream &os, std::string &title)
         return result.seconds;
     }
 
-    auto wl = workloadByName(args.app);
-    auto model = modelByName(args.model);
-    auto device = deviceByName(args.device);
+    auto wl = core::workloadByName(args.app);
+    auto model = core::modelByName(args.model);
+    auto device = sim::deviceByName(args.device);
     if (!wl || !model || !device) {
         os << "error: unknown app/model/device\n";
         return -1.0;
@@ -1608,7 +1615,7 @@ cmdPredict(const Args &args, std::ostream &os)
             return writeModelOut(args, surrogate, os);
         }
 
-        auto device = deviceByName(args.device);
+        auto device = sim::deviceByName(args.device);
         if (!device) {
             os << "error: unknown device '" << args.device
                << "' (dgpu, apu, cpu)\n";

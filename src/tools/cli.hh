@@ -109,15 +109,6 @@ struct Args
 /** Parse argv (excluding argv[0]); sets Args::error on failure. */
 Args parse(const std::vector<std::string> &argv);
 
-/** @return the workload named by its CLI alias, or null. */
-std::unique_ptr<core::Workload> workloadByName(const std::string &name);
-
-/** @return the model kind for a CLI alias, if valid. */
-std::optional<core::ModelKind> modelByName(const std::string &name);
-
-/** @return the device spec for a CLI alias (dgpu/apu/cpu), if valid. */
-std::optional<sim::DeviceSpec> deviceByName(const std::string &name);
-
 /** Execute a parsed command; output to @p os. @return exit code. */
 int execute(const Args &args, std::ostream &os);
 

@@ -12,8 +12,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "serve/jobspec.hh"
 #include "tools/cli.hh"
 
 namespace hetsim::cli
@@ -491,25 +493,77 @@ TEST(CliExecute, CoexecAllDevicesDeadExitsCleanly)
 
 TEST(CliLookups, Aliases)
 {
-    EXPECT_NE(workloadByName("lulesh"), nullptr);
-    EXPECT_EQ(workloadByName("nope"), nullptr);
-    EXPECT_EQ(modelByName("amp"), core::ModelKind::CppAmp);
-    EXPECT_EQ(modelByName("ocl"), core::ModelKind::OpenCl);
-    EXPECT_EQ(modelByName("omptarget"), core::ModelKind::OmpTarget);
-    EXPECT_EQ(modelByName("cuda"), core::ModelKind::Cuda);
-    EXPECT_FALSE(modelByName("sycl").has_value());
-    ASSERT_TRUE(deviceByName("apu").has_value());
-    EXPECT_TRUE(deviceByName("apu")->zeroCopy);
-    EXPECT_FALSE(deviceByName("fpga").has_value());
+    EXPECT_NE(core::workloadByName("lulesh"), nullptr);
+    EXPECT_EQ(core::workloadByName("nope"), nullptr);
+    EXPECT_EQ(core::modelByName("amp"), core::ModelKind::CppAmp);
+    EXPECT_EQ(core::modelByName("ocl"), core::ModelKind::OpenCl);
+    EXPECT_EQ(core::modelByName("omptarget"), core::ModelKind::OmpTarget);
+    EXPECT_EQ(core::modelByName("cuda"), core::ModelKind::Cuda);
+    EXPECT_FALSE(core::modelByName("sycl").has_value());
+    ASSERT_TRUE(sim::deviceByName("apu").has_value());
+    EXPECT_TRUE(sim::deviceByName("apu")->zeroCopy);
+    EXPECT_FALSE(sim::deviceByName("fpga").has_value());
+}
+
+TEST(CliLookups, NameTablePinsEverySpelling)
+{
+    using core::ModelKind;
+    // Every --model spelling, and only these.
+    const std::vector<std::pair<std::string, ModelKind>> models = {
+        {"serial", ModelKind::Serial},     {"openmp", ModelKind::OpenMp},
+        {"omp", ModelKind::OpenMp},        {"opencl", ModelKind::OpenCl},
+        {"ocl", ModelKind::OpenCl},        {"cppamp", ModelKind::CppAmp},
+        {"amp", ModelKind::CppAmp},        {"openacc", ModelKind::OpenAcc},
+        {"acc", ModelKind::OpenAcc},       {"hc", ModelKind::Hc},
+        {"omptarget", ModelKind::OmpTarget},
+        {"target", ModelKind::OmpTarget},  {"cuda", ModelKind::Cuda},
+    };
+    for (const auto &[name, kind] : models)
+        EXPECT_EQ(core::modelByName(name), kind) << name;
+    for (const char *bad : {"sycl", "", "OpenCL", "ompt"})
+        EXPECT_FALSE(core::modelByName(bad).has_value()) << bad;
+
+    // Every --backend / "backend" spelling: device models only, and
+    // "omp" means OpenMP target offload here.
+    const std::vector<std::pair<std::string, ModelKind>> backends = {
+        {"opencl", ModelKind::OpenCl},     {"ocl", ModelKind::OpenCl},
+        {"cppamp", ModelKind::CppAmp},     {"amp", ModelKind::CppAmp},
+        {"openacc", ModelKind::OpenAcc},   {"acc", ModelKind::OpenAcc},
+        {"hc", ModelKind::Hc},             {"omp", ModelKind::OmpTarget},
+        {"omptarget", ModelKind::OmpTarget},
+        {"target", ModelKind::OmpTarget},  {"cuda", ModelKind::Cuda},
+    };
+    for (const auto &[name, kind] : backends)
+        EXPECT_EQ(serve::backendByName(name), kind) << name;
+    for (const char *bad : {"serial", "openmp", "sycl", ""})
+        EXPECT_FALSE(serve::backendByName(bad).has_value()) << bad;
 }
 
 TEST(CliExecute, ListPrintsEveryApp)
 {
+    // The full table, byte for byte: every app row in paper order with
+    // its command line and all eight models.
+    const std::string expected =
+        "Workloads\n"
+        "=========================================================="
+        "=====================\n"
+        "app                             paper command line        "
+        "                                         models\n"
+        "----------------------------------------------------------"
+        "---------------------\n"
+        "readmem  ./read-benchmark (in-house, BLOCKSIZE=64)  serial"
+        " openmp opencl cppamp openacc hc omptarget cuda\n"
+        "lulesh                      ./LULESH -s 100 -i 100  serial"
+        " openmp opencl cppamp openacc hc omptarget cuda\n"
+        "comd                      ./CoMD -x 60 -y 60 -z 60  serial"
+        " openmp opencl cppamp openacc hc omptarget cuda\n"
+        "xsbench                         ./XSBench -s small  serial"
+        " openmp opencl cppamp openacc hc omptarget cuda\n"
+        "minife            ./miniFE -nx 100 -ny 100 -nz 100  serial"
+        " openmp opencl cppamp openacc hc omptarget cuda\n";
     std::ostringstream os;
     EXPECT_EQ(execute(parse({"list"}), os), 0);
-    for (const char *app :
-         {"readmem", "lulesh", "comd", "xsbench", "minife"})
-        EXPECT_NE(os.str().find(app), std::string::npos) << app;
+    EXPECT_EQ(os.str(), expected);
 }
 
 TEST(CliExecute, RunFunctionalValidates)

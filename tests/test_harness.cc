@@ -1,12 +1,20 @@
 /**
  * @file
- * Tests for the experiment harness (speedups, sweeps, boundedness).
+ * Tests for the experiment harness (speedups, sweeps, boundedness)
+ * and the app table it runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/harness.hh"
+#include "core/sloc.hh"
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim::core
 {
@@ -94,6 +102,52 @@ TEST(Harness, KernelOnlyComparisonExcludesTransfers)
                                          ModelKind::OpenCl,
                                          Precision::Single);
     EXPECT_LT(point.seconds, result.seconds); // transfers excluded
+}
+
+TEST(AppTable, RowsInPaperOrder)
+{
+    std::vector<std::string> aliases, kernelOnly;
+    for (const AppEntry &row : appTable()) {
+        aliases.emplace_back(row.alias);
+        if (row.kernelOnly)
+            kernelOnly.emplace_back(row.alias);
+    }
+    EXPECT_EQ(aliases, (std::vector<std::string>{"readmem", "lulesh",
+                                                 "comd", "xsbench",
+                                                 "minife"}));
+    EXPECT_EQ(kernelOnly, std::vector<std::string>{"readmem"});
+}
+
+TEST(AppTable, SlocApplicationsAreTheDisplayColumn)
+{
+    std::vector<std::string> display;
+    for (const AppEntry &row : appTable())
+        display.emplace_back(row.display);
+    EXPECT_EQ(display, (std::vector<std::string>{"read-benchmark",
+                                                 "LULESH", "CoMD",
+                                                 "XSBench", "miniFE"}));
+    EXPECT_EQ(SlocManifest::applications(), display);
+}
+
+TEST(AppTable, EveryRowHasOneRunnerPerModel)
+{
+    for (const AppEntry &row : appTable()) {
+        ASSERT_EQ(std::size(row.run), ir::backendTable().size())
+            << row.alias;
+        for (AppRunner runner : row.run)
+            EXPECT_NE(runner, nullptr) << row.alias;
+    }
+}
+
+TEST(AppTable, CoKernelsForReadmemXsbenchMinifeOnly)
+{
+    std::set<std::string> withCoKernel;
+    for (const AppEntry &row : appTable()) {
+        if (row.coKernel)
+            withCoKernel.insert(row.alias);
+    }
+    EXPECT_EQ(withCoKernel, (std::set<std::string>{"minife", "readmem",
+                                                   "xsbench"}));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "apps/readmem/readmem_core.hh"
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim
 {
@@ -91,7 +92,8 @@ TEST(ReadMem, ChecksumIdenticalAcrossModels)
     cfg.scale = 0.02;
     double expect = 0.0;
     bool first = true;
-    for (ModelKind model : wl->supportedModels()) {
+    for (const ir::BackendCaps &row : ir::backendTable()) {
+        const ModelKind model = row.kind;
         auto result = wl->run(model, sim::a10_7850kGpu(), cfg);
         if (first) {
             expect = result.checksum;

@@ -17,6 +17,7 @@
 #include "apps/xsbench/xsbench_core.hh"
 #include "core/harness.hh"
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 #include "sim/cache.hh"
 #include "sim/timing_cache.hh"
 
@@ -540,10 +541,11 @@ TEST(Xsbench, CompareRowsEqualSeparateRuns)
             SCOPED_TRACE(device.name + " " + toString(prec));
             core::Harness harness(*wl, 0.02, false);
             std::vector<core::SpeedupPoint> rows;
-            for (ModelKind model : wl->supportedModels()) {
-                if (model != ModelKind::Serial &&
-                    model != ModelKind::OpenMp)
-                    rows.push_back(harness.speedup(device, model, prec));
+            for (const ir::BackendCaps &caps : ir::backendTable()) {
+                if (caps.kind != ModelKind::Serial &&
+                    caps.kind != ModelKind::OpenMp)
+                    rows.push_back(
+                        harness.speedup(device, caps.kind, prec));
             }
             ASSERT_EQ(rows.size(), 6u);
             for (const core::SpeedupPoint &row : rows) {
