@@ -12,6 +12,7 @@
 #include "benchsupport.hh"
 
 #include "apps/coexec_kernels.hh"
+#include "core/workload.hh"
 #include "hc/hc.hh"
 
 namespace
@@ -86,7 +87,12 @@ main(int argc, char **argv)
     const coexec::Policy policies[] = {coexec::Policy::StaticRatio,
                                        coexec::Policy::DynamicChunk,
                                        coexec::Policy::Adaptive};
-    const char *app_names[] = {"readmem", "xsbench", "minife"};
+    // Every app with a co-execution adapter, in the paper's order.
+    std::vector<const char *> app_names;
+    for (const core::AppEntry &app : core::appTable()) {
+        if (app.coKernel != nullptr)
+            app_names.push_back(app.alias);
+    }
 
     for (const auto &[pool_name, pool_caption] : pools) {
         auto pool = coexec::DevicePool::parse(pool_name);

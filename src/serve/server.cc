@@ -752,7 +752,19 @@ Server::submit(JobSpec spec)
                               submitSeq++, depth, predictedSeconds});
     maybeScaleUp();
     lk.unlock();
-    workCv.notify_one();
+    wakeWorker();
+}
+
+void
+Server::wakeWorker()
+{
+    // The autoscaler gates workers by index.  notify_one may pick a
+    // gated worker, which goes straight back to sleep: the wakeup is
+    // lost, and with every open slot asleep the job waits forever.
+    if (cfg.autoscale)
+        workCv.notify_all();
+    else
+        workCv.notify_one();
 }
 
 void
@@ -768,7 +780,7 @@ Server::requeueContinuation(QueuedJob job)
     predictedBacklogSeconds += job.predictedSeconds;
     tenantQueued[job.spec.tenant] += 1;
     queue.push_back(std::move(job));
-    workCv.notify_one();
+    wakeWorker();
 }
 
 void

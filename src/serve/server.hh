@@ -386,6 +386,8 @@ class Server
     void maybeScaleDown();
     /** Re-queue a preempted job's continuation (caller holds mtx). */
     void requeueContinuation(QueuedJob job);
+    /** Wake a worker for one newly queued job. */
+    void wakeWorker();
 
     ServerConfig cfg;
     std::vector<std::thread> workers;

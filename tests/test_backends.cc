@@ -173,8 +173,13 @@ TEST(CoexecBackends, ByteIdenticalResultsAtAnyWorkerCount)
         std::string error;
         auto outcome = serve::runBatch(jobs, cfg, error);
         EXPECT_TRUE(outcome.has_value()) << error;
+        // The summary's joules, total and per tenant, ride along.
         std::ostringstream os;
         serve::writeResultsJsonl(os, outcome->results);
+        os << std::hexfloat << "sim energy "
+           << outcome->report.energyJoules;
+        for (const auto &tenant : outcome->report.tenants)
+            os << " " << tenant.tenant << ":" << tenant.energyJoules;
         return os.str();
     };
 
@@ -193,46 +198,57 @@ TEST(Energy, BucketsTileMakespanTimesPower)
     auto kernel =
         apps::coex::coKernelByName("xsbench", 0.05, Precision::Single);
     ASSERT_TRUE(kernel.has_value());
-    auto pool = coexec::DevicePool::parse("cpu+dgpu");
-    ASSERT_TRUE(pool.has_value());
-    coexec::ExecOptions opts;
-    opts.policy = coexec::Policy::Adaptive;
-    fault::FaultConfig faultCfg;
-    faultCfg.transferFailRate = 0.2;
-    fault::FaultPlan plan(faultCfg);
-    opts.faults = &plan;
-    coexec::CoExecutor executor(*pool, Precision::Single);
-    auto result = executor.execute(*kernel, opts);
-    ASSERT_TRUE(result.ok) << result.error;
+    // The stock backend timing-only, and a seeded functional run under
+    // the CUDA-style backend.
+    for (const bool cuda : {false, true}) {
+        SCOPED_TRACE(cuda ? "cuda functional" : "stock");
+        auto pool = coexec::DevicePool::parse("cpu+dgpu");
+        ASSERT_TRUE(pool.has_value());
+        if (cuda)
+            pool->setGpuModel(ModelKind::Cuda);
+        coexec::ExecOptions opts;
+        opts.policy = coexec::Policy::Adaptive;
+        opts.functional = cuda;
+        fault::FaultConfig faultCfg;
+        faultCfg.transferFailRate = 0.2;
+        if (cuda)
+            faultCfg.seed = 42;
+        fault::FaultPlan plan(faultCfg);
+        opts.faults = &plan;
+        coexec::CoExecutor executor(*pool, Precision::Single);
+        auto result = executor.execute(*kernel, opts);
+        ASSERT_TRUE(result.ok) << result.error;
+        EXPECT_TRUE(result.validated || !cuda);
 
-    const power::EnergyReport &energy = result.energy;
-    ASSERT_FALSE(energy.buckets.empty());
-    EXPECT_GT(energy.makespanSeconds, 0.0);
-    EXPECT_GT(energy.busyJoules, 0.0);
-    // Devices idle while others finish: idle draw is never zero on a
-    // co-executed timeline.
-    EXPECT_GT(energy.idleJoules, 0.0);
-    // The tiling invariant: every bucket's busy + idle seconds equal
-    // the makespan, and the bucket sum reproduces the differently-
-    // associated total within 1e-9 relative.
-    for (const power::EnergyBucket &bucket : energy.buckets) {
-        EXPECT_NEAR(bucket.busySeconds + bucket.idleSeconds,
-                    energy.makespanSeconds,
-                    1e-12 * energy.makespanSeconds)
-            << bucket.resource;
+        const power::EnergyReport &energy = result.energy;
+        ASSERT_FALSE(energy.buckets.empty());
+        EXPECT_GT(energy.makespanSeconds, 0.0);
+        EXPECT_GT(energy.busyJoules, 0.0);
+        // Devices idle while others finish: idle draw is never zero on
+        // a co-executed timeline.
+        EXPECT_GT(energy.idleJoules, 0.0);
+        // The tiling invariant: every bucket's busy + idle seconds
+        // equal the makespan, and the bucket sum reproduces the
+        // differently-associated total within 1e-9 relative.
+        for (const power::EnergyBucket &bucket : energy.buckets) {
+            EXPECT_NEAR(bucket.busySeconds + bucket.idleSeconds,
+                        energy.makespanSeconds,
+                        1e-12 * energy.makespanSeconds)
+                << bucket.resource;
+        }
+        EXPECT_LE(energy.bucketError(), 1e-9);
+        EXPECT_NEAR(energy.busyJoules + energy.idleJoules, energy.joules,
+                    1e-9 * energy.joules);
+
+        // Energy is a pure function of the timeline: a rerun with a
+        // fresh plan from the same fault config (the plan itself is a
+        // stateful RNG) reproduces it bit-for-bit.
+        fault::FaultPlan replayPlan(faultCfg);
+        opts.faults = &replayPlan;
+        auto again = executor.execute(*kernel, opts);
+        ASSERT_TRUE(again.ok) << again.error;
+        EXPECT_EQ(result.energyJoules, again.energyJoules);
     }
-    EXPECT_LE(energy.bucketError(), 1e-9);
-    EXPECT_NEAR(energy.busyJoules + energy.idleJoules, energy.joules,
-                1e-9 * energy.joules);
-
-    // Energy is a pure function of the timeline: a rerun with a
-    // fresh plan from the same fault config (the plan itself is a
-    // stateful RNG) reproduces it bit-for-bit.
-    fault::FaultPlan replayPlan(faultCfg);
-    opts.faults = &replayPlan;
-    auto again = executor.execute(*kernel, opts);
-    ASSERT_TRUE(again.ok) << again.error;
-    EXPECT_EQ(result.energyJoules, again.energyJoules);
 }
 
 TEST(Energy, EnergyOfBusySplitsBusyAndIdleDraw)

@@ -5,16 +5,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/flatjson.hh"
+#include "obs/flightrec.hh"
+#include "obs/metrics.hh"
+#include "obs/profile.hh"
+#include "obs/tracer.hh"
 #include "serve/jobspec.hh"
 #include "tools/cli.hh"
 
@@ -22,6 +31,135 @@ namespace hetsim::cli
 {
 namespace
 {
+
+/** Writes @p text to a temp jobs file; removes it on destruction. */
+class TempJobsFile
+{
+  public:
+    explicit TempJobsFile(const std::string &text)
+        : filePath("hetsim_test_jobs_" +
+                   std::to_string(::testing::UnitTest::GetInstance()
+                                      ->random_seed()) +
+                   "_" + std::to_string(counter++) + ".jsonl")
+    {
+        std::ofstream out(filePath);
+        out << text;
+    }
+    ~TempJobsFile() { std::remove(filePath.c_str()); }
+    const std::string &path() const { return filePath; }
+
+  private:
+    static int counter;
+    std::string filePath;
+};
+
+int TempJobsFile::counter = 0;
+
+/** @return the whole contents of the file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Parses every line of @p jsonl as one flat JSON object. */
+std::vector<json::Object>
+jsonlObjects(const std::string &jsonl)
+{
+    std::vector<json::Object> rows;
+    std::istringstream lines(jsonl);
+    std::string line, error;
+    while (std::getline(lines, line)) {
+        auto row = json::parseFlatObject(line, error);
+        EXPECT_TRUE(row.has_value()) << error << ": " << line;
+        if (row)
+            rows.push_back(std::move(*row));
+    }
+    return rows;
+}
+
+/** Spans per registered track in the global tracer's current buffer
+ *  (0 for a track with none). */
+std::map<std::string, u64>
+spansPerTrack()
+{
+    const obs::Tracer &tracer = obs::Tracer::global();
+    const std::vector<std::string> names = tracer.trackNames();
+    std::map<std::string, u64> spans;
+    for (const std::string &name : names)
+        spans[name] = 0;
+    for (const obs::TraceEvent &event : tracer.snapshot()) {
+        if (event.kind == obs::TraceEvent::Kind::Span)
+            ++spans[names[event.track]];
+    }
+    return spans;
+}
+
+/** Keys of the outermost object of @p json, in document order. */
+std::vector<std::string>
+topLevelKeys(const std::string &json)
+{
+    std::vector<std::string> keys;
+    int depth = 0;
+    for (size_t i = 0; i < json.size(); ++i) {
+        if (json[i] == '"') {
+            const size_t start = ++i;
+            for (; json[i] != '"'; ++i)
+                i += json[i] == '\\';
+            if (depth == 1 && json[i + 1] == ':')
+                keys.push_back(json.substr(start, i - start));
+        } else if (json[i] == '{' || json[i] == '[') {
+            ++depth;
+        } else if (json[i] == '}' || json[i] == ']') {
+            --depth;
+        }
+    }
+    return keys;
+}
+
+/** The hetsim.profile.v1 contract: the schema's top-level keys,
+ *  attribution buckets that tile the makespan, a critical path, and
+ *  flight records of known kinds only. */
+void
+expectProfileInvariants(const obs::ProfileReport &report)
+{
+    std::ostringstream json;
+    obs::writeProfileJson(json, report);
+    EXPECT_EQ(json.str().rfind("{\"schema\":\"hetsim.profile.v1\"", 0),
+              0u);
+    const std::vector<std::string> keys = topLevelKeys(json.str());
+    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()),
+              (std::set<std::string>{
+                  "schema", "makespan_seconds", "attributed_seconds",
+                  "attribution_error_rel", "spans_analyzed",
+                  "bottleneck", "attribution", "critical_path",
+                  "observations", "rollup", "flight_records",
+                  "flight_dropped", "trace_dropped_spans"}));
+
+    const obs::TraceAnalysis &analysis = report.analysis;
+    const double makespan = analysis.makespanSeconds;
+    EXPECT_GT(makespan, 0.0);
+    EXPECT_LE(analysis.attributionError(), 1e-9);
+    double total = 0.0;
+    for (const obs::AttributionBucket &bucket : analysis.buckets) {
+        total += bucket.seconds;
+        EXPECT_TRUE(bucket.kind == "device" || bucket.kind == "link" ||
+                    bucket.kind == "wait")
+            << bucket.kind;
+    }
+    EXPECT_NEAR(total, makespan, 1e-9 * makespan);
+    EXPECT_GE(analysis.spansAnalyzed, 1u);
+    EXPECT_FALSE(analysis.path.empty());
+    const std::set<std::string> kinds{
+        "error",     "rejected", "shed",
+        "expired",   "preempted", "slo_miss",
+        "retry_after_node_death"};
+    for (const obs::FlightRecord &rec : report.flightRecords)
+        EXPECT_EQ(kinds.count(rec.kind), 1u) << rec.kind;
+}
 
 TEST(CliParse, RunWithAllOptions)
 {
@@ -477,6 +615,43 @@ TEST(CliExecute, CoexecFailDeviceDegradesAndValidates)
     EXPECT_NE(os.str().find("degradations"), std::string::npos);
     EXPECT_NE(os.str().find("dead devices"), std::string::npos);
     EXPECT_NE(os.str().find("yes"), std::string::npos);
+
+    // At paper scale with observability on: the degradation reaches
+    // the fault counters and the trace's "fault" category.
+    std::ostringstream traced;
+    ASSERT_EQ(execute(parse({"coexec", "--app", "readmem", "--devices",
+                             "cpu+dgpu", "--fail-device", "gpu",
+                             "--functional", "--trace-out", "/dev/null",
+                             "--metrics-out", "/dev/null"}),
+                      traced),
+              0)
+        << traced.str();
+    const obs::Metrics &metrics = obs::Metrics::global();
+    EXPECT_GE(metrics.counterValue("fault.degradations"), 1.0);
+    EXPECT_GE(metrics.counterValue("fault.dead_devices"), 1.0);
+    EXPECT_GE(metrics.counterValue("fault.rescues"), 1.0);
+    bool faultEvent = false;
+    for (const obs::TraceEvent &event : obs::Tracer::global().snapshot())
+        faultEvent = faultEvent || event.cat == "fault";
+    EXPECT_TRUE(faultEvent);
+
+    // Seeded random faults are survivable and reproducible: the same
+    // seed twice prints the same report, validated.
+    auto seeded = [] {
+        std::ostringstream out;
+        EXPECT_EQ(execute(parse({"coexec", "--app", "readmem",
+                                 "--devices", "cpu+dgpu", "--functional",
+                                 "--inject-faults",
+                                 "transfer:0.3,launch:0.1",
+                                 "--fault-seed", "42"}),
+                          out),
+                  0)
+            << out.str();
+        return out.str();
+    };
+    const std::string first = seeded();
+    EXPECT_EQ(first, seeded());
+    EXPECT_NE(first.find("faults injected"), std::string::npos);
 }
 
 TEST(CliExecute, CoexecAllDevicesDeadExitsCleanly)
@@ -626,6 +801,25 @@ TEST(CliExecute, CoexecPrintsPerDeviceBreakdown)
     EXPECT_NE(out.find("co-exec speedup"), std::string::npos);
     EXPECT_NE(out.find("validated"), std::string::npos);
     EXPECT_NE(out.find("yes"), std::string::npos);
+
+    // Traced at paper scale: every pool device gets a track with at
+    // least one span, and the chunk counter reaches the metrics.
+    std::ostringstream traced;
+    ASSERT_EQ(execute(parse({"coexec", "--app", "readmem", "--devices",
+                             "cpu+dgpu", "--trace-out", "/dev/null",
+                             "--metrics-out", "/dev/null"}),
+                      traced),
+              0)
+        << traced.str();
+    std::map<std::string, u64> deviceSpans;
+    for (const auto &[track, spans] : spansPerTrack()) {
+        if (track.find('/') != std::string::npos)
+            deviceSpans[track.substr(0, track.rfind('/'))] += spans;
+    }
+    ASSERT_FALSE(deviceSpans.empty());
+    for (const auto &[device, spans] : deviceSpans)
+        EXPECT_GE(spans, 1u) << device;
+    EXPECT_GE(obs::Metrics::global().counterValue("coexec.chunks"), 1.0);
 }
 
 TEST(CliParse, ObservabilityFlags)
@@ -691,21 +885,93 @@ TEST(CliExecute, ProfileVerbAttributesTheRun)
     EXPECT_NE(out.find("bottleneck"), std::string::npos);
     EXPECT_NE(out.find("attribution error"), std::string::npos);
     EXPECT_NE(out.find("observation records"), std::string::npos);
+
+    expectProfileInvariants(obs::buildProfile(
+        obs::Tracer::global(), obs::Profiler::global(),
+        obs::FlightRecorder::global()));
+
+    // The observation JSONL schema: keys in fixed order on every line,
+    // and count-weighted moments whose mean reproduces seconds.
+    const std::vector<obs::ObsRecord> observations =
+        obs::Profiler::global().observations();
+    ASSERT_FALSE(observations.empty());
+    std::ostringstream jsonl;
+    obs::writeObservationsJsonl(jsonl, observations);
+    const std::vector<std::string> order{
+        "kernel",          "device",        "model",
+        "precision_bits",  "items",         "core_mhz",
+        "mem_mhz",         "workgroup",     "launches",
+        "seconds",         "mean_seconds",  "var_seconds",
+        "issue_seconds",   "mem_seconds",   "lds_seconds",
+        "latency_seconds", "launch_seconds", "bound"};
+    std::istringstream lines(jsonl.str());
+    std::string line;
+    while (std::getline(lines, line))
+        EXPECT_EQ(topLevelKeys(line), order) << line;
+    const std::set<std::string> bounds{"compute", "memory", "lds",
+                                       "latency", "launch"};
+    for (const json::Object &rec : jsonlObjects(jsonl.str())) {
+        const double launches = rec.at("launches").number;
+        const double seconds = rec.at("seconds").number;
+        EXPECT_GE(launches, 1.0);
+        EXPECT_GT(seconds, 0.0);
+        EXPECT_NEAR(rec.at("mean_seconds").number * launches, seconds,
+                    1e-9 * seconds);
+        EXPECT_GE(rec.at("var_seconds").number, 0.0);
+        EXPECT_EQ(bounds.count(rec.at("bound").text), 1u);
+    }
+
+    // A starved 2-worker batch with a 1 ms queue-wait deadline and a
+    // tiny shedding queue: every job that did not finish has its
+    // flight record in the profile.
+    std::string text;
+    for (int i = 0; i < 40; ++i) {
+        text += "{\"id\": " + std::to_string(i + 1) +
+                R"(, "app": "readmem", "model": "opencl",)"
+                R"( "device": "dgpu", "scale": 0.1})"
+                "\n";
+    }
+    TempJobsFile jobs(text);
+    std::ostringstream batch;
+    ASSERT_EQ(execute(parse({"batch", "--jobs", jobs.path(), "--workers",
+                             "2", "--queue-cap", "4", "--admission",
+                             "shed", "--deadline-ms", "1",
+                             "--profile-out", "/dev/null"}),
+                      batch),
+              0)
+        << batch.str();
+    std::set<std::pair<u64, std::string>> recorded;
+    for (const obs::FlightRecord &rec :
+         obs::FlightRecorder::global().snapshot())
+        recorded.emplace(rec.jobId, rec.kind);
+    u64 failed = 0;
+    for (const json::Object &result : jsonlObjects(batch.str())) {
+        const std::string &status = result.at("status").text;
+        if (status == "ok")
+            continue;
+        ++failed;
+        EXPECT_EQ(recorded.count({u64(result.at("id").number), status}),
+                  1u)
+            << result.at("id").text << " " << status;
+    }
+    EXPECT_GE(failed, 1u);
 }
 
 TEST(CliExecute, BreakdownPhaseSumsMatchMakespan)
 {
-    std::ostringstream os;
-    Args args = parse({"breakdown", "--app", "xsbench", "--device",
-                       "dgpu", "--scale", "0.1"});
-    // Exit code 1 would mean a phase-sum error above 1%.
-    EXPECT_EQ(execute(args, os), 0);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("phase breakdown"), std::string::npos);
-    EXPECT_NE(out.find("compute (s)"), std::string::npos);
-    EXPECT_NE(out.find("xfer exposed (s)"), std::string::npos);
-    EXPECT_NE(out.find("worst phase-sum error"), std::string::npos);
-    EXPECT_NE(out.find("R9 280X"), std::string::npos);
+    for (const char *scale : {"0.1", "1"}) {
+        std::ostringstream os;
+        Args args = parse({"breakdown", "--app", "xsbench", "--device",
+                           "dgpu", "--scale", scale});
+        // Exit code 1 would mean a phase-sum error above 1%.
+        EXPECT_EQ(execute(args, os), 0) << scale;
+        const std::string out = os.str();
+        EXPECT_NE(out.find("phase breakdown"), std::string::npos);
+        EXPECT_NE(out.find("compute (s)"), std::string::npos);
+        EXPECT_NE(out.find("xfer exposed (s)"), std::string::npos);
+        EXPECT_NE(out.find("worst phase-sum error"), std::string::npos);
+        EXPECT_NE(out.find("R9 280X"), std::string::npos);
+    }
 }
 
 TEST(CliExecute, BreakdownCoexecModeListsEveryPoolDevice)
@@ -738,29 +1004,6 @@ TEST(CliExecute, UnwritableObsPathsFailLoudly)
 }
 
 // --- Serving layer (batch / serve verbs) -------------------------------
-
-/** Writes @p text to a temp jobs file; removes it on destruction. */
-class TempJobsFile
-{
-  public:
-    explicit TempJobsFile(const std::string &text)
-        : filePath("hetsim_test_jobs_" +
-                   std::to_string(::testing::UnitTest::GetInstance()
-                                      ->random_seed()) +
-                   "_" + std::to_string(counter++) + ".jsonl")
-    {
-        std::ofstream out(filePath);
-        out << text;
-    }
-    ~TempJobsFile() { std::remove(filePath.c_str()); }
-    const std::string &path() const { return filePath; }
-
-  private:
-    static int counter;
-    std::string filePath;
-};
-
-int TempJobsFile::counter = 0;
 
 TEST(CliParse, ServeFlagsParseAndValidate)
 {
@@ -884,6 +1127,82 @@ TEST(CliExecute, ServeStreamSpeaksTheLineProtocol)
     }
     EXPECT_EQ(lines, 2u);
     EXPECT_EQ(os.str().find("serving summary"), std::string::npos);
+
+    // A 50-job two-tenant stream: "hot" floods 40 jobs at weight 1,
+    // "cold" submits 10 at weight 4, the faulted co-executions carry
+    // a 10 ms service deadline (forced preemption), and the pool
+    // autoscales from 1 to 4 workers.
+    const char *hot[] = {
+        R"("app": "readmem", "model": "opencl", "device": "dgpu")",
+        R"("app": "xsbench", "model": "opencl", "device": "apu")",
+        R"("app": "xsbench", "devices": "cpu+dgpu",)"
+        R"( "faults": "transfer:0.2", "service_deadline_ms": 10,)"
+        R"( "fault_seed": )",
+        R"("app": "minife", "model": "openmp", "device": "cpu")",
+    };
+    std::string stream;
+    for (int i = 0, cursor = 0; i < 50; ++i) {
+        std::string job = "{\"id\": " + std::to_string(i + 1) + ", ";
+        if (i % 5 == 4) {
+            job += R"("app": "readmem", "model": "hc", "device": "apu",)"
+                   R"( "tenant": "cold")";
+        } else {
+            job += hot[cursor % 4];
+            if (cursor % 4 == 2)
+                job += std::to_string(40 + i);
+            job += ", \"tenant\": \"hot\"";
+            ++cursor;
+        }
+        stream += job + ", \"scale\": 0.1}\n";
+    }
+    stream += "end\n";
+    auto serveStream = [&](const std::vector<std::string> &flags,
+                           const std::string &resultsOut) {
+        std::istringstream in(stream);
+        std::streambuf *prior = std::cin.rdbuf(in.rdbuf());
+        std::vector<std::string> argv{"serve",       "--stream",
+                                      "--tenants",   "hot:1,cold:4",
+                                      "--max-preemptions", "64",
+                                      "--results-out", resultsOut};
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        std::ostringstream out;
+        const int rc = execute(parse(argv), out);
+        std::cin.rdbuf(prior);
+        EXPECT_EQ(rc, 0) << out.str();
+    };
+    TempJobsFile autoscaled(""), wide("");
+    serveStream({"--workers", "4", "--autoscale", "--min-workers", "1",
+                 "--max-workers", "4", "--metrics-out", "/dev/null"},
+                autoscaled.path());
+    const obs::Metrics &metrics = obs::Metrics::global();
+    EXPECT_EQ(metrics.counterValue("serve.completed"), 50.0);
+    EXPECT_GE(metrics.counterValue("serve.preemptions"), 1.0);
+    EXPECT_GE(metrics.counterValue("serve.autoscale.events"), 1.0);
+    // Fair share: the weighted-up cold tenant dispatches earlier on
+    // average than the flooding hot tenant.
+    EXPECT_LT(metrics.gaugeValue("serve.tenant.cold.mean_service_seq"),
+              metrics.gaugeValue("serve.tenant.hot.mean_service_seq"));
+
+    // Byte-identical sorted results at 7 fixed workers.
+    serveStream({"--workers", "7"}, wide.path());
+    const std::string sorted = readFile(autoscaled.path());
+    EXPECT_EQ(sorted, readFile(wide.path()));
+
+    const std::vector<json::Object> results = jsonlObjects(sorted);
+    ASSERT_EQ(results.size(), 50u);
+    std::map<std::string, u64> perTenant;
+    double preempted = 0.0;
+    for (size_t i = 0; i < results.size(); ++i) {
+        const json::Object &r = results[i];
+        EXPECT_EQ(r.at("id").number, double(i + 1));
+        EXPECT_EQ(r.at("status").text, "ok");
+        ++perTenant[r.at("tenant").text];
+        if (r.count("preemptions"))
+            preempted += r.at("preemptions").number;
+    }
+    EXPECT_EQ(perTenant["hot"], 40u);
+    EXPECT_EQ(perTenant["cold"], 10u);
+    EXPECT_GE(preempted, 1.0);
 }
 
 TEST(CliExecute, ServeStreamBadLineFailsWithLineNumber)
@@ -976,6 +1295,57 @@ TEST(CliExecute, BatchEmitsOrderedJsonlOnStdout)
     EXPECT_EQ(out.rfind("{\"id\":1,", 0), 0u) << out;
     EXPECT_NE(out.find("\n{\"id\":2,"), std::string::npos) << out;
     EXPECT_NE(out.find("\"status\":\"ok\""), std::string::npos);
+
+    // A 50-job mix on 4 workers, faulted co-executions included:
+    // every job completes, once, in id order, and the serve counters,
+    // histograms and per-worker trace tracks account for all of them.
+    const char *mix[] = {
+        R"("app": "readmem", "model": "opencl", "device": "dgpu")",
+        R"("app": "xsbench", "model": "opencl", "device": "apu")",
+        R"("app": "minife", "model": "openmp", "device": "cpu")",
+        R"("app": "readmem", "model": "hc", "device": "apu")",
+        R"("app": "xsbench", "devices": "cpu+dgpu",)"
+        R"( "faults": "transfer:0.2", "fault_seed": )",
+    };
+    std::string text;
+    for (int i = 0; i < 50; ++i) {
+        text += "{\"id\": " + std::to_string(i + 1) + ", " + mix[i % 5];
+        if (i % 5 == 4)
+            text += std::to_string(40 + i);
+        text += ", \"scale\": 0.1}\n";
+    }
+    TempJobsFile mixed(text);
+    std::ostringstream batch;
+    ASSERT_EQ(execute(parse({"batch", "--jobs", mixed.path(),
+                             "--workers", "4", "--trace-out",
+                             "/dev/null", "--metrics-out", "/dev/null"}),
+                      batch),
+              0)
+        << batch.str();
+    const std::vector<json::Object> results = jsonlObjects(batch.str());
+    ASSERT_EQ(results.size(), 50u);
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].at("id").number, double(i + 1));
+        EXPECT_EQ(results[i].at("status").text, "ok");
+    }
+    const obs::Metrics &metrics = obs::Metrics::global();
+    EXPECT_EQ(metrics.counterValue("serve.submitted"), 50.0);
+    EXPECT_EQ(metrics.counterValue("serve.completed"), 50.0);
+    for (const char *name : {"serve.queue_wait_ms", "serve.service_ms"}) {
+        auto hist = metrics.histogram(name);
+        ASSERT_TRUE(hist.has_value()) << name;
+        EXPECT_EQ(hist->count, 50u) << name;
+    }
+    // The tracer's track registry outlives clear(), so check the four
+    // worker tracks by presence rather than by an exact count.
+    const std::vector<std::string> names =
+        obs::Tracer::global().trackNames();
+    for (int w = 0; w < 4; ++w) {
+        const std::string worker = "serve/w" + std::to_string(w);
+        EXPECT_NE(std::find(names.begin(), names.end(), worker),
+                  names.end())
+            << worker;
+    }
 }
 
 TEST(CliExecute, ServeRunsAClosedLoopAndSummarizes)
@@ -1079,6 +1449,82 @@ TEST(CliExecute, FleetRunsACapacityTableAndRollup)
     std::ostringstream os2;
     EXPECT_EQ(execute(args, os2), 0);
     EXPECT_EQ(out, os2.str());
+
+    // A faulted 64-node / 10k-job campaign: node deaths, retries and
+    // transient faults are part of the deterministic contract, so the
+    // traced run, an untraced rerun and a profiled, trace-sampled
+    // rerun print the same report.
+    const std::vector<std::string> campaign{
+        "fleet",           "--nodes",       "64",
+        "--njobs",         "10000",         "--scale",
+        "0.05",            "--rate",        "2000",
+        "--slo-ms",        "250",           "--node-fail-rate",
+        "0.25",            "--inject-faults",
+        "transfer:0.1,launch:0.05",         "--seed",
+        "42"};
+    auto runCampaign = [&](const std::vector<std::string> &flags) {
+        std::vector<std::string> argv = campaign;
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        std::ostringstream report;
+        EXPECT_EQ(execute(parse(argv), report), 0) << report.str();
+        return report.str();
+    };
+    const std::string traced = runCampaign(
+        {"--trace-out", "/dev/null", "--metrics-out", "/dev/null"});
+    const obs::Metrics &metrics = obs::Metrics::global();
+    EXPECT_EQ(metrics.counterValue("fleet.jobs"), 10000.0);
+    EXPECT_GE(metrics.counterValue("fleet.node_deaths"), 1.0);
+    EXPECT_GE(metrics.counterValue("fleet.faults_injected"), 1.0);
+    EXPECT_GE(metrics.counterValue("fleet.slo_violations"), 1.0);
+    EXPECT_GT(metrics.counterValue("fleet.net_seconds"), 0.0);
+    EXPECT_EQ(metrics.gaugeValue("fleet.nodes"), 64.0);
+    auto latency = metrics.histogram("fleet.latency_ms");
+    ASSERT_TRUE(latency.has_value());
+    EXPECT_EQ(latency->count, 10000u);
+    u64 nodeTracks = 0;
+    for (const auto &[track, spans] : spansPerTrack())
+        nodeTracks += spans > 0 && track.rfind("fleet/", 0) == 0;
+    EXPECT_EQ(nodeTracks, 64u);
+    EXPECT_EQ(runCampaign({}), traced);
+
+    EXPECT_EQ(runCampaign({"--trace-sample", "8", "--profile-out",
+                           "/dev/null", "--metrics-out", "/dev/null"}),
+              traced);
+    const obs::ProfileReport profile =
+        obs::buildProfile(obs::Tracer::global(), obs::Profiler::global(),
+                          obs::FlightRecorder::global());
+    expectProfileInvariants(profile);
+    ASSERT_TRUE(profile.hasRollup);
+    EXPECT_EQ(profile.rollup.shards, 64u);
+    // Node-level executions: gang jobs count once per member.
+    EXPECT_GE(profile.rollup.jobs, 10000u);
+    EXPECT_EQ(profile.rollup.latencyMs.count, 10000u);
+    // Retention accounting: every SLO miss and post-death retry was
+    // offered, and kept + dropped covers them all.
+    const u64 kept = profile.flightRecords.size();
+    EXPECT_GE(kept, 1u);
+    EXPECT_LE(kept, 256u);
+    EXPECT_EQ(double(kept + profile.flightDropped),
+              metrics.counterValue("fleet.slo_violations") +
+                  metrics.counterValue("fleet.retries"));
+
+    // Per-node energy folds in node order, so the whole report - the
+    // per-device-kind energy rollup included - is the same on 1 and 7
+    // workers.
+    auto energyCampaign = [](const char *workers) {
+        std::ostringstream report;
+        EXPECT_EQ(execute(parse({"fleet", "--nodes", "8", "--njobs",
+                                 "300", "--scale", "0.05", "--seed",
+                                 "42", "--node-fail-rate", "0.2",
+                                 "--inject-faults", "transfer:0.1",
+                                 "--workers", workers}),
+                          report),
+                  0);
+        return report.str();
+    };
+    const std::string serial = energyCampaign("1");
+    EXPECT_EQ(serial, energyCampaign("7"));
+    EXPECT_NE(serial.find("energy J"), std::string::npos);
 }
 
 TEST(CliParse, SurrogateFlagValidation)
@@ -1176,6 +1622,110 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
     std::remove(obsPath.c_str());
     std::remove(modelPath.c_str());
     std::remove(modelPath2.c_str());
+
+    // Training set: adaptive co-execution observations (many chunk
+    // sizes at stock clocks) plus a clock grid for readmem.  Scale 0.1
+    // at two clock settings is held out: the fit never sees it.
+    auto observe = [](std::vector<std::string> argv) {
+        argv.insert(argv.end(), {"--observations-out", "/dev/null"});
+        std::ostringstream out;
+        EXPECT_EQ(execute(parse(argv), out), 0) << out.str();
+        return obs::Profiler::global().observations();
+    };
+    auto readmem = [](const char *scale, const char *freq) {
+        return std::vector<std::string>{
+            "run",     "--app",   "readmem", "--model", "opencl",
+            "--device", "dgpu",   "--scale", scale,     "--freq",
+            freq};
+    };
+    std::vector<obs::ObsRecord> train = observe(
+        {"coexec", "--app", "xsbench", "--policy", "adaptive",
+         "--scale", "0.3"});
+    for (const char *freq :
+         {"400:1250", "500:1250", "925:810", "925:1250"}) {
+        for (const char *scale : {"0.05", "0.2"}) {
+            const auto records = observe(readmem(scale, freq));
+            train.insert(train.end(), records.begin(), records.end());
+        }
+    }
+    std::vector<obs::ObsRecord> held;
+    for (const char *freq : {"500:1250", "925:810"}) {
+        const auto records = observe(readmem("0.1", freq));
+        held.insert(held.end(), records.begin(), records.end());
+    }
+    std::ostringstream trainJsonl;
+    obs::writeObservationsJsonl(trainJsonl, train);
+    TempJobsFile trainFile(trainJsonl.str()), model("");
+    std::ostringstream fitted;
+    ASSERT_EQ(execute(parse({"predict", "--fit", trainFile.path(),
+                             "--model-out", model.path()}),
+                      fitted),
+              0)
+        << fitted.str();
+
+    // The hetsim.model.v1 header counts every record kind it announces.
+    const std::vector<json::Object> lines =
+        jsonlObjects(readFile(model.path()));
+    ASSERT_GE(lines.size(), 2u);
+    const json::Object &head = lines[0];
+    std::set<std::string> headKeys;
+    for (const auto &[key, value] : head)
+        headKeys.insert(key);
+    EXPECT_EQ(headKeys,
+              (std::set<std::string>{"schema", "groups", "refines",
+                                     "anchors", "job_costs",
+                                     "fit_digest"}));
+    EXPECT_EQ(head.at("schema").text, "hetsim.model.v1");
+    const std::string &digest = head.at("fit_digest").text;
+    EXPECT_EQ(digest.size(), 18u);
+    EXPECT_EQ(digest.rfind("0x", 0), 0u);
+    EXPECT_EQ(digest.find_first_not_of("0123456789abcdef", 2),
+              std::string::npos)
+        << digest;
+    std::map<std::string, double> counts{
+        {"group", 0}, {"refine", 0}, {"anchor", 0}, {"job_cost", 0}};
+    for (size_t i = 1; i < lines.size(); ++i) {
+        const std::string &kind = lines[i].at("record").text;
+        ASSERT_EQ(counts.count(kind), 1u) << kind;
+        counts[kind] += 1;
+        if (kind == "job_cost")
+            continue;
+        for (const char *key : {"kernel", "device", "model",
+                                 "precision_bits", "workgroup"})
+            EXPECT_EQ(lines[i].count(key), 1u) << kind << " " << key;
+    }
+    EXPECT_EQ(counts["group"], head.at("groups").number);
+    EXPECT_EQ(counts["refine"], head.at("refines").number);
+    EXPECT_EQ(counts["anchor"], head.at("anchors").number);
+    EXPECT_EQ(counts["job_cost"], head.at("job_costs").number);
+    EXPECT_GE(counts["group"], 1.0);
+    EXPECT_GE(counts["refine"], 1.0);
+
+    // Each held-out configuration, served from the saved model, lands
+    // within 5% of what the simulator measured.
+    ASSERT_FALSE(held.empty());
+    for (const obs::ObsRecord &rec : held) {
+        char freq[64];
+        std::snprintf(freq, sizeof(freq), "%g:%g", rec.coreMhz,
+                      rec.memMhz);
+        std::ostringstream served;
+        ASSERT_EQ(execute(parse({"predict", "--model-in", model.path(),
+                                 "--kernel", rec.kernel, "--device",
+                                 "dgpu", "--model", rec.model,
+                                 "--items", std::to_string(rec.items),
+                                 "--freq", freq}),
+                          served),
+                  0)
+            << served.str();
+        const std::string text = served.str();
+        const size_t at = text.find("predicted (s)");
+        ASSERT_NE(at, std::string::npos) << text;
+        const double predicted =
+            std::stod(text.substr(at + std::strlen("predicted (s)")));
+        EXPECT_LE(std::abs(predicted - rec.meanSeconds) / rec.meanSeconds,
+                  0.05)
+            << rec.kernel << " n=" << rec.items << " @" << freq;
+    }
 }
 
 TEST(CliExecute, FleetSurrogateCostingReproducesProbedRun)
@@ -1194,8 +1744,13 @@ TEST(CliExecute, FleetSurrogateCostingReproducesProbedRun)
     // Run B answers class costing from the model; run C opts out.
     std::vector<std::string> surrogateArgs = base;
     surrogateArgs.insert(surrogateArgs.end(), {"--model-in", modelPath});
+    std::vector<std::string> resaveArgs = surrogateArgs;
+    TempJobsFile resaved("");
+    resaveArgs.insert(resaveArgs.end(), {"--model-out", resaved.path()});
     std::ostringstream served;
-    ASSERT_EQ(execute(parse(surrogateArgs), served), 0);
+    ASSERT_EQ(execute(parse(resaveArgs), served), 0);
+    // The load/save round trip reproduces the model file byte for byte.
+    EXPECT_EQ(readFile(resaved.path()), readFile(modelPath));
 
     std::vector<std::string> probeArgs = surrogateArgs;
     probeArgs.push_back("--no-surrogate");
@@ -1312,6 +1867,21 @@ TEST(CliExecute, EnergyOutWritesAReportAndPowerModelOverridesIt)
     ASSERT_EQ(execute(parse(hot), hotOs), 0);
     EXPECT_NE(hotOs.str(), os.str());
 
+    // A faulted, functional co-execution under the CUDA-style backend
+    // reports its bucket error next to the joules.
+    std::ostringstream coexec;
+    ASSERT_EQ(execute(parse({"coexec", "--app", "xsbench", "--devices",
+                             "cpu+dgpu", "--backend", "cuda",
+                             "--functional", "--inject-faults",
+                             "transfer:0.2", "--fault-seed", "42",
+                             "--scale", "0.05", "--energy-out",
+                             energyPath}),
+                      coexec),
+              0)
+        << coexec.str();
+    EXPECT_NE(coexec.str().find("energy bucket error"), std::string::npos)
+        << coexec.str();
+
     std::remove(energyPath.c_str());
 }
 
@@ -1336,6 +1906,9 @@ TEST(CliExecute, PowerModelErrorsAreLoud)
                           "0.05", "--power-model", badWatts.path()});
     EXPECT_EQ(execute(badArgs, malformed), 2);
     EXPECT_NE(malformed.str().find("compute_watts"), std::string::npos)
+        << malformed.str();
+    EXPECT_NE(malformed.str().find(badWatts.path() + ":1"),
+              std::string::npos)
         << malformed.str();
 
     // Unwritable --energy-out path: exit 2, run output still shown.

@@ -2,17 +2,24 @@
  * @file
  * Tests for the kernel-timing memoization layer: key discrimination,
  * hit/miss accounting, the enable/disable escape hatch, and the
- * end-to-end fast path through memoizedTiming().
+ * end-to-end fast path through memoizedTiming(), and the cache's
+ * effect on four repeated-launch scenarios.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
+#include "apps/coexec_kernels.hh"
+#include "coexec/coexec.hh"
+#include "core/harness.hh"
+#include "core/workload.hh"
 #include "kernelir/codegen.hh"
 #include "kernelir/signature.hh"
+#include "obs/metrics.hh"
 #include "sim/device.hh"
 #include "sim/timing_cache.hh"
 
@@ -271,6 +278,137 @@ TEST(TimingCache, ScopedBypassNestsAndDisengages)
     }
     EXPECT_TRUE(cache.enabled());
     EXPECT_FALSE(sim::timingCacheThreadBypassed());
+}
+
+// --- Fast-path scenarios -------------------------------------------------
+
+/** Cache-model probes and cache counts of one scenario's two passes. */
+struct FastPathCounts
+{
+    u64 probesOff = 0; ///< timing memoization disabled
+    u64 probesOn = 0;  ///< cache enabled, from cold
+    u64 hits = 0;
+    u64 misses = 0;
+};
+
+/**
+ * Runs @p fn (a sum of simulated seconds) with the timing cache off,
+ * then on from cold; the two sums must be bitwise equal.
+ */
+FastPathCounts
+runOffThenCold(const std::function<double()> &fn)
+{
+    sim::TimingCache &cache = sim::TimingCache::global();
+    obs::Metrics &metrics = obs::Metrics::global();
+    const bool prior = cache.enabled();
+    metrics.setEnabled(true);
+    FastPathCounts counts;
+
+    cache.setEnabled(false);
+    double probes = metrics.counterValue("sim.trace.probes");
+    const double off = fn();
+    counts.probesOff =
+        u64(metrics.counterValue("sim.trace.probes") - probes);
+
+    cache.setEnabled(true);
+    cache.clear();
+    probes = metrics.counterValue("sim.trace.probes");
+    const double on = fn();
+    counts.probesOn = u64(metrics.counterValue("sim.trace.probes") - probes);
+    counts.hits = cache.hits();
+    counts.misses = cache.misses();
+
+    metrics.setEnabled(false);
+    cache.setEnabled(prior);
+    EXPECT_EQ(off, on);
+    return counts;
+}
+
+/** Sum of simulated seconds over an OpenCL frequency sweep on the
+ *  discrete GPU. */
+double
+sweepSeconds(core::Workload &wl, const std::vector<double> &coreMhz,
+             const std::vector<double> &memMhz)
+{
+    core::Harness harness(wl, 0.125, false);
+    double sum = 0.0;
+    for (const auto &row : harness.freqSweep(
+             sim::radeonR9_280X(), core::ModelKind::OpenCl,
+             Precision::Single, coreMhz, memMhz)) {
+        for (const auto &point : row)
+            sum += point.seconds;
+    }
+    return sum;
+}
+
+TEST(SimFastPath, CachedScenariosKeepTimesAndPinnedProbeCounts)
+{
+    // Four repeated-launch scenarios at scale 0.125, in this order in
+    // one process: the trace memo the cold passes share is
+    // process-wide, so the pinned counts assume a fresh process (ctest
+    // runs each test in its own).  A cold pass that probes more than
+    // pinned, or hits less, has fallen back to re-simulation.
+    auto readmem = core::makeReadMem();
+    const FastPathCounts sweep = runOffThenCold([&] {
+        return sweepSeconds(*readmem,
+                            {200, 300, 400, 500, 600, 700, 800, 900, 1000},
+                            {480, 590, 700, 810, 920, 1030, 1140, 1250});
+    });
+    EXPECT_EQ(sweep.probesOff, 150994944u);
+    EXPECT_EQ(sweep.probesOn, 2097152u);
+    EXPECT_EQ(sweep.hits, 0u);
+    EXPECT_EQ(sweep.misses, 72u);
+
+    // miniFE's CG loop launches hundreds of kernels per sweep point.
+    auto minife = core::makeMiniFe();
+    const FastPathCounts cg = runOffThenCold([&] {
+        return sweepSeconds(*minife, {200, 400, 600, 800, 1000},
+                            {480, 810, 1250});
+    });
+    EXPECT_EQ(cg.probesOff, 24000000u);
+    EXPECT_EQ(cg.probesOn, 64000u);
+    EXPECT_EQ(cg.hits, 2205u);
+    EXPECT_EQ(cg.misses, 45u);
+
+    // The adaptive scheduler re-times the SpMV once per pulled chunk.
+    auto pool = coexec::DevicePool::parse("cpu+apu");
+    ASSERT_TRUE(pool.has_value());
+    const coexec::CoKernel spmv =
+        apps::coex::makeMinifeSpmvCoKernel(0.125, Precision::Single);
+    const FastPathCounts adaptive = runOffThenCold([&] {
+        coexec::CoExecutor executor(*pool, Precision::Single);
+        coexec::ExecOptions opts;
+        opts.policy = coexec::Policy::Adaptive;
+        opts.functional = false;
+        double sum = 0.0;
+        for (int rep = 0; rep < 4; ++rep)
+            sum += executor.execute(spmv, opts).seconds;
+        return sum;
+    });
+    EXPECT_EQ(adaptive.probesOff, 5888000u);
+    EXPECT_EQ(adaptive.probesOn, 128000u);
+    EXPECT_EQ(adaptive.hits, 73u);
+    EXPECT_EQ(adaptive.misses, 19u);
+
+    // A replication study: the same timing-only run eight times.
+    auto xsbench = core::makeXsbench();
+    const FastPathCounts repeated = runOffThenCold([&] {
+        core::WorkloadConfig cfg;
+        cfg.scale = 0.125;
+        cfg.functional = false;
+        double sum = 0.0;
+        for (int rep = 0; rep < 8; ++rep) {
+            sum += xsbench
+                       ->run(core::ModelKind::OpenCl,
+                             sim::radeonR9_280X(), cfg)
+                       .seconds;
+        }
+        return sum;
+    });
+    EXPECT_EQ(repeated.probesOff, 35458272u);
+    EXPECT_EQ(repeated.probesOn, 4432284u);
+    EXPECT_EQ(repeated.hits, 7u);
+    EXPECT_EQ(repeated.misses, 1u);
 }
 
 } // namespace
