@@ -1,117 +1,9 @@
 #include "acc.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace hetsim::acc
 {
-
-namespace
-{
-
-sim::DeviceSpec
-specFor(sim::DeviceType type)
-{
-    switch (type) {
-      case sim::DeviceType::DiscreteGpu:
-        return sim::radeonR9_280X();
-      case sim::DeviceType::IntegratedGpu:
-        return sim::a10_7850kGpu();
-      case sim::DeviceType::Cpu:
-        return sim::a10_7850kCpu();
-    }
-    fatal("unknown device type");
-}
-
-} // namespace
-
-Runtime::Runtime(sim::DeviceType type, Precision precision)
-    : rt(specFor(type), ir::ModelKind::OpenAcc, precision)
-{
-}
-
-Runtime::Runtime(const sim::DeviceSpec &spec, Precision precision)
-    : rt(spec, ir::ModelKind::OpenAcc, precision)
-{
-}
-
-void
-Runtime::declare(const void *ptr, u64 bytes, std::string name)
-{
-    if (!ptr)
-        fatal("acc: declaring a null pointer");
-    auto it = mappings.find(ptr);
-    if (it != mappings.end()) {
-        if (it->second.bytes != bytes)
-            fatal("acc: %s re-declared with different size", name.c_str());
-        return;
-    }
-    Mapping mapping;
-    mapping.buffer = rt.createBuffer("acc:" + name, bytes);
-    mapping.bytes = bytes;
-    mappings.emplace(ptr, mapping);
-}
-
-bool
-Runtime::present(const void *ptr) const
-{
-    auto it = mappings.find(ptr);
-    return it != mappings.end() && it->second.presentDepth > 0;
-}
-
-Runtime::Mapping &
-Runtime::mappingFor(const void *ptr)
-{
-    auto it = mappings.find(ptr);
-    if (it == mappings.end()) {
-        fatal("acc: pointer used in a directive was never declared "
-              "(missing shape information)");
-    }
-    return it->second;
-}
-
-DataRegion::DataRegion(Runtime &rt, CopyIn in_, CopyOut out_,
-                       Create create_)
-    : rt(rt), in(std::move(in_)), out(std::move(out_)),
-      created(std::move(create_))
-{
-    for (const void *ptr : in.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        rt.rt.markHostDirty(mapping.buffer);
-        sim::TaskId task = rt.rt.copyToDevice(mapping.buffer,
-                                              rt.lastTask);
-        if (task != sim::NoTask)
-            rt.lastTask = task;
-        ++mapping.presentDepth;
-    }
-    for (const void *ptr : out.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        // copyout allocates on entry; data flows at region exit.
-        rt.rt.markDeviceDirty(mapping.buffer);
-        ++mapping.presentDepth;
-    }
-    for (const void *ptr : created.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        rt.rt.markDeviceDirty(mapping.buffer);
-        ++mapping.presentDepth;
-    }
-}
-
-DataRegion::~DataRegion()
-{
-    for (const void *ptr : out.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        sim::TaskId task = rt.rt.copyToHost(mapping.buffer, rt.lastTask);
-        if (task != sim::NoTask)
-            rt.lastTask = task;
-        --mapping.presentDepth;
-    }
-    for (const void *ptr : in.ptrs)
-        --rt.mappingFor(ptr).presentDepth;
-    for (const void *ptr : created.ptrs)
-        --rt.mappingFor(ptr).presentDepth;
-}
 
 sim::TaskId
 kernelsRegion(Runtime &rt, const ir::KernelDescriptor &desc, u64 n,
@@ -137,62 +29,23 @@ kernelsRegion(Runtime &rt, const ir::KernelDescriptor &desc, u64 n,
 
     // Implicit conservative data movement around the region for
     // anything not already present.
-    for (const void *ptr : reads) {
-        auto &mapping = rt.mappingFor(ptr);
-        if (mapping.presentDepth > 0)
-            continue;
-        rt.rt.markHostDirty(mapping.buffer);
-        sim::TaskId task = rt.rt.copyToDevice(mapping.buffer,
-                                              rt.lastTask);
-        if (task != sim::NoTask)
-            rt.lastTask = task;
-    }
+    rt.stageIn(reads);
 
     ir::OptHints hints;
     if (clauses.vector)
         hints.workgroupSize = clauses.vector;
+    sim::TaskId task = rt.queue().launch(effective, n, hints, body);
 
-    std::span<const sim::TaskId> deps;
-    if (rt.lastTask != sim::NoTask)
-        deps = std::span<const sim::TaskId>(&rt.lastTask, 1);
-    sim::TaskId task = rt.rt.launch(effective, n, hints, body, deps);
-    rt.lastTask = task;
-
-    for (const void *ptr : writes) {
-        auto &mapping = rt.mappingFor(ptr);
-        rt.rt.markDeviceDirty(mapping.buffer);
-        if (mapping.presentDepth > 0)
-            continue;
-        if (clauses.async) {
-            // Deferred until acc::wait(); duplicate copy-outs of the
-            // same array coalesce into one transfer there.
-            rt.pendingCopyouts.push_back(ptr);
-            continue;
-        }
-        sim::TaskId out = rt.rt.copyToHost(mapping.buffer, rt.lastTask);
-        if (out != sim::NoTask)
-            rt.lastTask = out;
-    }
+    // async defers the copy-outs until acc::wait(), where duplicate
+    // copy-outs of the same array coalesce into one transfer.
+    rt.stageOut(writes, writes, clauses.async);
     return task;
 }
 
 void
 wait(Runtime &rt)
 {
-    std::vector<const void *> pending;
-    pending.swap(rt.pendingCopyouts);
-    std::sort(pending.begin(), pending.end());
-    pending.erase(std::unique(pending.begin(), pending.end()),
-                  pending.end());
-    for (const void *ptr : pending) {
-        auto &mapping = rt.mappingFor(ptr);
-        if (mapping.presentDepth > 0)
-            continue;
-        sim::TaskId out = rt.rt.copyToHost(mapping.buffer,
-                                           rt.lastTask);
-        if (out != sim::NoTask)
-            rt.lastTask = out;
-    }
+    rt.flush();
 }
 
 } // namespace hetsim::acc

@@ -30,27 +30,18 @@
 #ifndef HETSIM_ACC_ACC_HH
 #define HETSIM_ACC_ACC_HH
 
-#include <initializer_list>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "kernelir/codegen.hh"
 #include "kernelir/kernel.hh"
-#include "runtime/context.hh"
+#include "runtime/offload.hh"
 #include "sim/device.hh"
 
 namespace hetsim::acc
 {
 
 /** Pointer list for a data clause. */
-struct PtrList
-{
-    std::vector<const void *> ptrs;
-
-    PtrList() = default;
-    PtrList(std::initializer_list<const void *> list) : ptrs(list) {}
-};
+using rt::PtrList;
 
 /** copyin(...) clause. */
 struct CopyIn : PtrList
@@ -90,58 +81,26 @@ struct LoopClauses
     bool async = false;
 };
 
-class Runtime;
+/**
+ * The OpenACC runtime bound to one device.  declare() supplies the
+ * shape PGI needs for every array a directive names (the [n] in
+ * copyin(a[0:n])).
+ */
+class Runtime : public rt::DataEnv
+{
+  public:
+    Runtime(sim::DeviceType type, Precision precision)
+        : Runtime(sim::deviceFor(type), precision)
+    {
+    }
+    Runtime(const sim::DeviceSpec &spec, Precision precision)
+        : DataEnv(spec, ir::ModelKind::OpenAcc, precision, "acc")
+    {
+    }
+};
 
 /** "#pragma acc wait": flush deferred async copy-outs. */
 void wait(Runtime &rt);
-
-/** The OpenACC runtime bound to one device. */
-class Runtime
-{
-  public:
-    Runtime(sim::DeviceType type, Precision precision);
-    Runtime(const sim::DeviceSpec &spec, Precision precision);
-
-    /**
-     * Declare a host array to the runtime (PGI needs shape/size
-     * information; this is the [n] in copyin(a[0:n])).
-     */
-    void declare(const void *ptr, u64 bytes, std::string name);
-
-    /** @return whether the pointer is inside an active data region. */
-    bool present(const void *ptr) const;
-
-    rt::RuntimeContext &runtime() { return rt; }
-    const rt::RuntimeContext &runtime() const { return rt; }
-
-    /** @return simulated seconds elapsed. */
-    double elapsedSeconds() const { return rt.elapsedSeconds(); }
-
-  private:
-    friend class DataRegion;
-    friend sim::TaskId kernelsRegion(Runtime &,
-                                     const ir::KernelDescriptor &, u64,
-                                     const LoopClauses &,
-                                     const std::vector<const void *> &,
-                                     const std::vector<const void *> &,
-                                     const rt::KernelBody &);
-
-    struct Mapping
-    {
-        rt::BufferId buffer;
-        u64 bytes;
-        int presentDepth = 0; // >0 while inside a data region
-    };
-
-    friend void wait(Runtime &rt);
-
-    Mapping &mappingFor(const void *ptr);
-
-    rt::RuntimeContext rt;
-    std::map<const void *, Mapping> mappings;
-    std::vector<const void *> pendingCopyouts;
-    sim::TaskId lastTask = sim::NoTask;
-};
 
 /**
  * A "#pragma acc data" region: stages copyin arrays on entry, copyout
@@ -152,17 +111,13 @@ class DataRegion
 {
   public:
     DataRegion(Runtime &rt, CopyIn in, CopyOut out = {},
-               Create create = {});
-    ~DataRegion();
-
-    DataRegion(const DataRegion &) = delete;
-    DataRegion &operator=(const DataRegion &) = delete;
+               Create create = {})
+        : region(rt, std::move(in), std::move(out), std::move(create))
+    {
+    }
 
   private:
-    Runtime &rt;
-    CopyIn in;
-    CopyOut out;
-    Create created;
+    rt::DataEnv::Region region;
 };
 
 /**

@@ -1,29 +1,7 @@
 #include "amp.hh"
 
-#include "common/logging.hh"
-
 namespace hetsim::amp
 {
-
-accelerator
-accelerator::get(sim::DeviceType type)
-{
-    switch (type) {
-      case sim::DeviceType::DiscreteGpu:
-        return accelerator(sim::radeonR9_280X());
-      case sim::DeviceType::IntegratedGpu:
-        return accelerator(sim::a10_7850kGpu());
-      case sim::DeviceType::Cpu:
-        return accelerator(sim::a10_7850kCpu());
-    }
-    fatal("unknown accelerator type");
-}
-
-accelerator_view::accelerator_view(const accelerator &accel,
-                                   Precision precision)
-    : rt(accel.spec(), ir::ModelKind::CppAmp, precision)
-{
-}
 
 namespace detail
 {
@@ -44,9 +22,7 @@ ViewState::ensureOnDeviceFor(accelerator_view &av)
         av.runtime().markDeviceDirty(bufId);
         return;
     }
-    sim::TaskId task = av.runtime().ensureOnDevice(bufId, av.lastTask);
-    if (task != sim::NoTask)
-        av.lastTask = task;
+    av.queue().ensureOnDevice(bufId);
 }
 
 void
@@ -58,9 +34,7 @@ ViewState::markKernelWrote(accelerator_view &av)
 void
 ViewState::synchronizeOn(accelerator_view &av)
 {
-    sim::TaskId task = av.runtime().ensureOnHost(bufId, av.lastTask);
-    if (task != sim::NoTask)
-        av.lastTask = task;
+    av.queue().ensureOnHost(bufId);
 }
 
 void
@@ -81,12 +55,7 @@ launchCommon(accelerator_view &av, const ir::KernelDescriptor &desc,
     for (const ViewRef &view : views)
         view.viewState().ensureOnDeviceFor(av);
 
-    std::span<const sim::TaskId> deps;
-    if (av.lastTask != sim::NoTask)
-        deps = std::span<const sim::TaskId>(&av.lastTask, 1);
-    sim::TaskId task =
-        av.runtime().launch(desc, items, hints, body, deps);
-    av.lastTask = task;
+    sim::TaskId task = av.queue().launch(desc, items, hints, body);
 
     for (const ViewRef &view : views) {
         if (view.viewState().isWritable())

@@ -31,7 +31,7 @@
 
 #include "kernelir/codegen.hh"
 #include "kernelir/kernel.hh"
-#include "runtime/context.hh"
+#include "runtime/offload.hh"
 #include "sim/device.hh"
 
 namespace hetsim::amp
@@ -96,7 +96,11 @@ class accelerator
 {
   public:
     /** @return the default accelerator of the given type. */
-    static accelerator get(sim::DeviceType type);
+    static accelerator
+    get(sim::DeviceType type)
+    {
+        return accelerator(sim::deviceFor(type));
+    }
 
     /** @return an accelerator over an explicit device description. */
     static accelerator
@@ -117,6 +121,27 @@ class accelerator
     sim::DeviceSpec deviceSpec;
 };
 
+namespace detail
+{
+
+/**
+ * An rt::Queue's tail spelled as an assignable task, so host phases
+ * join queue order: `av.lastTask = av.runtime().hostWork(s,
+ * av.lastTask)`.  Reads and writes go to the queue.
+ */
+class QueueTail
+{
+  public:
+    explicit QueueTail(rt::Queue &queue) : queue(queue) {}
+    operator sim::TaskId() const { return queue.tail(); }
+    void operator=(sim::TaskId task) { queue.advance(task); }
+
+  private:
+    rt::Queue &queue;
+};
+
+} // namespace detail
+
 /**
  * An accelerator_view: the execution context (queue + managed-buffer
  * registry) on one accelerator.
@@ -124,19 +149,25 @@ class accelerator
 class accelerator_view
 {
   public:
-    accelerator_view(const accelerator &accel, Precision precision);
+    accelerator_view(const accelerator &accel, Precision precision)
+        : rt(accel.spec(), ir::ModelKind::CppAmp, precision)
+    {
+    }
 
     rt::RuntimeContext &runtime() { return rt; }
     const rt::RuntimeContext &runtime() const { return rt; }
 
+    /** The in-order queue view copies and launches chain on. */
+    rt::Queue &queue() { return inOrder; }
+
     /** Block until all launches complete; @return simulated seconds. */
     double wait() { return rt.elapsedSeconds(); }
 
-    /** In-order completion chaining (internal). */
-    sim::TaskId lastTask = sim::NoTask;
+    detail::QueueTail lastTask{inOrder};
 
   private:
     rt::RuntimeContext rt;
+    rt::Queue inOrder{rt};
 };
 
 namespace detail

@@ -5,35 +5,6 @@
 namespace hetsim::cuda
 {
 
-namespace
-{
-
-sim::DeviceSpec
-specFor(sim::DeviceType type)
-{
-    switch (type) {
-      case sim::DeviceType::DiscreteGpu:
-        return sim::radeonR9_280X();
-      case sim::DeviceType::IntegratedGpu:
-        return sim::a10_7850kGpu();
-      case sim::DeviceType::Cpu:
-        return sim::a10_7850kCpu();
-    }
-    fatal("unknown device type");
-}
-
-} // namespace
-
-Device::Device(sim::DeviceType type, Precision precision)
-    : rt(specFor(type), ir::ModelKind::Cuda, precision)
-{
-}
-
-Device::Device(const sim::DeviceSpec &spec, Precision precision)
-    : rt(spec, ir::ModelKind::Cuda, precision)
-{
-}
-
 DevicePtr
 Device::malloc(const void *host, u64 bytes, std::string name)
 {
@@ -52,17 +23,14 @@ Stream::memcpyAsync(const DevicePtr &ptr, CopyDir dir)
 {
     if (!ptr.allocated)
         fatal("cuda: cudaMemcpyAsync on an unallocated device pointer");
-    sim::TaskId task;
     if (dir == CopyDir::HostToDevice) {
-        dev.rt.markHostDirty(ptr.buffer);
-        task = dev.rt.copyToDevice(ptr.buffer, last);
+        queue.runtime().markHostDirty(ptr.buffer);
+        queue.copyToDevice(ptr.buffer);
     } else {
-        dev.rt.markDeviceDirty(ptr.buffer);
-        task = dev.rt.copyToHost(ptr.buffer, last);
+        queue.runtime().markDeviceDirty(ptr.buffer);
+        queue.copyToHost(ptr.buffer);
     }
-    if (task != sim::NoTask)
-        last = task;
-    return Event{last};
+    return recordEvent();
 }
 
 Event
@@ -81,11 +49,7 @@ Stream::launchKernel(const ir::KernelDescriptor &desc, u64 items,
     // <<<grid, block>>>: the block size IS the work-group geometry the
     // compiler sees; oversized blocks pay the occupancy penalty.
     hints.workgroupSize = block;
-    std::span<const sim::TaskId> deps;
-    if (last != sim::NoTask)
-        deps = std::span<const sim::TaskId>(&last, 1);
-    last = dev.rt.launch(desc, items, hints, body, deps);
-    return Event{last};
+    return Event{queue.launch(desc, items, hints, body)};
 }
 
 void
@@ -95,17 +59,18 @@ Stream::waitEvent(const Event &event)
         return;
     // The stream's next operation depends on both the stream front
     // and the event; order the stream after whichever finishes later.
-    if (last == sim::NoTask ||
-        dev.rt.taskFinishSeconds(event.task) >
-            dev.rt.taskFinishSeconds(last)) {
-        last = event.task;
+    if (!recordEvent().valid() ||
+        queue.runtime().taskFinishSeconds(event.task) > synchronize()) {
+        queue.advance(event.task);
     }
 }
 
 double
 Stream::synchronize() const
 {
-    return last != sim::NoTask ? dev.rt.taskFinishSeconds(last) : 0.0;
+    const Event front = recordEvent();
+    return front.valid() ? queue.runtime().taskFinishSeconds(front.task)
+                         : 0.0;
 }
 
 } // namespace hetsim::cuda

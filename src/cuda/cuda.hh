@@ -37,7 +37,7 @@
 
 #include "kernelir/codegen.hh"
 #include "kernelir/kernel.hh"
-#include "runtime/context.hh"
+#include "runtime/offload.hh"
 #include "sim/device.hh"
 
 namespace hetsim::cuda
@@ -71,8 +71,14 @@ class Stream;
 class Device
 {
   public:
-    Device(sim::DeviceType type, Precision precision);
-    Device(const sim::DeviceSpec &spec, Precision precision);
+    Device(sim::DeviceType type, Precision precision)
+        : Device(sim::deviceFor(type), precision)
+    {
+    }
+    Device(const sim::DeviceSpec &spec, Precision precision)
+        : rt(spec, ir::ModelKind::Cuda, precision)
+    {
+    }
 
     /**
      * cudaMalloc: allocate @p bytes of device memory backing the host
@@ -99,7 +105,7 @@ class Device
 class Stream
 {
   public:
-    explicit Stream(Device &device) : dev(device) {}
+    explicit Stream(Device &device) : queue(device.rt) {}
 
     /**
      * cudaMemcpyAsync: explicit copy of the allocation, ordered after
@@ -120,7 +126,7 @@ class Stream
                        const rt::KernelBody &body);
 
     /** cudaEventRecord: capture the stream front as an event. */
-    Event recordEvent() const { return Event{last}; }
+    Event recordEvent() const { return Event{queue.tail()}; }
 
     /** cudaStreamWaitEvent: order this stream after @p event. */
     void waitEvent(const Event &event);
@@ -129,8 +135,7 @@ class Stream
     double synchronize() const;
 
   private:
-    Device &dev;
-    sim::TaskId last = sim::NoTask;
+    rt::Queue queue;
 };
 
 } // namespace hetsim::cuda

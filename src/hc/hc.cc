@@ -7,27 +7,8 @@
 namespace hetsim::hc
 {
 
-namespace
-{
-
-sim::DeviceSpec
-specFor(sim::DeviceType type)
-{
-    switch (type) {
-      case sim::DeviceType::DiscreteGpu:
-        return sim::radeonR9_280X();
-      case sim::DeviceType::IntegratedGpu:
-        return sim::a10_7850kGpu();
-      case sim::DeviceType::Cpu:
-        return sim::a10_7850kCpu();
-    }
-    fatal("unknown device type");
-}
-
-} // namespace
-
 AcceleratorView::AcceleratorView(sim::DeviceType type, Precision precision)
-    : rt(specFor(type), ir::ModelKind::Hc, precision)
+    : rt(sim::deviceFor(type), ir::ModelKind::Hc, precision)
 {
 }
 

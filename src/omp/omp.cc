@@ -7,115 +7,6 @@
 namespace hetsim::omp
 {
 
-namespace
-{
-
-sim::DeviceSpec
-specFor(sim::DeviceType type)
-{
-    switch (type) {
-      case sim::DeviceType::DiscreteGpu:
-        return sim::radeonR9_280X();
-      case sim::DeviceType::IntegratedGpu:
-        return sim::a10_7850kGpu();
-      case sim::DeviceType::Cpu:
-        return sim::a10_7850kCpu();
-    }
-    fatal("unknown device type");
-}
-
-} // namespace
-
-TargetRuntime::TargetRuntime(sim::DeviceType type, Precision precision)
-    : rt(specFor(type), ir::ModelKind::OmpTarget, precision)
-{
-}
-
-TargetRuntime::TargetRuntime(const sim::DeviceSpec &spec,
-                             Precision precision)
-    : rt(spec, ir::ModelKind::OmpTarget, precision)
-{
-}
-
-void
-TargetRuntime::declare(const void *ptr, u64 bytes, std::string name)
-{
-    if (!ptr)
-        fatal("omp: declaring a null pointer");
-    auto it = mappings.find(ptr);
-    if (it != mappings.end()) {
-        if (it->second.bytes != bytes) {
-            fatal("omp: %s re-declared with different size",
-                  name.c_str());
-        }
-        return;
-    }
-    Mapping mapping;
-    mapping.buffer = rt.createBuffer("omp:" + name, bytes);
-    mapping.bytes = bytes;
-    mappings.emplace(ptr, mapping);
-}
-
-bool
-TargetRuntime::present(const void *ptr) const
-{
-    auto it = mappings.find(ptr);
-    return it != mappings.end() && it->second.presentDepth > 0;
-}
-
-TargetRuntime::Mapping &
-TargetRuntime::mappingFor(const void *ptr)
-{
-    auto it = mappings.find(ptr);
-    if (it == mappings.end()) {
-        fatal("omp: pointer used in a map clause was never declared "
-              "(missing array-section shape)");
-    }
-    return it->second;
-}
-
-TargetData::TargetData(TargetRuntime &rt, MapTo to_, MapFrom from_,
-                       MapAlloc alloc_)
-    : rt(rt), to(std::move(to_)), from(std::move(from_)),
-      alloc(std::move(alloc_))
-{
-    for (const void *ptr : to.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        rt.rt.markHostDirty(mapping.buffer);
-        sim::TaskId task = rt.rt.copyToDevice(mapping.buffer,
-                                              rt.lastTask);
-        if (task != sim::NoTask)
-            rt.lastTask = task;
-        ++mapping.presentDepth;
-    }
-    for (const void *ptr : from.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        // map(from:) allocates on entry; data flows at exit.
-        rt.rt.markDeviceDirty(mapping.buffer);
-        ++mapping.presentDepth;
-    }
-    for (const void *ptr : alloc.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        rt.rt.markDeviceDirty(mapping.buffer);
-        ++mapping.presentDepth;
-    }
-}
-
-TargetData::~TargetData()
-{
-    for (const void *ptr : from.ptrs) {
-        auto &mapping = rt.mappingFor(ptr);
-        sim::TaskId task = rt.rt.copyToHost(mapping.buffer, rt.lastTask);
-        if (task != sim::NoTask)
-            rt.lastTask = task;
-        --mapping.presentDepth;
-    }
-    for (const void *ptr : to.ptrs)
-        --rt.mappingFor(ptr).presentDepth;
-    for (const void *ptr : alloc.ptrs)
-        --rt.mappingFor(ptr).presentDepth;
-}
-
 sim::TaskId
 targetRegion(TargetRuntime &rt, const ir::KernelDescriptor &desc, u64 n,
              const ForClauses &clauses,
@@ -135,76 +26,32 @@ targetRegion(TargetRuntime &rt, const ir::KernelDescriptor &desc, u64 n,
     // the region regardless of whether the region only writes it.
     // (This is the OpenMP default the "target data" directive exists
     // to avoid; OpenACC at least splits copyin from copyout.)
-    std::vector<const void *> implicit;
-    implicit.reserve(reads.size() + writes.size());
-    for (const void *ptr : reads)
-        implicit.push_back(ptr);
+    std::vector<const void *> implicit = reads;
     for (const void *ptr : writes) {
         if (std::find(implicit.begin(), implicit.end(), ptr) ==
             implicit.end()) {
             implicit.push_back(ptr);
         }
     }
-    for (const void *ptr : implicit) {
-        auto &mapping = rt.mappingFor(ptr);
-        if (mapping.presentDepth > 0)
-            continue;
-        rt.rt.markHostDirty(mapping.buffer);
-        sim::TaskId task = rt.rt.copyToDevice(mapping.buffer,
-                                              rt.lastTask);
-        if (task != sim::NoTask)
-            rt.lastTask = task;
-    }
+    rt.stageIn(implicit);
 
     ir::OptHints hints;
     if (clauses.threadLimit)
         hints.workgroupSize = clauses.threadLimit;
     if (clauses.collapse > 1)
         hints.collapse = clauses.collapse;
-
-    std::span<const sim::TaskId> deps;
-    if (rt.lastTask != sim::NoTask)
-        deps = std::span<const sim::TaskId>(&rt.lastTask, 1);
-    sim::TaskId task = rt.rt.launch(effective, n, hints, body, deps);
-    rt.lastTask = task;
+    sim::TaskId task = rt.queue().launch(effective, n, hints, body);
 
     // The tofrom rule also copies every implicitly-mapped array back,
     // written or not; nowait defers the copy-backs to taskwait().
-    for (const void *ptr : implicit) {
-        auto &mapping = rt.mappingFor(ptr);
-        const bool written =
-            std::find(writes.begin(), writes.end(), ptr) != writes.end();
-        if (written)
-            rt.rt.markDeviceDirty(mapping.buffer);
-        if (mapping.presentDepth > 0)
-            continue;
-        if (clauses.nowait) {
-            rt.pendingCopyouts.push_back(ptr);
-            continue;
-        }
-        sim::TaskId out = rt.rt.copyToHost(mapping.buffer, rt.lastTask);
-        if (out != sim::NoTask)
-            rt.lastTask = out;
-    }
+    rt.stageOut(implicit, writes, clauses.nowait);
     return task;
 }
 
 void
 taskwait(TargetRuntime &rt)
 {
-    std::vector<const void *> pending;
-    pending.swap(rt.pendingCopyouts);
-    std::sort(pending.begin(), pending.end());
-    pending.erase(std::unique(pending.begin(), pending.end()),
-                  pending.end());
-    for (const void *ptr : pending) {
-        auto &mapping = rt.mappingFor(ptr);
-        if (mapping.presentDepth > 0)
-            continue;
-        sim::TaskId out = rt.rt.copyToHost(mapping.buffer, rt.lastTask);
-        if (out != sim::NoTask)
-            rt.lastTask = out;
-    }
+    rt.flush();
 }
 
 } // namespace hetsim::omp

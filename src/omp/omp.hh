@@ -33,27 +33,18 @@
 #ifndef HETSIM_OMP_OMP_HH
 #define HETSIM_OMP_OMP_HH
 
-#include <initializer_list>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "kernelir/codegen.hh"
 #include "kernelir/kernel.hh"
-#include "runtime/context.hh"
+#include "runtime/offload.hh"
 #include "sim/device.hh"
 
 namespace hetsim::omp
 {
 
 /** Pointer list for a map clause. */
-struct PtrList
-{
-    std::vector<const void *> ptrs;
-
-    PtrList() = default;
-    PtrList(std::initializer_list<const void *> list) : ptrs(list) {}
-};
+using rt::PtrList;
 
 /** map(to: ...) clause. */
 struct MapTo : PtrList
@@ -92,57 +83,25 @@ struct ForClauses
     bool nowait = false;
 };
 
-class TargetRuntime;
+/**
+ * The OpenMP device runtime bound to one offload target.  declare()
+ * supplies the [0:n] array-section shape every map clause needs.
+ */
+class TargetRuntime : public rt::DataEnv
+{
+  public:
+    TargetRuntime(sim::DeviceType type, Precision precision)
+        : TargetRuntime(sim::deviceFor(type), precision)
+    {
+    }
+    TargetRuntime(const sim::DeviceSpec &spec, Precision precision)
+        : DataEnv(spec, ir::ModelKind::OmpTarget, precision, "omp")
+    {
+    }
+};
 
 /** "#pragma omp taskwait": flush deferred nowait copy-backs. */
 void taskwait(TargetRuntime &rt);
-
-/** The OpenMP device runtime bound to one offload target. */
-class TargetRuntime
-{
-  public:
-    TargetRuntime(sim::DeviceType type, Precision precision);
-    TargetRuntime(const sim::DeviceSpec &spec, Precision precision);
-
-    /**
-     * Declare a host array to the runtime (the [0:n] array-section
-     * shape every map clause needs).
-     */
-    void declare(const void *ptr, u64 bytes, std::string name);
-
-    /** @return whether the pointer is in an active data environment. */
-    bool present(const void *ptr) const;
-
-    rt::RuntimeContext &runtime() { return rt; }
-    const rt::RuntimeContext &runtime() const { return rt; }
-
-    /** @return simulated seconds elapsed. */
-    double elapsedSeconds() const { return rt.elapsedSeconds(); }
-
-  private:
-    friend class TargetData;
-    friend sim::TaskId targetRegion(TargetRuntime &,
-                                    const ir::KernelDescriptor &, u64,
-                                    const ForClauses &,
-                                    const std::vector<const void *> &,
-                                    const std::vector<const void *> &,
-                                    const rt::KernelBody &);
-    friend void taskwait(TargetRuntime &rt);
-
-    struct Mapping
-    {
-        rt::BufferId buffer;
-        u64 bytes;
-        int presentDepth = 0; // >0 while inside a data environment
-    };
-
-    Mapping &mappingFor(const void *ptr);
-
-    rt::RuntimeContext rt;
-    std::map<const void *, Mapping> mappings;
-    std::vector<const void *> pendingCopyouts;
-    sim::TaskId lastTask = sim::NoTask;
-};
 
 /**
  * A "#pragma omp target data" environment: stages map(to:) arrays on
@@ -153,17 +112,13 @@ class TargetData
 {
   public:
     TargetData(TargetRuntime &rt, MapTo to, MapFrom from = {},
-               MapAlloc alloc = {});
-    ~TargetData();
-
-    TargetData(const TargetData &) = delete;
-    TargetData &operator=(const TargetData &) = delete;
+               MapAlloc alloc = {})
+        : region(rt, std::move(to), std::move(from), std::move(alloc))
+    {
+    }
 
   private:
-    TargetRuntime &rt;
-    MapTo to;
-    MapFrom from;
-    MapAlloc alloc;
+    rt::DataEnv::Region region;
 };
 
 /**

@@ -19,19 +19,7 @@ Platform::getDefault()
 std::vector<Device>
 Platform::getDevices(sim::DeviceType type) const
 {
-    std::vector<Device> devices;
-    switch (type) {
-      case sim::DeviceType::DiscreteGpu:
-        devices.emplace_back(sim::radeonR9_280X());
-        break;
-      case sim::DeviceType::IntegratedGpu:
-        devices.emplace_back(sim::a10_7850kGpu());
-        break;
-      case sim::DeviceType::Cpu:
-        devices.emplace_back(sim::a10_7850kCpu());
-        break;
-    }
-    return devices;
+    return {Device(sim::deviceFor(type))};
 }
 
 // --- Context ------------------------------------------------------------
@@ -89,11 +77,6 @@ Kernel::setArg(u32 index, i64 scalar)
 
 // --- Program ----------------------------------------------------------------
 
-Program::Program(Context &context, std::string src)
-    : ctx(&context), source(std::move(src))
-{
-}
-
 void
 Program::declareKernel(ir::KernelDescriptor desc, u32 num_args)
 {
@@ -139,7 +122,7 @@ Program::createKernel(const std::string &name, Status *err) const
 // --- CommandQueue ------------------------------------------------------------
 
 CommandQueue::CommandQueue(Context &context, const Device &device)
-    : ctx(&context)
+    : queue(context.runtime())
 {
     (void)device;
 }
@@ -149,10 +132,8 @@ CommandQueue::enqueueWriteBuffer(const Buffer &buf, Event *event)
 {
     if (!buf.valid())
         return MemObjectAllocationFailure;
-    ctx->runtime().markHostDirty(buf.id());
-    sim::TaskId task = ctx->runtime().copyToDevice(buf.id(), lastTask);
-    if (task != sim::NoTask)
-        lastTask = task;
+    queue.runtime().markHostDirty(buf.id());
+    sim::TaskId task = queue.copyToDevice(buf.id());
     if (event)
         *event = Event(task);
     return Success;
@@ -163,9 +144,7 @@ CommandQueue::enqueueReadBuffer(const Buffer &buf, Event *event)
 {
     if (!buf.valid())
         return MemObjectAllocationFailure;
-    sim::TaskId task = ctx->runtime().copyToHost(buf.id(), lastTask);
-    if (task != sim::NoTask)
-        lastTask = task;
+    sim::TaskId task = queue.copyToHost(buf.id());
     if (event)
         *event = Event(task);
     return Success;
@@ -194,28 +173,23 @@ CommandQueue::enqueueNDRangeKernel(Kernel &kernel, u64 global, u32 local,
     for (const auto &arg : kernel.args) {
         if (const auto *buf = std::get_if<Buffer>(&arg)) {
             if (buf->flags() != MemFlags::WriteOnly &&
-                !ctx->runtime().deviceValid(buf->id())) {
+                !queue.runtime().deviceValid(buf->id())) {
                 warn("kernel %s reads cl_mem with no device copy "
                      "(missing enqueueWriteBuffer?)",
                      kernel.name().c_str());
             }
             if (buf->flags() != MemFlags::ReadOnly)
-                ctx->runtime().markDeviceDirty(buf->id());
+                queue.runtime().markDeviceDirty(buf->id());
         }
     }
 
-    std::vector<sim::TaskId> deps;
-    if (lastTask != sim::NoTask)
-        deps.push_back(lastTask);
-    for (const Event &e : wait_list) {
-        if (e.task != sim::NoTask)
-            deps.push_back(e.task);
-    }
-    lastTask = ctx->runtime().launch(
-        kernel.desc, global, hints, kernel.fn,
-        std::span<const sim::TaskId>(deps));
+    std::vector<sim::TaskId> waits;
+    for (const Event &e : wait_list)
+        waits.push_back(e.task);
+    sim::TaskId task =
+        queue.launch(kernel.desc, global, hints, kernel.fn, waits);
     if (event)
-        *event = Event(lastTask);
+        *event = Event(task);
     return Success;
 }
 
@@ -231,7 +205,7 @@ CommandQueue::enqueueNativeKernel(double seconds)
 {
     if (seconds < 0.0)
         return InvalidKernelArgs;
-    lastTask = ctx->runtime().hostWork(seconds, lastTask);
+    queue.hostWork(seconds);
     return Success;
 }
 
@@ -244,7 +218,7 @@ CommandQueue::finish()
 double
 CommandQueue::elapsedSeconds() const
 {
-    return ctx->runtime().elapsedSeconds();
+    return queue.runtime().elapsedSeconds();
 }
 
 } // namespace hetsim::ocl

@@ -25,7 +25,7 @@
 
 #include "kernelir/codegen.hh"
 #include "kernelir/kernel.hh"
-#include "runtime/context.hh"
+#include "runtime/offload.hh"
 #include "sim/device.hh"
 
 namespace hetsim::ocl
@@ -199,7 +199,9 @@ class Kernel
 class Program
 {
   public:
-    Program(Context &ctx, std::string source);
+    /** The context and OpenCL C source only keep the API's shape;
+     *  modelling a build needs neither. */
+    Program(Context &, std::string /*source*/) {}
 
     /** Declare a kernel in this program. */
     void declareKernel(ir::KernelDescriptor desc, u32 num_args);
@@ -215,8 +217,6 @@ class Program
                         Status *err = nullptr) const;
 
   private:
-    Context *ctx;
-    std::string source;
     std::string log;
     bool built = false;
     std::map<std::string, std::pair<ir::KernelDescriptor, u32>> kernels;
@@ -270,8 +270,7 @@ class CommandQueue
     double elapsedSeconds() const;
 
   private:
-    Context *ctx;
-    sim::TaskId lastTask = sim::NoTask;
+    rt::Queue queue;
 };
 
 } // namespace hetsim::ocl

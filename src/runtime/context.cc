@@ -123,14 +123,6 @@ RuntimeContext::hostValid(BufferId buf) const
     return spec.zeroCopy || buffers[buf].hostOk;
 }
 
-u64
-RuntimeContext::bufferBytes(BufferId buf) const
-{
-    if (buf >= buffers.size())
-        panic("bad buffer id %u", buf);
-    return buffers[buf].bytes;
-}
-
 bool
 RuntimeContext::deviceHealthy() const
 {
@@ -153,6 +145,8 @@ sim::TaskId
 RuntimeContext::scheduleTransfer(BufferId buf, bool to_device,
                                  sim::TaskId dep)
 {
+    if (buf >= buffers.size())
+        panic("bad buffer id %u", buf);
     Buffer &info = buffers[buf];
     if (spec.zeroCopy) {
         info.hostOk = true;
@@ -236,24 +230,18 @@ RuntimeContext::scheduleTransfer(BufferId buf, bool to_device,
 sim::TaskId
 RuntimeContext::copyToDevice(BufferId buf, sim::TaskId dep)
 {
-    if (buf >= buffers.size())
-        panic("bad buffer id %u", buf);
     return scheduleTransfer(buf, true, dep);
 }
 
 sim::TaskId
 RuntimeContext::copyToHost(BufferId buf, sim::TaskId dep)
 {
-    if (buf >= buffers.size())
-        panic("bad buffer id %u", buf);
     return scheduleTransfer(buf, false, dep);
 }
 
 sim::TaskId
 RuntimeContext::ensureOnDevice(BufferId buf, sim::TaskId dep)
 {
-    if (buf >= buffers.size())
-        panic("bad buffer id %u", buf);
     if (deviceValid(buf))
         return sim::NoTask;
     return scheduleTransfer(buf, true, dep);
@@ -262,8 +250,6 @@ RuntimeContext::ensureOnDevice(BufferId buf, sim::TaskId dep)
 sim::TaskId
 RuntimeContext::ensureOnHost(BufferId buf, sim::TaskId dep)
 {
-    if (buf >= buffers.size())
-        panic("bad buffer id %u", buf);
     if (hostValid(buf))
         return sim::NoTask;
     return scheduleTransfer(buf, false, dep);
@@ -431,18 +417,6 @@ RuntimeContext::aggregateIpc() const
         cycles += record.timing.cycles;
     }
     return cycles > 0.0 ? instrs / (cycles * spec.computeUnits) : 0.0;
-}
-
-void
-RuntimeContext::resetTiming()
-{
-    timeline.clearTasks();
-    launches.clear();
-    counters.clear();
-    for (auto &buf : buffers) {
-        buf.hostOk = true;
-        buf.deviceOk = false;
-    }
 }
 
 } // namespace hetsim::rt

@@ -100,9 +100,6 @@ class RuntimeContext
     /** Override the clock domain (Figure 7 sweeps). */
     void setFreq(const sim::FreqDomain &freq);
 
-    /** Override the PCIe link (defaults to Gen3 x16 at 50%). */
-    void setPcie(const sim::PcieLink &link) { pcie = link; }
-
     /** Enable/disable functional execution of kernel bodies.  The
      *  harness disables it for timing-only re-runs (e.g. frequency
      *  sweeps) after results have been validated once. */
@@ -132,9 +129,7 @@ class RuntimeContext
 
     const sim::DeviceSpec &device() const { return spec; }
     ir::ModelKind model() const { return modelKind; }
-    const ir::CompilerModel &compiler() const { return *compilerModel; }
     Precision precision() const { return prec; }
-    const sim::FreqDomain &freq() const { return clocks; }
 
     // --- Buffers --------------------------------------------------------
 
@@ -152,9 +147,6 @@ class RuntimeContext
 
     /** @return whether the host copy is up to date. */
     bool hostValid(BufferId buf) const;
-
-    /** @return buffer size in bytes. */
-    u64 bufferBytes(BufferId buf) const;
 
     // --- Transfers ------------------------------------------------------
 
@@ -225,9 +217,6 @@ class RuntimeContext
 
     /** @return aggregate IPC across all launches (Table I). */
     double aggregateIpc() const;
-
-    /** Reset the timeline and records (buffers survive). */
-    void resetTiming();
 
   private:
     struct Buffer

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/logging.hh"
+
 namespace hetsim::sim
 {
 
@@ -164,6 +166,20 @@ a10_7850kCpu()
     spec.launchOverheadUs = 2.0;    // omp parallel-region fork/join
     spec.memType = "DDR3";
     return spec;
+}
+
+DeviceSpec
+deviceFor(DeviceType type)
+{
+    switch (type) {
+      case DeviceType::DiscreteGpu:
+        return radeonR9_280X();
+      case DeviceType::IntegratedGpu:
+        return a10_7850kGpu();
+      case DeviceType::Cpu:
+        return a10_7850kCpu();
+    }
+    fatal("unknown device type");
 }
 
 std::optional<DeviceSpec>

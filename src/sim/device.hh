@@ -161,6 +161,13 @@ DeviceSpec a10_7850kGpu();
 DeviceSpec a10_7850kCpu();
 
 /**
+ * @return the Table II preset for a device type: the R9 280X, the
+ * A10-7850K's GPU or its CPU.  The one DeviceType -> DeviceSpec map
+ * every frontend's by-type constructor goes through.
+ */
+DeviceSpec deviceFor(DeviceType type);
+
+/**
  * @return the device spec for a CLI alias (dgpu/r9-280x, hd7950,
  * apu/a10-7850k, cpu), if valid.  Shared by the CLI and the serve
  * layer's JobSpec resolution.

@@ -1580,14 +1580,25 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
     const std::string modelPath2 = "hetsim_test_model2.jsonl";
 
     // Generate observations from two real runs at different clocks.
+    // --observations-out truncates its file, so each run writes its
+    // own and the fit reads their concatenation.
+    std::string observations;
     for (const char *freq : {"925:1250", "500:1250"}) {
+        const std::string runPath =
+            obsPath + "." + std::string(freq, 3);
         std::ostringstream os;
         Args run = parse({"run", "--app", "readmem", "--scale", "0.05",
                           "--freq", freq, "--observations-out",
-                          obsPath});
+                          runPath});
         ASSERT_TRUE(run.error.empty()) << run.error;
         ASSERT_EQ(execute(run, os), 0) << os.str();
+        std::ifstream in(runPath);
+        observations.append(std::istreambuf_iterator<char>(in), {});
+        std::remove(runPath.c_str());
     }
+    EXPECT_NE(observations.find("\"core_mhz\":925,"), std::string::npos);
+    EXPECT_NE(observations.find("\"core_mhz\":500,"), std::string::npos);
+    std::ofstream(obsPath) << observations;
 
     std::ostringstream fitOs;
     Args fit = parse({"predict", "--fit", obsPath, "--model-out",

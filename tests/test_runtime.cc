@@ -160,20 +160,6 @@ TEST(Runtime, HostWorkAccounted)
     EXPECT_DOUBLE_EQ(rt.elapsedSeconds(), 0.25);
 }
 
-TEST(Runtime, ResetTimingKeepsBuffers)
-{
-    RuntimeContext rt(sim::radeonR9_280X(), ir::ModelKind::OpenCl,
-                      Precision::Single);
-    BufferId buf = rt.createBuffer("x", 1 * MiB);
-    rt.copyToDevice(buf);
-    rt.launch(kernelOf("k"), 100, {}, nullptr);
-    rt.resetTiming();
-    EXPECT_DOUBLE_EQ(rt.elapsedSeconds(), 0.0);
-    EXPECT_TRUE(rt.records().empty());
-    EXPECT_FALSE(rt.deviceValid(buf)); // back to host-only
-    EXPECT_EQ(rt.bufferBytes(buf), 1 * MiB);
-}
-
 TEST(Runtime, AggregateCountersComposeAcrossLaunches)
 {
     RuntimeContext rt(sim::radeonR9_280X(), ir::ModelKind::OpenCl,
