@@ -13,7 +13,6 @@
 #include "fault/fault.hh"
 #include "kernelir/signature.hh"
 #include "obs/metrics.hh"
-#include "obs/profile.hh"
 #include "obs/tracer.hh"
 
 namespace hetsim::coexec
@@ -425,28 +424,9 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
                 .timing;
         const double kernel_secs = timing.seconds;
 
-        obs::Profiler &profiler = obs::Profiler::global();
-        if (profiler.enabled()) {
-            const sim::FreqDomain stock = slot.spec->stockFreq();
-            obs::ObsRecord obsRec;
-            obsRec.kernel = kernel.desc.name;
-            obsRec.device = slot.spec->name;
-            obsRec.model = ir::toString(devices.model(d));
-            obsRec.precisionBits = prec == Precision::Double ? 64 : 32;
-            obsRec.items = take;
-            obsRec.coreMhz = stock.coreMhz;
-            obsRec.memMhz = stock.memMhz;
-            obsRec.workgroup = kernel.hints.workgroupSize;
-            obsRec.launches = 1;
-            obsRec.seconds = timing.seconds;
-            obsRec.issueSeconds = timing.issueSeconds;
-            obsRec.memSeconds = timing.memSeconds;
-            obsRec.ldsSeconds = timing.ldsSeconds;
-            obsRec.latencySeconds = timing.latencySeconds;
-            obsRec.launchSeconds = timing.launchSeconds;
-            obsRec.bound = sim::boundedness(timing);
-            profiler.observe(obsRec);
-        }
+        ir::observeLaunch(*slot.spec, devices.model(d),
+                          slot.spec->stockFreq(), prec, kernel.desc, take,
+                          kernel.hints.workgroupSize, timing);
 
         // Injected stall: the chunk hangs and the straggler watchdog
         // declares the device dead after the stall timeout.

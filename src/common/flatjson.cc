@@ -1,9 +1,11 @@
 #include "flatjson.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <ostream>
 
 namespace hetsim::json
 {
@@ -87,6 +89,30 @@ class Parser
         return false;
     }
 
+    /** Decode the four hex digits after "\\u".  Only ASCII code
+     *  points are accepted: writeString emits "\\u00xx" for control
+     *  bytes and every other byte verbatim. */
+    bool
+    parseAsciiEscape(std::string &out, std::string &error)
+    {
+        const std::string hex = s.substr(pos, 4);
+        if (hex.size() != 4 ||
+            !std::all_of(hex.begin(), hex.end(), [](unsigned char h) {
+                return std::isxdigit(h) != 0;
+            })) {
+            error = "malformed '\\u' escape";
+            return false;
+        }
+        pos += 4;
+        const unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);
+        if (code > 0x7f) {
+            error = "unsupported non-ASCII '\\u' escape";
+            return false;
+        }
+        out += static_cast<char>(code);
+        return true;
+    }
+
     bool
     parseString(std::string &out, std::string &error)
     {
@@ -112,6 +138,10 @@ class Parser
                   case 'n': out += '\n'; break;
                   case 'r': out += '\r'; break;
                   case 't': out += '\t'; break;
+                  case 'u':
+                    if (!parseAsciiEscape(out, error))
+                        return false;
+                    break;
                   default:
                     error = std::string("unsupported escape '\\") +
                             esc + "'";
@@ -219,6 +249,28 @@ parseLong(const std::string &text)
     if (errno == ERANGE || end != text.c_str() + text.size())
         return std::nullopt;
     return v;
+}
+
+void
+writeString(std::ostream &os, std::string_view text)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    os << '"';
+    for (const char c : text) {
+        switch (c) {
+          case '"': os << "\\\""; break;
+          case '\\': os << "\\\\"; break;
+          case '\n': os << "\\n"; break;
+          case '\r': os << "\\r"; break;
+          case '\t': os << "\\t"; break;
+          default:
+            if (const auto byte = static_cast<unsigned char>(c); byte < 0x20)
+                os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xf];
+            else
+                os << c;
+        }
+    }
+    os << '"';
 }
 
 } // namespace hetsim::json

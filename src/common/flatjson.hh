@@ -1,6 +1,7 @@
 /**
  * @file
- * Strict parsing of one flat JSON object per line.
+ * Strict parsing of one flat JSON object per line, and the one JSON
+ * string writer every emitter shares.
  *
  * Both JSONL front-ends - serve job files and fleet topology files -
  * share this minimal parser: one `{"key": scalar, ...}` object per
@@ -19,7 +20,9 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/types.hh"
 
@@ -52,6 +55,14 @@ using Object = std::map<std::string, Value>;
  */
 std::optional<Object> parseFlatObject(const std::string &line,
                                       std::string &error);
+
+/**
+ * Write @p text as a JSON string literal, quotes included: `"`, `\`,
+ * newline, carriage return and tab as two-character escapes, other
+ * bytes below 0x20 as lowercase `\u00xx`, every other byte (UTF-8
+ * included) verbatim.  parseFlatObject reads every form back.
+ */
+void writeString(std::ostream &os, std::string_view text);
 
 /** Strictly parse digits-only text into a u64 (no sign, no junk). */
 std::optional<u64> parseU64(const std::string &text);

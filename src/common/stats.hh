@@ -11,6 +11,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -56,58 +57,44 @@ Percentiles percentilesFromBuckets(const std::vector<double> &bounds,
                                    const std::vector<u64> &counts,
                                    double min, double max, double sum);
 
+/** Name-keyed values with transparent lookup by std::string_view. */
+using NamedValues = std::map<std::string, double, std::less<>>;
+
+/** @return @p map's value for @p name, inserted at 0 on first use (the
+ *  only time a key string is built). */
+inline double &
+namedSlot(NamedValues &map, std::string_view name)
+{
+    auto it = map.find(name);
+    if (it == map.end())
+        it = map.emplace(name, 0.0).first;
+    return it->second;
+}
+
 /** An ordered collection of named scalar statistics. */
 class Stats
 {
   public:
     /** Add @p delta to the statistic named @p name (creating it at 0). */
     void
-    add(const std::string &name, double delta)
+    add(std::string_view name, double delta)
     {
-        values[name] += delta;
-    }
-
-    /** Set the statistic named @p name to @p value. */
-    void
-    set(const std::string &name, double value)
-    {
-        values[name] = value;
+        namedSlot(values, name) += delta;
     }
 
     /** @return the value of @p name, or 0 if never touched. */
     double
-    get(const std::string &name) const
+    get(std::string_view name) const
     {
         auto it = values.find(name);
         return it == values.end() ? 0.0 : it->second;
     }
 
-    /** @return whether the statistic exists. */
-    bool
-    has(const std::string &name) const
-    {
-        return values.count(name) != 0;
-    }
-
-    /** Merge another stats set into this one (summing). */
-    void
-    merge(const Stats &other)
-    {
-        for (const auto &[name, value] : other.values)
-            values[name] += value;
-    }
-
-    /** Remove all statistics. */
-    void clear() { values.clear(); }
-
     /** Dump all statistics, one "name value" per line. */
     void dump(std::ostream &os) const;
 
-    /** @return read-only access to the underlying map. */
-    const std::map<std::string, double> &all() const { return values; }
-
   private:
-    std::map<std::string, double> values;
+    NamedValues values;
 };
 
 } // namespace hetsim

@@ -1,5 +1,6 @@
 #include "kernelir/signature.hh"
 
+#include "obs/profile.hh"
 #include "sim/timing_cache.hh"
 
 namespace hetsim::ir
@@ -65,6 +66,34 @@ memoizedTiming(ProfileResolver &resolver, const sim::DeviceSpec &spec,
     if (cache.enabled())
         cache.insert(key, entry);
     return entry;
+}
+
+void
+observeLaunch(const sim::DeviceSpec &spec, ModelKind model,
+              const sim::FreqDomain &freq, Precision prec,
+              const KernelDescriptor &desc, u64 items, u32 wg_size,
+              const sim::KernelTiming &timing)
+{
+    obs::Profiler &profiler = obs::Profiler::global();
+    if (!profiler.enabled())
+        return;
+    obs::ObsRecord rec;
+    rec.kernel = desc.name;
+    rec.device = spec.name;
+    rec.model = toString(model);
+    rec.precisionBits = prec == Precision::Double ? 64 : 32;
+    rec.items = items;
+    rec.coreMhz = freq.coreMhz;
+    rec.memMhz = freq.memMhz;
+    rec.workgroup = wg_size;
+    rec.launches = 1;
+    rec.seconds = timing.seconds;
+    rec.issueSeconds = timing.issueSeconds;
+    rec.memSeconds = timing.memSeconds;
+    rec.ldsSeconds = timing.ldsSeconds;
+    rec.latencySeconds = timing.latencySeconds;
+    rec.launchSeconds = timing.launchSeconds;
+    profiler.observe(rec);
 }
 
 } // namespace hetsim::ir

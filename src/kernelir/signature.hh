@@ -50,6 +50,17 @@ sim::TimingEntry memoizedTiming(ProfileResolver &resolver,
                                 const KernelDescriptor &desc, u64 items,
                                 u32 wg_size, const Codegen &cg);
 
+/**
+ * Fold one timed launch into obs::Profiler::global() when profiling
+ * is on: one observation per runtime launch or co-execution chunk,
+ * keyed by its signature (arguments as for memoizedTiming, @p model
+ * the programming model that compiled it).
+ */
+void observeLaunch(const sim::DeviceSpec &spec, ModelKind model,
+                   const sim::FreqDomain &freq, Precision prec,
+                   const KernelDescriptor &desc, u64 items, u32 wg_size,
+                   const sim::KernelTiming &timing);
+
 } // namespace hetsim::ir
 
 #endif // HETSIM_KERNELIR_SIGNATURE_HH

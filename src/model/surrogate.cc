@@ -17,30 +17,6 @@ namespace
 
 constexpr const char *kSchema = "hetsim.model.v1";
 
-void putJsonString(std::ostream &os, const std::string &text)
-{
-    os << '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
-
 std::string hexDigest(u64 digest)
 {
     std::ostringstream os;
@@ -234,23 +210,9 @@ Prediction KernelModel::predict(double items, double coreMhz,
         {p.issueSeconds, p.memSeconds, p.ldsSeconds, p.latencySeconds});
     p.seconds = p.launchSeconds + body;
 
-    // Same argmax order as sim::boundedness.
-    p.bound = "compute";
-    double best = p.issueSeconds;
-    if (p.memSeconds > best) {
-        best = p.memSeconds;
-        p.bound = "memory";
-    }
-    if (p.ldsSeconds > best) {
-        best = p.ldsSeconds;
-        p.bound = "lds";
-    }
-    if (p.latencySeconds > best) {
-        best = p.latencySeconds;
-        p.bound = "latency";
-    }
-    if (p.launchSeconds > best)
-        p.bound = "launch";
+    p.bound = obs::dominantTerm(p.issueSeconds, p.memSeconds,
+                                p.ldsSeconds, p.latencySeconds,
+                                p.launchSeconds);
     return p;
 }
 
@@ -564,11 +526,11 @@ void Surrogate::save(std::ostream &os) const
     const auto &grid = hypothesisGrid();
     const auto putKey = [&os](const GroupKey &key) {
         os << ",\"kernel\":";
-        putJsonString(os, key.kernel);
+        json::writeString(os, key.kernel);
         os << ",\"device\":";
-        putJsonString(os, key.device);
+        json::writeString(os, key.device);
         os << ",\"model\":";
-        putJsonString(os, key.model);
+        json::writeString(os, key.model);
         os << ",\"precision_bits\":" << key.precisionBits
            << ",\"workgroup\":" << key.workgroup;
     };
@@ -611,11 +573,11 @@ void Surrogate::save(std::ostream &os) const
     for (const auto &[key, list] : anchors) {
         for (const Anchor &a : list) {
             os << "{\"record\":\"anchor\",\"kernel\":";
-            putJsonString(os, key.kernel);
+            json::writeString(os, key.kernel);
             os << ",\"device\":";
-            putJsonString(os, key.device);
+            json::writeString(os, key.device);
             os << ",\"model\":";
-            putJsonString(os, key.model);
+            json::writeString(os, key.model);
             os << ",\"precision_bits\":" << key.precisionBits
                << ",\"workgroup\":" << key.workgroup
                << ",\"items\":" << a.items
@@ -629,9 +591,9 @@ void Surrogate::save(std::ostream &os) const
 
     for (const auto &[key, seconds] : jobCosts) {
         os << "{\"record\":\"job_cost\",\"class\":";
-        putJsonString(os, key.first);
+        json::writeString(os, key.first);
         os << ",\"device\":";
-        putJsonString(os, key.second);
+        json::writeString(os, key.second);
         os << ",\"seconds\":" << seconds << "}\n";
     }
 }

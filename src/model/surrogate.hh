@@ -9,11 +9,11 @@
  *
  *   seconds = launch + max(issue, memory, lds, latency)
  *
- * with the boundedness label mirroring sim::boundedness's argmax
- * exactly.  Predictions are a map lookup plus a handful of
- * multiply-adds, so what-if queries (frequency sweeps, coexec split
- * ratios, admission estimates) answer in microseconds instead of
- * re-simulating.
+ * with the boundedness label from obs::dominantTerm, the same argmax
+ * the profiler applies to observations.  Predictions are a map lookup
+ * plus a handful of multiply-adds, so what-if queries (frequency
+ * sweeps, coexec split ratios, admission estimates) answer in
+ * microseconds instead of re-simulating.
  *
  * Beside the five global forms each group keeps a piecewise
  * refinement: a per-items clock fit at every distinct item count the
@@ -96,7 +96,7 @@ struct Prediction
     double latencySeconds = 0.0;
     double launchSeconds = 0.0;
     /** "compute" | "memory" | "lds" | "latency" | "launch",
-     *  same argmax as sim::boundedness. */
+     *  obs::dominantTerm of the predicted terms. */
     const char *bound = "compute";
 };
 

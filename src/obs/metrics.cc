@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 
+#include "common/flatjson.hh"
 #include "common/stats.hh"
 
 namespace hetsim::obs
@@ -39,33 +40,47 @@ recordInto(Histogram &hist, double value)
     hist.sum += value;
 }
 
+/** @return @p name's histogram, created with decade bounds on first
+ *  use. */
+Histogram &
+histogramSlot(std::map<std::string, Histogram, std::less<>> &histograms,
+              std::string_view name)
+{
+    auto it = histograms.find(name);
+    if (it == histograms.end()) {
+        Histogram hist;
+        hist.bounds = defaultBounds();
+        hist.counts.assign(hist.bounds.size() + 1, 0);
+        it = histograms.emplace(name, std::move(hist)).first;
+    }
+    return it->second;
+}
+
 } // namespace
 
 void
-Metrics::add(const std::string &name, double delta)
+Metrics::add(std::string_view name, double delta)
 {
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mtx);
-    counters[name] += delta;
+    namedSlot(counters, name) += delta;
 }
 
 void
-Metrics::set(const std::string &name, double value)
+Metrics::set(std::string_view name, double value)
 {
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mtx);
-    gauges[name] = value;
+    namedSlot(gauges, name) = value;
 }
 
 void
-Metrics::defineHistogram(const std::string &name,
-                         std::vector<double> bounds)
+Metrics::defineHistogram(std::string_view name, std::vector<double> bounds)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    auto it = histograms.find(name);
-    if (it != histograms.end())
+    if (histograms.find(name) != histograms.end())
         return; // first definition wins; observations keep buckets
     Histogram hist;
     std::sort(bounds.begin(), bounds.end());
@@ -75,41 +90,28 @@ Metrics::defineHistogram(const std::string &name,
 }
 
 void
-Metrics::observe(const std::string &name, double value)
+Metrics::observe(std::string_view name, double value)
 {
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mtx);
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-        Histogram hist;
-        hist.bounds = defaultBounds();
-        hist.counts.assign(hist.bounds.size() + 1, 0);
-        it = histograms.emplace(name, std::move(hist)).first;
-    }
-    recordInto(it->second, value);
+    recordInto(histogramSlot(histograms, name), value);
 }
 
 void
-Metrics::observeMany(const std::string &name,
+Metrics::observeMany(std::string_view name,
                      const std::vector<double> &values)
 {
     if (!enabled() || values.empty())
         return;
     std::lock_guard<std::mutex> lock(mtx);
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-        Histogram hist;
-        hist.bounds = defaultBounds();
-        hist.counts.assign(hist.bounds.size() + 1, 0);
-        it = histograms.emplace(name, std::move(hist)).first;
-    }
+    Histogram &hist = histogramSlot(histograms, name);
     for (double value : values)
-        recordInto(it->second, value);
+        recordInto(hist, value);
 }
 
 double
-Metrics::counterValue(const std::string &name) const
+Metrics::counterValue(std::string_view name) const
 {
     std::lock_guard<std::mutex> lock(mtx);
     auto it = counters.find(name);
@@ -117,7 +119,7 @@ Metrics::counterValue(const std::string &name) const
 }
 
 double
-Metrics::gaugeValue(const std::string &name) const
+Metrics::gaugeValue(std::string_view name) const
 {
     std::lock_guard<std::mutex> lock(mtx);
     auto it = gauges.find(name);
@@ -125,7 +127,7 @@ Metrics::gaugeValue(const std::string &name) const
 }
 
 std::optional<Histogram>
-Metrics::histogram(const std::string &name) const
+Metrics::histogram(std::string_view name) const
 {
     std::lock_guard<std::mutex> lock(mtx);
     auto it = histograms.find(name);
@@ -144,32 +146,6 @@ Metrics::clear()
 }
 
 void
-Metrics::dumpText(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    os << std::setprecision(9);
-    for (const auto &[name, value] : counters)
-        os << std::left << std::setw(44) << name << ' ' << value << '\n';
-    for (const auto &[name, value] : gauges)
-        os << std::left << std::setw(44) << name << ' ' << value << '\n';
-    for (const auto &[name, hist] : histograms) {
-        os << std::left << std::setw(44) << name << " count=" << hist.count
-           << " sum=" << hist.sum << " min=" << hist.min
-           << " max=" << hist.max << '\n';
-        for (size_t b = 0; b < hist.counts.size(); ++b) {
-            if (hist.counts[b] == 0)
-                continue;
-            os << "  le=";
-            if (b < hist.bounds.size())
-                os << hist.bounds[b];
-            else
-                os << "+Inf";
-            os << ' ' << hist.counts[b] << '\n';
-        }
-    }
-}
-
-void
 Metrics::dumpJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mtx);
@@ -180,7 +156,8 @@ Metrics::dumpJson(std::ostream &os) const
         if (!first)
             os << ',';
         first = false;
-        os << '"' << name << "\":" << value;
+        json::writeString(os, name);
+        os << ':' << value;
     }
     os << "},\"gauges\":{";
     first = true;
@@ -188,7 +165,8 @@ Metrics::dumpJson(std::ostream &os) const
         if (!first)
             os << ',';
         first = false;
-        os << '"' << name << "\":" << value;
+        json::writeString(os, name);
+        os << ':' << value;
     }
     os << "},\"histograms\":{";
     first = true;
@@ -198,7 +176,8 @@ Metrics::dumpJson(std::ostream &os) const
         first = false;
         const Percentiles pct = percentilesFromBuckets(
             hist.bounds, hist.counts, hist.min, hist.max, hist.sum);
-        os << '"' << name << "\":{\"count\":" << hist.count
+        json::writeString(os, name);
+        os << ":{\"count\":" << hist.count
            << ",\"sum\":" << hist.sum << ",\"min\":" << hist.min
            << ",\"max\":" << hist.max << ",\"p50\":" << pct.p50
            << ",\"p90\":" << pct.p90 << ",\"p99\":" << pct.p99

@@ -14,8 +14,9 @@
  *
  * Like the Tracer, the registry is disabled by default: every record
  * call returns after one relaxed atomic load, so instrumented hot
- * paths pay nothing when nobody asked for metrics.  Dumps are
- * available as aligned plain text and as JSON.
+ * paths pay nothing when nobody asked for metrics.  Names are
+ * string_views looked up through transparent maps, so a key string is
+ * built only when a name is first inserted.  Dumps are JSON.
  */
 
 #ifndef HETSIM_OBS_METRICS_HH
@@ -27,8 +28,10 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace hetsim::obs
@@ -63,41 +66,38 @@ class Metrics
     }
 
     /** Add @p delta to the counter @p name (creating it at 0). */
-    void add(const std::string &name, double delta = 1.0);
+    void add(std::string_view name, double delta = 1.0);
 
     /** Set the gauge @p name to @p value. */
-    void set(const std::string &name, double value);
+    void set(std::string_view name, double value);
 
     /**
      * Define the histogram @p name with the given ascending finite
      * bucket bounds.  Observations of an undefined histogram define
      * it with default decade bounds (1, 10, ..., 1e9).
      */
-    void defineHistogram(const std::string &name,
+    void defineHistogram(std::string_view name,
                          std::vector<double> bounds);
 
     /** Record @p value into the histogram @p name. */
-    void observe(const std::string &name, double value);
+    void observe(std::string_view name, double value);
 
     /** Record a whole sample batch into @p name under one lock (bulk
      *  producers like the fleet simulator's per-job latencies). */
-    void observeMany(const std::string &name,
+    void observeMany(std::string_view name,
                      const std::vector<double> &values);
 
     /** @return the counter's value, or 0 when never touched. */
-    double counterValue(const std::string &name) const;
+    double counterValue(std::string_view name) const;
 
     /** @return the gauge's value, or 0 when never set. */
-    double gaugeValue(const std::string &name) const;
+    double gaugeValue(std::string_view name) const;
 
     /** @return a snapshot of the histogram, if it exists. */
-    std::optional<Histogram> histogram(const std::string &name) const;
+    std::optional<Histogram> histogram(std::string_view name) const;
 
     /** Remove every metric (definitions included). */
     void clear();
-
-    /** Dump all metrics as aligned "name value" plain text. */
-    void dumpText(std::ostream &os) const;
 
     /**
      * Dump all metrics as one JSON object.  Keys are emitted in
@@ -113,9 +113,9 @@ class Metrics
   private:
     std::atomic<bool> recording{false};
     mutable std::mutex mtx;
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
+    NamedValues counters;
+    NamedValues gauges;
+    std::map<std::string, Histogram, std::less<>> histograms;
 };
 
 } // namespace hetsim::obs

@@ -4,78 +4,23 @@
 #include <iomanip>
 #include <limits>
 
+#include "common/flatjson.hh"
+
 namespace hetsim::obs
 {
 
 namespace
 {
 
-/** JSON-escape @p s (control characters, quotes, backslashes). */
-void
-putJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char *hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-/** @return the dominant-term label of an accumulated record. */
-const char *
-boundOf(const ObsRecord &rec)
-{
-    const char *label = "compute";
-    double best = rec.issueSeconds;
-    if (rec.memSeconds > best) {
-        best = rec.memSeconds;
-        label = "memory";
-    }
-    if (rec.ldsSeconds > best) {
-        best = rec.ldsSeconds;
-        label = "lds";
-    }
-    if (rec.latencySeconds > best) {
-        best = rec.latencySeconds;
-        label = "latency";
-    }
-    if (rec.launchSeconds > best)
-        label = "launch";
-    return label;
-}
-
 void
 putObsRecord(std::ostream &os, const ObsRecord &rec)
 {
     os << "{\"kernel\":";
-    putJsonString(os, rec.kernel);
+    json::writeString(os, rec.kernel);
     os << ",\"device\":";
-    putJsonString(os, rec.device);
+    json::writeString(os, rec.device);
     os << ",\"model\":";
-    putJsonString(os, rec.model);
+    json::writeString(os, rec.model);
     os << ",\"precision_bits\":" << rec.precisionBits
        << ",\"items\":" << rec.items << ",\"core_mhz\":" << rec.coreMhz
        << ",\"mem_mhz\":" << rec.memMhz
@@ -92,7 +37,7 @@ putObsRecord(std::ostream &os, const ObsRecord &rec)
        << ",\"lds_seconds\":" << rec.ldsSeconds
        << ",\"latency_seconds\":" << rec.latencySeconds
        << ",\"launch_seconds\":" << rec.launchSeconds << ",\"bound\":";
-    putJsonString(os, rec.bound);
+    json::writeString(os, rec.bound);
     os << '}';
 }
 
@@ -116,6 +61,29 @@ putHistogram(std::ostream &os, const Histogram &hist)
 }
 
 } // namespace
+
+const char *
+dominantTerm(double issue, double mem, double lds, double latency,
+             double launch)
+{
+    const char *label = "compute";
+    double best = issue;
+    if (mem > best) {
+        best = mem;
+        label = "memory";
+    }
+    if (lds > best) {
+        best = lds;
+        label = "lds";
+    }
+    if (latency > best) {
+        best = latency;
+        label = "latency";
+    }
+    if (launch > best)
+        label = "launch";
+    return label;
+}
 
 void
 Profiler::observe(const ObsRecord &rec)
@@ -175,7 +143,9 @@ Profiler::observations() const
     out.reserve(records.size());
     for (const auto &[key, rec] : records) {
         out.push_back(rec);
-        out.back().bound = boundOf(rec);
+        out.back().bound =
+            dominantTerm(rec.issueSeconds, rec.memSeconds, rec.ldsSeconds,
+                         rec.latencySeconds, rec.launchSeconds);
     }
     return out;
 }
@@ -280,7 +250,7 @@ writeProfileJson(std::ostream &os, const ProfileReport &report)
        << report.analysis.attributionError();
     os << ",\"spans_analyzed\":" << report.analysis.spansAnalyzed;
     os << ",\"bottleneck\":";
-    putJsonString(os, report.bottleneck);
+    json::writeString(os, report.bottleneck);
 
     os << ",\"attribution\":[";
     bool first = true;
@@ -289,11 +259,11 @@ writeProfileJson(std::ostream &os, const ProfileReport &report)
             os << ',';
         first = false;
         os << "{\"kind\":";
-        putJsonString(os, bucket.kind);
+        json::writeString(os, bucket.kind);
         os << ",\"key\":";
-        putJsonString(os, bucket.key);
+        json::writeString(os, bucket.key);
         os << ",\"phase\":";
-        putJsonString(os, bucket.phase);
+        json::writeString(os, bucket.phase);
         os << ",\"seconds\":" << bucket.seconds
            << ",\"segments\":" << bucket.segments << '}';
     }
@@ -319,11 +289,11 @@ writeProfileJson(std::ostream &os, const ProfileReport &report)
             os << ',';
         first = false;
         os << "{\"track\":";
-        putJsonString(os, step->track);
+        json::writeString(os, step->track);
         os << ",\"name\":";
-        putJsonString(os, step->name);
+        json::writeString(os, step->name);
         os << ",\"cat\":";
-        putJsonString(os, step->cat);
+        json::writeString(os, step->cat);
         os << ",\"start_seconds\":" << step->startSeconds
            << ",\"end_seconds\":" << step->endSeconds << '}';
     }
@@ -366,13 +336,13 @@ writeProfileJson(std::ostream &os, const ProfileReport &report)
             os << ',';
         first = false;
         os << "{\"job_id\":" << rec.jobId << ",\"kind\":";
-        putJsonString(os, rec.kind);
+        json::writeString(os, rec.kind);
         os << ",\"what\":";
-        putJsonString(os, rec.what);
+        json::writeString(os, rec.what);
         os << ",\"where\":";
-        putJsonString(os, rec.where);
+        json::writeString(os, rec.where);
         os << ",\"detail\":";
-        putJsonString(os, rec.detail);
+        json::writeString(os, rec.detail);
         os << ",\"arrival_seconds\":" << rec.arrivalSeconds
            << ",\"start_seconds\":" << rec.startSeconds
            << ",\"finish_seconds\":" << rec.finishSeconds
@@ -384,7 +354,7 @@ writeProfileJson(std::ostream &os, const ProfileReport &report)
             if (!firstFault)
                 os << ',';
             firstFault = false;
-            putJsonString(os, event);
+            json::writeString(os, event);
         }
         os << "],\"spans\":[";
         bool firstSpan = true;
@@ -394,9 +364,9 @@ writeProfileJson(std::ostream &os, const ProfileReport &report)
             else
                 os << ',';
             os << "{\"name\":";
-            putJsonString(os, span.name);
+            json::writeString(os, span.name);
             os << ",\"cat\":";
-            putJsonString(os, span.cat);
+            json::writeString(os, span.cat);
             os << ",\"ts_us\":" << span.tsUs
                << ",\"dur_us\":" << span.durUs << '}';
         }

@@ -75,10 +75,20 @@ struct ObsRecord
     double ldsSeconds = 0.0;
     double latencySeconds = 0.0;
     double launchSeconds = 0.0;
-    /** Dominant term label ("compute", "memory", "lds", "latency",
-     *  "launch"); derived from the summed terms. */
+    /** Dominant term label (see dominantTerm); observations()
+     *  derives it from the summed terms. */
     std::string bound;
 };
+
+/**
+ * @return which roofline term dominates: "compute" (issue), "memory",
+ * "lds" or "latency", the first of the largest body terms in that
+ * order, or "launch" when the launch overhead is strictly larger than
+ * every body term.  The one argmax behind per-launch, per-record and
+ * surrogate-predicted bound labels.
+ */
+const char *dominantTerm(double issue, double mem, double lds,
+                         double latency, double launch);
 
 /**
  * Process-wide collector of observation records and rollup shards.

@@ -2,51 +2,11 @@
 
 #include <iomanip>
 
+#include "common/flatjson.hh"
 #include "common/logging.hh"
 
 namespace hetsim::obs
 {
-
-namespace
-{
-
-/** Write @p text as a JSON string literal (with quotes). */
-void
-writeJsonString(std::ostream &os, std::string_view text)
-{
-    os << '"';
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                os << "\\u00" << std::hex << std::setw(2)
-                   << std::setfill('0')
-                   << static_cast<int>(static_cast<unsigned char>(c))
-                   << std::dec << std::setfill(' ');
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 Tracer::Tracer(size_t capacity)
     : cap(capacity ? capacity : 1),
@@ -210,15 +170,15 @@ Tracer::writeJson(std::ostream &os) const
         os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
               "\"tid\":"
            << t << ",\"args\":{\"name\":";
-        writeJsonString(os, names[t]);
+        json::writeString(os, names[t]);
         os << "}}";
     }
     for (const TraceEvent &event : copy) {
         os << ",\n{\"name\":";
-        writeJsonString(os, event.name);
+        json::writeString(os, event.name);
         if (!event.cat.empty()) {
             os << ",\"cat\":";
-            writeJsonString(os, event.cat);
+            json::writeString(os, event.cat);
         }
         os << ",\"pid\":1,\"tid\":" << event.track
            << ",\"ts\":" << event.tsUs;

@@ -1,13 +1,10 @@
 #include "context.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "cpu/threadpool.hh"
-#include "fault/fault.hh"
 #include "kernelir/signature.hh"
 #include "obs/metrics.hh"
-#include "obs/profile.hh"
+#include "obs/tracer.hh"
 
 namespace hetsim::rt
 {
@@ -84,6 +81,7 @@ RuntimeContext::createBuffer(std::string name, u64 bytes)
     buf.name = std::move(name);
     buf.bytes = bytes;
     buffers.push_back(std::move(buf));
+    // In --stats but not in --metrics-out.
     counters.add("buffers.created", 1);
     counters.add("buffers.bytes", static_cast<double>(bytes));
     return static_cast<BufferId>(buffers.size() - 1);
@@ -123,22 +121,11 @@ RuntimeContext::hostValid(BufferId buf) const
     return spec.zeroCopy || buffers[buf].hostOk;
 }
 
-bool
-RuntimeContext::deviceHealthy() const
-{
-    return faults == nullptr ||
-           faults->health(spec.name) != fault::DeviceHealth::Dead;
-}
-
 void
-RuntimeContext::killDevice(const char *why)
+RuntimeContext::count(std::string_view name, double delta)
 {
-    faults->markDead(spec.name);
-    counters.add("fault.dead_devices", 1);
-    obs::Metrics::global().add("fault.dead_devices", 1);
-    warn("runtime: %s marked dead (%s); further timeline work on it "
-         "is dropped",
-         spec.name.c_str(), why);
+    counters.add(name, delta);
+    obs::Metrics::global().add(name, delta);
 }
 
 sim::TaskId
@@ -154,76 +141,21 @@ RuntimeContext::scheduleTransfer(BufferId buf, bool to_device,
         return sim::NoTask;
     }
 
-    obs::Metrics &metrics = obs::Metrics::global();
-    const bool faulty = faults != nullptr && faults->enabled();
-    if (faulty && !deviceHealthy()) {
-        // Dead device: the op never reaches the timeline.  Residency
-        // flags still advance so functional execution (which runs on
-        // the host regardless) keeps producing correct results.
-        counters.add("fault.dropped_ops", 1);
-        metrics.add("fault.dropped_ops", 1);
-        if (to_device)
-            info.deviceOk = true;
-        else
-            info.hostOk = true;
-        return sim::NoTask;
-    }
-
-    double seconds = pcie.transferSeconds(info.bytes) /
-                     compilerModel->transferEfficiency();
-    sim::ResourceId dma = to_device ? dmaH2D : dmaD2H;
-    const std::string label =
-        std::string(to_device ? "h2d " : "d2h ") + info.name;
-
-    // Injected transfer failures cost the full transfer duration, then
-    // retry after an exponential-backoff window held on the DMA engine;
-    // an exhausted retry budget kills the device.
-    sim::TaskId task = sim::NoTask;
-    for (u32 attempt = 0;; ++attempt) {
-        if (!faulty || !faults->failTransfer(spec.name)) {
-            task = timeline.schedule(
-                dma, seconds, dep,
-                sim::Timeline::SpanInfo{label, "transfer", 0.0,
-                                        info.bytes});
-            break;
-        }
-        const std::string failed_label = label + " [failed]";
-        const sim::TaskId failed = timeline.schedule(
-            dma, seconds, dep,
-            sim::Timeline::SpanInfo{failed_label, "fault", 0.0,
-                                    info.bytes});
-        counters.add("fault.transfer_failures", 1);
-        metrics.add("fault.transfer_failures", 1);
-        if (attempt >= faults->config().retryMax) {
-            killDevice("transfer retries exhausted");
-            task = failed;
-            break;
-        }
-        const double gap = fault::backoffSeconds(
-            attempt + 1, faults->config().backoffSeconds);
-        timeline.blockResource(dma, timeline.finishTime(failed) + gap);
-        faults->degrade(spec.name);
-        counters.add("fault.transfer_retries", 1);
-        metrics.add("fault.transfer_retries", 1);
-        metrics.add("fault.backoff_seconds", gap);
-    }
-    if (to_device) {
+    const double seconds = pcie.transferSeconds(info.bytes) /
+                           compilerModel->transferEfficiency();
+    const sim::TaskId task = timeline.schedule(
+        to_device ? dmaH2D : dmaD2H, seconds, dep,
+        sim::Timeline::SpanInfo{
+            std::string(to_device ? "h2d " : "d2h ") + info.name,
+            "transfer", 0.0, info.bytes});
+    if (to_device)
         info.deviceOk = true;
-        counters.add("xfer.h2d.bytes", static_cast<double>(info.bytes));
-        counters.add("xfer.h2d.count", 1);
-        counters.add("xfer.h2d.seconds", seconds);
-        metrics.add("xfer.h2d.bytes", static_cast<double>(info.bytes));
-        metrics.add("xfer.h2d.count", 1);
-        metrics.add("xfer.h2d.seconds", seconds);
-    } else {
+    else
         info.hostOk = true;
-        counters.add("xfer.d2h.bytes", static_cast<double>(info.bytes));
-        counters.add("xfer.d2h.count", 1);
-        counters.add("xfer.d2h.seconds", seconds);
-        metrics.add("xfer.d2h.bytes", static_cast<double>(info.bytes));
-        metrics.add("xfer.d2h.count", 1);
-        metrics.add("xfer.d2h.seconds", seconds);
-    }
+    const double bytes = static_cast<double>(info.bytes);
+    count(to_device ? "xfer.h2d.bytes" : "xfer.d2h.bytes", bytes);
+    count(to_device ? "xfer.h2d.count" : "xfer.d2h.count", 1);
+    count(to_device ? "xfer.h2d.seconds" : "xfer.d2h.seconds", seconds);
     return task;
 }
 
@@ -270,72 +202,17 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
               desc.name.c_str(), displayName(modelKind));
     }
 
-    // Functional execution (real results) on the host pool.  This
-    // runs even when the simulated device is dead, so applications
-    // always compute correct results and only the timeline degrades.
+    // Functional execution (real results) on the host pool.
     if (functional && body)
         cpu::ThreadPool::global().parallelFor(items, body);
-
-    obs::Metrics &metrics_ = obs::Metrics::global();
-    const bool faulty = faults != nullptr && faults->enabled();
-    if (faulty && !deviceHealthy()) {
-        counters.add("fault.dropped_ops", 1);
-        metrics_.add("fault.dropped_ops", 1);
-        return sim::NoTask;
-    }
 
     // Temporal modeling (memoized across repeated launches).
     ir::Codegen cg = compilerModel->compile(desc, hints, spec);
     sim::TimingEntry eval =
         ir::memoizedTiming(resolver, spec, clocks, prec, desc, items,
                            hints.workgroupSize, cg);
-    sim::KernelProfile &prof = eval.profile;
     const sim::KernelTiming timing = eval.timing;
-
-    // Injected stall: the submission hangs and the per-queue watchdog
-    // (setLaunchTimeout, or 10x the predicted duration) declares the
-    // device dead instead of wedging the run.
-    if (faulty && faults->stallDevice(spec.name)) {
-        const double timeout =
-            launchTimeout > 0.0 ? launchTimeout
-                                : 10.0 * std::max(timing.seconds, 1e-6);
-        const sim::TaskId stalled = timeline.schedule(
-            computeQ, timeout, deps,
-            sim::Timeline::SpanInfo{"stall [watchdog]", "fault", 0.0,
-                                    0});
-        counters.add("fault.stalls", 1);
-        metrics_.add("fault.stalls", 1);
-        killDevice("stall watchdog");
-        return stalled;
-    }
-
-    // Injected launch rejection: each failed submission costs its
-    // launch overhead, then retries after a backoff window held on
-    // the compute queue.
-    for (u32 attempt = 0; faulty && faults->failLaunch(spec.name);
-         ++attempt) {
-        const double cost = std::max(timing.launchSeconds, 1e-6);
-        const sim::TaskId failed = timeline.schedule(
-            computeQ, cost, deps,
-            sim::Timeline::SpanInfo{"launch [failed]", "fault", cost,
-                                    0});
-        counters.add("fault.launch_failures", 1);
-        metrics_.add("fault.launch_failures", 1);
-        if (attempt >= faults->config().retryMax) {
-            killDevice("launch retries exhausted");
-            return failed;
-        }
-        timeline.blockResource(
-            computeQ,
-            timeline.finishTime(failed) +
-                fault::backoffSeconds(attempt + 1,
-                                      faults->config().backoffSeconds));
-        faults->degrade(spec.name);
-        counters.add("fault.launch_retries", 1);
-        metrics_.add("fault.launch_retries", 1);
-    }
-
-    sim::TaskId task = timeline.schedule(
+    const sim::TaskId task = timeline.schedule(
         computeQ, timing.seconds, deps,
         sim::Timeline::SpanInfo{desc.name, "compute",
                                 timing.launchSeconds, 0});
@@ -343,41 +220,18 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
     KernelRecord record;
     record.name = desc.name;
     record.items = items;
-    record.profile = std::move(prof);
+    record.profile = std::move(eval.profile);
     record.codegen = std::move(cg);
     record.timing = timing;
     launches.push_back(std::move(record));
 
-    counters.add("kernel.launches", 1);
-    counters.add("kernel.seconds", timing.seconds);
-    counters.add("kernel.launch_overhead_seconds", timing.launchSeconds);
-    obs::Metrics &metrics = obs::Metrics::global();
-    metrics.add("kernel.launches", 1);
-    metrics.add("kernel.seconds", timing.seconds);
-    metrics.add("kernel.launch_overhead_seconds", timing.launchSeconds);
-    metrics.add("kernel.items", static_cast<double>(items));
-
-    obs::Profiler &profiler = obs::Profiler::global();
-    if (profiler.enabled()) {
-        obs::ObsRecord obsRec;
-        obsRec.kernel = desc.name;
-        obsRec.device = spec.name;
-        obsRec.model = ir::toString(modelKind);
-        obsRec.precisionBits = prec == Precision::Double ? 64 : 32;
-        obsRec.items = items;
-        obsRec.coreMhz = clocks.coreMhz;
-        obsRec.memMhz = clocks.memMhz;
-        obsRec.workgroup = hints.workgroupSize;
-        obsRec.launches = 1;
-        obsRec.seconds = timing.seconds;
-        obsRec.issueSeconds = timing.issueSeconds;
-        obsRec.memSeconds = timing.memSeconds;
-        obsRec.ldsSeconds = timing.ldsSeconds;
-        obsRec.latencySeconds = timing.latencySeconds;
-        obsRec.launchSeconds = timing.launchSeconds;
-        obsRec.bound = sim::boundedness(timing);
-        profiler.observe(obsRec);
-    }
+    count("kernel.launches", 1);
+    count("kernel.seconds", timing.seconds);
+    count("kernel.launch_overhead_seconds", timing.launchSeconds);
+    // In --metrics-out but not in --stats.
+    obs::Metrics::global().add("kernel.items", static_cast<double>(items));
+    ir::observeLaunch(spec, modelKind, clocks, prec, desc, items,
+                      hints.workgroupSize, timing);
     return task;
 }
 
@@ -386,8 +240,7 @@ RuntimeContext::hostWork(double seconds, sim::TaskId dep)
 {
     if (seconds < 0.0)
         panic("negative host work");
-    counters.add("host.seconds", seconds);
-    obs::Metrics::global().add("host.seconds", seconds);
+    count("host.seconds", seconds);
     return timeline.schedule(
         hostQ, seconds, dep,
         sim::Timeline::SpanInfo{"host-work", "host", 0.0, 0});

@@ -26,6 +26,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -37,11 +38,6 @@
 #include "sim/pcie.hh"
 #include "sim/timeline.hh"
 #include "sim/timing.hh"
-
-namespace hetsim::fault
-{
-class FaultPlan;
-}
 
 namespace hetsim::rt
 {
@@ -104,28 +100,6 @@ class RuntimeContext
      *  harness disables it for timing-only re-runs (e.g. frequency
      *  sweeps) after results have been validated once. */
     void setFunctionalExecution(bool on) { functional = on; }
-
-    /**
-     * Attach a fault-injection plan (non-owning; nullptr detaches).
-     * Transfers retry with exponential backoff on injected failures,
-     * kernel submissions retry on launch rejections, and a device that
-     * exhausts its retry budget (or stalls past the launch timeout) is
-     * marked Dead: subsequent timeline work is dropped while
-     * functional execution continues, so results stay correct and the
-     * caller sees the health state instead of an abort.
-     */
-    void attachFaults(fault::FaultPlan *plan) { faults = plan; }
-
-    /**
-     * Straggler watchdog for the compute queue: a launch predicted to
-     * run longer than @p seconds is declared stalled and the device
-     * Dead (0 = disabled).
-     */
-    void setLaunchTimeout(double seconds) { launchTimeout = seconds; }
-
-    /** @return whether the device is still in service (no fault plan
-     *  attached, or plan says it is not Dead). */
-    bool deviceHealthy() const;
 
     const sim::DeviceSpec &device() const { return spec; }
     ir::ModelKind model() const { return modelKind; }
@@ -230,6 +204,10 @@ class RuntimeContext
     sim::TaskId scheduleTransfer(BufferId buf, bool to_device,
                                  sim::TaskId dep);
 
+    /** Count one runtime event in both the per-run stats and the
+     *  process-wide obs::Metrics. */
+    void count(std::string_view name, double delta);
+
     sim::DeviceSpec spec;
     ir::ModelKind modelKind;
     const ir::CompilerModel *compilerModel;
@@ -242,15 +220,11 @@ class RuntimeContext
     sim::ResourceId dmaD2H;
     sim::ResourceId computeQ;
     sim::ResourceId hostQ;
-    /** Mark the device dead (records the event, warns once). */
-    void killDevice(const char *why);
 
     std::vector<Buffer> buffers;
     std::vector<KernelRecord> launches;
     Stats counters;
     bool functional = true;
-    fault::FaultPlan *faults = nullptr;
-    double launchTimeout = 0.0;
 };
 
 } // namespace hetsim::rt

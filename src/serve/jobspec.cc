@@ -60,37 +60,6 @@ parseFreqPair(const std::string &text)
     return sim::FreqDomain{*core, *mem};
 }
 
-namespace
-{
-
-/** JSON string escaper for the result writer. */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 formatG17(double value)
 {
@@ -340,18 +309,22 @@ writeResultLine(std::ostream &os, const JobResult &res)
 {
     os << "{\"id\":" << res.id << ",\"status\":\""
        << toString(res.status) << "\"";
+    auto field = [&os](const char *key, const std::string &value) {
+        os << ",\"" << key << "\":";
+        json::writeString(os, value);
+    };
     if (!res.error.empty())
-        os << ",\"error\":\"" << escapeJson(res.error) << "\"";
-    os << ",\"app\":\"" << escapeJson(res.app) << "\"";
+        field("error", res.error);
+    field("app", res.app);
     if (!res.devices.empty()) {
-        os << ",\"devices\":\"" << escapeJson(res.devices)
-           << "\",\"policy\":\"" << escapeJson(res.policy) << "\"";
+        field("devices", res.devices);
+        field("policy", res.policy);
     } else {
-        os << ",\"model\":\"" << escapeJson(res.model)
-           << "\",\"device\":\"" << escapeJson(res.device) << "\"";
+        field("model", res.model);
+        field("device", res.device);
     }
     if (!res.tenant.empty())
-        os << ",\"tenant\":\"" << escapeJson(res.tenant) << "\"";
+        field("tenant", res.tenant);
     if (res.status == JobStatus::Ok) {
         os << ",\"seconds\":" << formatDouble(res.simSeconds)
            << ",\"kernel_seconds\":" << formatDouble(res.kernelSeconds)

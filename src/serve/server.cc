@@ -68,12 +68,6 @@ admissionByName(const std::string &name)
     return std::nullopt;
 }
 
-LatencySummary
-summarizeLatencies(std::vector<double> values)
-{
-    return percentiles(std::move(values));
-}
-
 u64
 faultScheduleHash(const std::vector<fault::FaultEvent> &schedule)
 {
@@ -1113,8 +1107,8 @@ Server::report()
         }
         rep.tenants.push_back(std::move(stats));
     }
-    rep.queueWaitMs = summarizeLatencies(std::move(waits));
-    rep.serviceMs = summarizeLatencies(std::move(services));
+    rep.queueWaitMs = percentiles(std::move(waits));
+    rep.serviceMs = percentiles(std::move(services));
     rep.wallSeconds = (drainWallSec > startWallSec)
                           ? drainWallSec - startWallSec
                           : 0.0;

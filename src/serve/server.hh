@@ -172,12 +172,6 @@ struct AutoscaleEvent
     std::string reason;
 };
 
-/** Percentile summary of one latency population (milliseconds). */
-using LatencySummary = Percentiles;
-
-/** Nearest-rank percentiles over @p values (order irrelevant). */
-LatencySummary summarizeLatencies(std::vector<double> values);
-
 /** Aggregate serving statistics after a drain. */
 struct ServerReport
 {
@@ -214,8 +208,8 @@ struct ServerReport
     };
     std::vector<TenantStats> tenants;
     /** Host wall latencies of jobs that ran. */
-    LatencySummary queueWaitMs;
-    LatencySummary serviceMs;
+    Percentiles queueWaitMs; ///< milliseconds
+    Percentiles serviceMs;   ///< milliseconds
     /** Host wall seconds from resume()/start() to drained. */
     double wallSeconds = 0.0;
     /** Sum of simulated seconds over Ok jobs. */

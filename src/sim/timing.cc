@@ -130,26 +130,4 @@ timeKernel(const DeviceSpec &spec, const FreqDomain &freq, Precision prec,
     return out;
 }
 
-const char *
-boundedness(const KernelTiming &timing)
-{
-    const char *label = "compute";
-    double best = timing.issueSeconds;
-    if (timing.memSeconds > best) {
-        best = timing.memSeconds;
-        label = "memory";
-    }
-    if (timing.ldsSeconds > best) {
-        best = timing.ldsSeconds;
-        label = "lds";
-    }
-    if (timing.latencySeconds > best) {
-        best = timing.latencySeconds;
-        label = "latency";
-    }
-    if (timing.launchSeconds > best)
-        label = "launch";
-    return label;
-}
-
 } // namespace hetsim::sim

@@ -151,13 +151,6 @@ KernelTiming timeKernel(const DeviceSpec &spec, const FreqDomain &freq,
                         Precision prec, const KernelProfile &prof,
                         const CodegenResult &cg);
 
-/**
- * @return which roofline term bounds a launch: "compute", "memory",
- * "lds", or "latency" (the argmax of the body terms), or "launch"
- * when the launch overhead exceeds every body term.
- */
-const char *boundedness(const KernelTiming &timing);
-
 } // namespace hetsim::sim
 
 #endif // HETSIM_SIM_TIMING_HH

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the fault-injection subsystem (src/fault) and the
- * recovery machinery it drives in the runtime and the co-execution
- * scheduler: seed-reproducible schedules, timeline-accounted retries,
+ * recovery machinery it drives in the co-execution scheduler: seed-reproducible schedules, timeline-accounted retries,
  * straggler rescue, graceful degradation, and the regressions for the
  * error paths that used to panic()/fatal().
  */
@@ -17,7 +16,6 @@
 #include "coexec/coexec.hh"
 #include "coexec/scheduler.hh"
 #include "fault/fault.hh"
-#include "runtime/context.hh"
 
 namespace hetsim
 {
@@ -442,112 +440,6 @@ TEST(SchedulerClamp, ThroughputFallsBackUnderMinimumWindow)
     coexec::DeviceState fresh;
     fresh.predictedItemsPerSec = 7.0;
     EXPECT_DOUBLE_EQ(fresh.throughput(), 7.0);
-}
-
-// --- Runtime under faults ----------------------------------------------
-
-TEST(RuntimeFault, TransferRetriesCostElapsedTime)
-{
-    auto makeCtx = [] {
-        return rt::RuntimeContext(sim::radeonR9_280X(),
-                                  ir::ModelKind::OpenCl,
-                                  Precision::Single);
-    };
-    rt::RuntimeContext clean = makeCtx();
-    rt::BufferId buf = clean.createBuffer("in", 1 << 20);
-    clean.copyToDevice(buf);
-    const double clean_secs = clean.elapsedSeconds();
-    ASSERT_GT(clean_secs, 0.0);
-
-    FaultConfig cfg;
-    cfg.transferFailRate = 1.0; // every attempt fails
-    cfg.retryMax = 2;
-    FaultPlan plan(cfg);
-    rt::RuntimeContext faulty = makeCtx();
-    faulty.attachFaults(&plan);
-    rt::BufferId fbuf = faulty.createBuffer("in", 1 << 20);
-    faulty.copyToDevice(fbuf);
-    // retryMax+1 attempts, each costing the full transfer duration.
-    EXPECT_GE(faulty.elapsedSeconds(), 3.0 * clean_secs);
-    EXPECT_FALSE(faulty.deviceHealthy());
-    EXPECT_EQ(faulty.stats().get("fault.transfer_failures"), 3.0);
-    EXPECT_EQ(faulty.stats().get("fault.transfer_retries"), 2.0);
-    EXPECT_EQ(faulty.stats().get("fault.dead_devices"), 1.0);
-
-    // A dead device drops later timeline ops instead of aborting.
-    const double at_death = faulty.elapsedSeconds();
-    rt::BufferId other = faulty.createBuffer("other", 1 << 10);
-    EXPECT_EQ(faulty.copyToDevice(other), sim::NoTask);
-    EXPECT_DOUBLE_EQ(faulty.elapsedSeconds(), at_death);
-    EXPECT_GE(faulty.stats().get("fault.dropped_ops"), 1.0);
-}
-
-TEST(RuntimeFault, SurvivedRetryLeavesDeviceDegraded)
-{
-    FaultConfig cfg;
-    cfg.transferFailRate = 0.5;
-    cfg.retryMax = 64; // effectively never exhausts on this run
-    cfg.seed = 11;
-    FaultPlan plan(cfg);
-    rt::RuntimeContext ctx(sim::radeonR9_280X(), ir::ModelKind::OpenCl,
-                           Precision::Single);
-    ctx.attachFaults(&plan);
-    rt::BufferId buf = ctx.createBuffer("in", 1 << 20);
-    for (int i = 0; i < 32; ++i) {
-        ctx.markHostDirty(buf);
-        ctx.copyToDevice(buf);
-    }
-    ASSERT_GT(ctx.stats().get("fault.transfer_retries"), 0.0);
-    EXPECT_TRUE(ctx.deviceHealthy());
-    EXPECT_EQ(plan.health(ctx.device().name),
-              fault::DeviceHealth::Degraded);
-}
-
-TEST(RuntimeFault, LaunchStallHitsWatchdogAndKillsDevice)
-{
-    FaultConfig cfg;
-    cfg.stallRate = 1.0;
-    FaultPlan plan(cfg);
-    rt::RuntimeContext ctx(sim::radeonR9_280X(), ir::ModelKind::OpenCl,
-                           Precision::Single);
-    ctx.attachFaults(&plan);
-    ctx.setLaunchTimeout(0.25);
-
-    ir::KernelDescriptor desc;
-    desc.name = "k";
-    desc.flopsPerItem = 4.0;
-    sim::TaskId task = ctx.launch(desc, 1024, {}, nullptr);
-    // The watchdog span is exactly the configured timeout.
-    EXPECT_DOUBLE_EQ(ctx.taskFinishSeconds(task), 0.25);
-    EXPECT_FALSE(ctx.deviceHealthy());
-    EXPECT_EQ(ctx.stats().get("fault.stalls"), 1.0);
-    // Kernel records stop at the stall: nothing was launched.
-    EXPECT_TRUE(ctx.records().empty());
-}
-
-TEST(RuntimeFault, FunctionalExecutionSurvivesDeadDevice)
-{
-    FaultConfig cfg;
-    cfg.stallRate = 1.0;
-    FaultPlan plan(cfg);
-    rt::RuntimeContext ctx(sim::radeonR9_280X(), ir::ModelKind::OpenCl,
-                           Precision::Single);
-    ctx.attachFaults(&plan);
-
-    ir::KernelDescriptor desc;
-    desc.name = "k";
-    desc.flopsPerItem = 4.0;
-    ctx.launch(desc, 64, {}, nullptr); // stalls; device dies
-    ASSERT_FALSE(ctx.deviceHealthy());
-
-    std::atomic<u64> touched{0};
-    ctx.launch(desc, 64, {}, [&](u64 begin, u64 end) {
-        touched.fetch_add(end - begin, std::memory_order_relaxed);
-    });
-    // The body still ran on the host (correct results) even though
-    // the dead device contributed no timeline work.
-    EXPECT_EQ(touched.load(), 64u);
-    EXPECT_GE(ctx.stats().get("fault.dropped_ops"), 1.0);
 }
 
 } // namespace

@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the flat JSONL parser's numeric edge cases: model
+ * Unit tests for the flat JSONL parser's numeric edge cases (model
  * files and observation records round-trip doubles at 17 significant
  * digits, so exponents, signed zero, and overflow handling must be
- * exact and loud.
+ * exact and loud) and for the shared JSON string writer's bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "common/flatjson.hh"
@@ -86,6 +87,54 @@ TEST(FlatJson, MalformedNumbersAreRejected)
               std::string::npos);
     // Hex stops the number scanner at 'x'; rejected, message aside.
     EXPECT_FALSE(parseError("0x10").empty());
+}
+
+std::string
+written(std::string_view text)
+{
+    std::ostringstream os;
+    writeString(os, text);
+    return os.str();
+}
+
+TEST(FlatJson, WriteStringEscapesExactlyTheControlBytes)
+{
+    const char *hex = "0123456789abcdef";
+    for (int byte = 0; byte < 0x20; ++byte) {
+        std::string expect;
+        switch (byte) {
+          case '\n': expect = "\\n"; break;
+          case '\r': expect = "\\r"; break;
+          case '\t': expect = "\\t"; break;
+          default:
+            expect = std::string("\\u00") + hex[byte >> 4] +
+                     hex[byte & 0xf];
+        }
+        EXPECT_EQ(written(std::string(1, static_cast<char>(byte))),
+                  "\"" + expect + "\"")
+            << "byte " << byte;
+    }
+    EXPECT_EQ(written("\""), "\"\\\"\"");
+    EXPECT_EQ(written("\\"), "\"\\\\\"");
+    EXPECT_EQ(written("\x7f"), "\"\x7f\"");
+    EXPECT_EQ(written("\xc3\xa9"), "\"\xc3\xa9\""); // UTF-8 e-acute
+    EXPECT_EQ(written("R9 280X/compute"), "\"R9 280X/compute\"");
+}
+
+TEST(FlatJson, WrittenStringsParseBack)
+{
+    std::string every;
+    for (int byte = 0; byte < 0x80; ++byte)
+        every += static_cast<char>(byte);
+    every += "\xc3\xa9";
+    std::string error;
+    const auto obj =
+        parseFlatObject("{\"k\":" + written(every) + "}", error);
+    ASSERT_TRUE(obj.has_value()) << error;
+    EXPECT_EQ(obj->at("k").text, every);
+
+    EXPECT_FALSE(parseFlatObject("{\"k\":\"\\u00e9\"}", error));
+    EXPECT_FALSE(parseFlatObject("{\"k\":\"\\u00\"}", error));
 }
 
 } // namespace

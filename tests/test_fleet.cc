@@ -320,16 +320,7 @@ TEST(FleetCluster, FirstFitFallbackWhenEveryAliveNodeIsIdle)
     }
 }
 
-class FleetClusterDeath : public testing::Test
-{
-    void
-    SetUp() override
-    {
-        testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    }
-};
-
-TEST_F(FleetClusterDeath, NegativeOrNaNCostsAreFatal)
+TEST(FleetClusterDeath, NegativeOrNaNCostsAreFatal)
 {
     // Availabilities must stay >= +0.0 for the tree's key order.
     fleet::Cluster cluster(4, fleet::Policy::LeastLoaded);

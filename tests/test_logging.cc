@@ -41,26 +41,12 @@ TEST(Logging, InformToggle)
     EXPECT_TRUE(informEnabled());
 }
 
-// The "fast" death-test style forks the test process, which deadlocks
-// when earlier tests in the same invocation have started the global
-// thread pool (the forked child inherits the pool object but not its
-// worker threads, and exit-time teardown joins forever).  The
-// threadsafe style re-executes the binary instead.
-class LoggingDeath : public testing::Test
-{
-    void
-    SetUp() override
-    {
-        testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    }
-};
-
-TEST_F(LoggingDeath, PanicAborts)
+TEST(LoggingDeath, PanicAborts)
 {
     EXPECT_DEATH(panic("boom %d", 1), "panic: boom 1");
 }
 
-TEST_F(LoggingDeath, FatalExits)
+TEST(LoggingDeath, FatalExits)
 {
     EXPECT_EXIT(fatal("bad config %s", "x"),
                 testing::ExitedWithCode(1), "fatal: bad config x");
@@ -69,7 +55,7 @@ TEST_F(LoggingDeath, FatalExits)
 // Crash hooks run before the abort/exit, newest first; a removed hook
 // no longer fires.  The hook side effects happen in the death-test
 // child, so they are observed through the filesystem.
-TEST_F(LoggingDeath, CrashHooksRunOnPanic)
+TEST(LoggingDeath, CrashHooksRunOnPanic)
 {
     const std::string path =
         testing::TempDir() + "crash_hook_panic.txt";
@@ -97,7 +83,7 @@ TEST_F(LoggingDeath, CrashHooksRunOnPanic)
     std::remove(path.c_str());
 }
 
-TEST_F(LoggingDeath, CrashHooksRunOnFatal)
+TEST(LoggingDeath, CrashHooksRunOnFatal)
 {
     const std::string path =
         testing::TempDir() + "crash_hook_fatal.txt";
@@ -119,7 +105,7 @@ TEST_F(LoggingDeath, CrashHooksRunOnFatal)
 
 // Satellite 3: a panic() mid-run with observability enabled still
 // leaves parseable --trace-out/--metrics-out files behind.
-TEST_F(LoggingDeath, CrashDumpFlushesObservabilityOutputs)
+TEST(LoggingDeath, CrashDumpFlushesObservabilityOutputs)
 {
     const std::string trace = testing::TempDir() + "crash_trace.json";
     const std::string metrics =

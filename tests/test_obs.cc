@@ -11,6 +11,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cpu/threadpool.hh"
@@ -340,6 +341,35 @@ TEST(Metrics, CountersAccumulateGaugesOverwrite)
     EXPECT_DOUBLE_EQ(metrics.gaugeValue("idle"), 0.25);
 }
 
+TEST(Metrics, ConcurrentAddsSumExactly)
+{
+    // Integer deltas sum exactly in a double, so any lost update shows.
+    // The names straddle the 15-character small-string limit.
+    Metrics metrics;
+    metrics.setEnabled(true);
+    constexpr int kThreads = 4;
+    constexpr int kAdds = 20000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&metrics, t] {
+            for (int i = 0; i < kAdds; ++i) {
+                metrics.add("k.short", 1.0);
+                metrics.add("kernel.launch_overhead_seconds", 2.0);
+                metrics.add(t % 2 ? "odd.thread.counter.name" : "even",
+                            static_cast<double>(t + 1));
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(metrics.counterValue("k.short"), kThreads * kAdds);
+    EXPECT_EQ(metrics.counterValue("kernel.launch_overhead_seconds"),
+              2.0 * kThreads * kAdds);
+    EXPECT_EQ(metrics.counterValue("even"), (1 + 3) * kAdds);
+    EXPECT_EQ(metrics.counterValue("odd.thread.counter.name"),
+              (2 + 4) * kAdds);
+}
+
 TEST(Metrics, HistogramBucketsAndOverflow)
 {
     Metrics metrics;
@@ -372,6 +402,24 @@ TEST(Metrics, DumpJsonIsValid)
     EXPECT_TRUE(checker.valid()) << oss.str();
     EXPECT_NE(oss.str().find("\"counters\""), std::string::npos);
     EXPECT_NE(oss.str().find("\"+Inf\""), std::string::npos);
+}
+
+TEST(Metrics, DumpJsonEscapesNames)
+{
+    // Serve derives metric names from tenant labels, which are user
+    // input.
+    Metrics metrics;
+    metrics.setEnabled(true);
+    metrics.add("serve.tenant.a\"b\x01.completed", 1.0);
+    metrics.set("serve.tenant.c\\d.mean_service_seq", 2.0);
+    metrics.observe("h\ti", 3.0);
+    std::ostringstream oss;
+    metrics.dumpJson(oss);
+    JsonChecker checker(oss.str());
+    EXPECT_TRUE(checker.valid()) << oss.str();
+    EXPECT_NE(oss.str().find("\"serve.tenant.a\\\"b\\u0001.completed\":1"),
+              std::string::npos)
+        << oss.str();
 }
 
 TEST(Breakdown, PhaseSumsEqualMakespanExactly)

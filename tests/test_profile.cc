@@ -59,6 +59,26 @@ expectPathTiles(const obs::TraceAnalysis &analysis)
     EXPECT_DOUBLE_EQ(analysis.path.back().startSeconds, 0.0);
 }
 
+// --- dominant-term labels ----------------------------------------------
+
+TEST(ProfileDominantTerm, TiesKeepTheEarlierLabel)
+{
+    using obs::dominantTerm;
+    EXPECT_STREQ(dominantTerm(1, 0, 0, 0, 0), "compute");
+    EXPECT_STREQ(dominantTerm(1, 2, 0, 0, 0), "memory");
+    EXPECT_STREQ(dominantTerm(1, 2, 3, 0, 0), "lds");
+    EXPECT_STREQ(dominantTerm(1, 2, 3, 4, 0), "latency");
+    EXPECT_STREQ(dominantTerm(1, 2, 3, 4, 5), "launch");
+    // An equal later term does not displace the earlier label.
+    EXPECT_STREQ(dominantTerm(2, 2, 2, 2, 0), "compute");
+    EXPECT_STREQ(dominantTerm(1, 3, 3, 3, 0), "memory");
+    EXPECT_STREQ(dominantTerm(1, 2, 3, 3, 0), "lds");
+    // Launch must be strictly larger than every body term to win.
+    EXPECT_STREQ(dominantTerm(1, 2, 3, 4, 4), "latency");
+    EXPECT_STREQ(dominantTerm(0, 0, 0, 0, 0), "compute");
+    EXPECT_STREQ(dominantTerm(0, 0, 0, 0, 1e-12), "launch");
+}
+
 // --- critical-path extraction ------------------------------------------
 
 TEST(ProfileAnalyzer, HandCraftedChainAttributesEverySegment)

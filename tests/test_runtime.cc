@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/workload.hh"
 #include "kernelir/tracegen.hh"
+#include "obs/metrics.hh"
 #include "runtime/context.hh"
 
 namespace hetsim::rt
@@ -170,6 +175,49 @@ TEST(Runtime, AggregateCountersComposeAcrossLaunches)
     EXPECT_DOUBLE_EQ(rt.stats().get("kernel.launches"), 5.0);
     EXPECT_GT(rt.aggregateLlcMissRatio(), 0.0);
     EXPECT_GT(rt.aggregateIpc(), 0.0);
+}
+
+TEST(RuntimeCounters, StatsAndMetricsAgree)
+{
+    // LULESH under OpenACC on the discrete GPU touches every runtime
+    // counter: buffers, both transfer directions, launches and host
+    // work.
+    obs::Metrics &metrics = obs::Metrics::global();
+    metrics.clear();
+    metrics.setEnabled(true);
+    core::WorkloadConfig cfg;
+    cfg.functional = false;
+    cfg.scale = 0.05;
+    const core::RunResult result =
+        core::appByName("lulesh")->run[static_cast<int>(
+            ir::ModelKind::OpenAcc)](sim::radeonR9_280X(), cfg);
+    metrics.setEnabled(false);
+
+    std::ostringstream dump;
+    result.stats.dump(dump);
+    std::istringstream lines(dump.str());
+    std::string name;
+    double value = 0.0;
+    int shared = 0;
+    while (lines >> name >> value) {
+        if (name.rfind("buffers.", 0) == 0) {
+            EXPECT_EQ(metrics.counterValue(name), 0.0) << name;
+            continue;
+        }
+        EXPECT_EQ(metrics.counterValue(name), result.stats.get(name))
+            << name;
+        ++shared;
+    }
+    for (const char *counter :
+         {"kernel.launches", "kernel.seconds",
+          "kernel.launch_overhead_seconds", "xfer.h2d.count",
+          "xfer.d2h.count", "host.seconds"})
+        EXPECT_GT(result.stats.get(counter), 0.0) << counter;
+    EXPECT_GT(result.stats.get("buffers.created"), 0.0);
+    EXPECT_GE(shared, 9);
+    EXPECT_GT(metrics.counterValue("kernel.items"), 0.0);
+    EXPECT_EQ(result.stats.get("kernel.items"), 0.0);
+    metrics.clear();
 }
 
 TEST(RuntimeDeath, BarrierKernelRejectedByOpenAcc)

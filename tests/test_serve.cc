@@ -424,7 +424,7 @@ TEST(ServeReport, LatencyPercentilesAreNearestRank)
     std::vector<double> values;
     for (int v = 100; v >= 1; --v)
         values.push_back(static_cast<double>(v));
-    LatencySummary s = summarizeLatencies(values);
+    Percentiles s = percentiles(values);
     EXPECT_EQ(s.count, 100u);
     EXPECT_DOUBLE_EQ(s.p50, 50.0);
     EXPECT_DOUBLE_EQ(s.p95, 95.0);
@@ -432,7 +432,7 @@ TEST(ServeReport, LatencyPercentilesAreNearestRank)
     EXPECT_DOUBLE_EQ(s.max, 100.0);
     EXPECT_DOUBLE_EQ(s.mean, 50.5);
 
-    EXPECT_EQ(summarizeLatencies({}).count, 0u);
+    EXPECT_EQ(percentiles({}).count, 0u);
 }
 
 // --- Observability -----------------------------------------------------

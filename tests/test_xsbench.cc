@@ -457,18 +457,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(u64(7), u64(0x5EED5))),
     xsbenchTracesName);
 
-// Threadsafe style: a forked child of a process whose thread pool is
-// running crashes or hangs in exit-time teardown (see LoggingDeath).
-class XsbenchTracesDeath : public testing::Test
-{
-    void
-    SetUp() override
-    {
-        testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    }
-};
-
-TEST_F(XsbenchTracesDeath, UnionIndexRowMustSpanDistinctSets)
+TEST(XsbenchTracesDeath, UnionIndexRowMustSpanDistinctSets)
 {
     const apps::xsbench::Problem<float> prob(512, 1000);
     const ir::KernelDescriptor desc = prob.descriptor();
