@@ -12,6 +12,7 @@
 
 #include "apps/comd/comd_core.hh"
 #include "apps/minife/minife_core.hh"
+#include "kernelir/captable.hh"
 #include "kernelir/trace.hh"
 
 namespace
@@ -27,7 +28,8 @@ forceSeconds(const apps::comd::Problem<float> &prob,
 {
     ir::ProfileResolver resolver(device);
     auto desc = prob.forceDescriptor();
-    auto cg = ir::compilerFor(model).compile(desc, hints, device);
+    auto cg =
+        ir::compileWithCaps(ir::capsFor(model), desc, hints, device);
     auto prof = resolver.resolve(desc, prob.numAtoms,
                                  Precision::Single, cg.usesLds, 0);
     prof.chainConcurrencyPerCu *= cg.chainEfficiency;
@@ -47,7 +49,8 @@ spmvSeconds(const apps::minife::Problem<float> &prob,
     ir::OptHints hints;
     hints.tiled = true;
     hints.useLds = use_lds;
-    auto cg = ir::compilerFor(model).compile(desc, hints, device);
+    auto cg =
+        ir::compileWithCaps(ir::capsFor(model), desc, hints, device);
     auto prof = resolver.resolve(desc, prob.rows, Precision::Single,
                                  cg.usesLds, 0);
     prof.chainConcurrencyPerCu *= cg.chainEfficiency;

@@ -11,12 +11,28 @@
 #include "cpu/threadpool.hh"
 #include "coexec/scheduler.hh"
 #include "fault/fault.hh"
+#include "kernelir/captable.hh"
 #include "kernelir/signature.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
+#include "sim/pcie.hh"
 
 namespace hetsim::coexec
 {
+
+namespace
+{
+
+/** PCIe link discrete devices in a pool stage over. */
+constexpr sim::PcieLink kPcie{};
+/** Simulated cost of saving one checkpoint, charged on every
+ *  surviving device's compute queue when a launch is preempted. */
+constexpr double kCheckpointSeconds = 100e-6;
+/** Straggler watchdog: a stalled chunk is declared dead after this
+ *  many times its predicted duration. */
+constexpr double kStallTimeoutChunks = 10.0;
+
+} // namespace
 
 const char *
 toString(Policy policy)
@@ -64,26 +80,13 @@ DevicePool::parse(const std::string &names)
     std::stringstream ss(names);
     std::string alias;
     while (std::getline(ss, alias, '+')) {
-        std::transform(alias.begin(), alias.end(), alias.begin(),
-                       [](unsigned char c) { return std::tolower(c); });
-        std::string canonical = alias;
-        if (alias == "cpu") {
-            specs.push_back(sim::a10_7850kCpu());
-        } else if (alias == "apu" || alias == "igpu") {
-            specs.push_back(sim::a10_7850kGpu());
-            canonical = "apu";
-        } else if (alias == "dgpu" || alias == "280x" ||
-                   alias == "r9-280x") {
-            specs.push_back(sim::radeonR9_280X());
-            canonical = "dgpu";
-        } else if (alias == "hd7950") {
-            specs.push_back(sim::radeonHd7950());
-        } else {
+        const sim::DevicePreset *preset = sim::presetByName(alias);
+        if (preset == nullptr)
             return std::nullopt;
-        }
+        specs.push_back(preset->make());
         if (!alias_list.empty())
             alias_list += '+';
-        alias_list += canonical;
+        alias_list += preset->canonical();
     }
     if (specs.empty())
         return std::nullopt;
@@ -102,24 +105,13 @@ DevicePool::model(size_t d) const
 double
 predictKernelSeconds(const sim::DeviceSpec &spec, Precision prec,
                      const ir::KernelDescriptor &desc,
-                     const ir::OptHints &hints, u64 items)
-{
-    return predictKernelSeconds(
-        spec, prec, desc, hints, items,
-        spec.type == sim::DeviceType::Cpu ? ir::ModelKind::OpenMp
-                                          : ir::ModelKind::Hc);
-}
-
-double
-predictKernelSeconds(const sim::DeviceSpec &spec, Precision prec,
-                     const ir::KernelDescriptor &desc,
                      const ir::OptHints &hints, u64 items,
                      ir::ModelKind model)
 {
     if (items == 0)
         return 0.0;
-    const ir::CompilerModel &compiler = ir::compilerFor(model);
-    ir::Codegen cg = compiler.compile(desc, hints, spec);
+    const ir::Codegen cg =
+        ir::compileWithCaps(ir::capsFor(model), desc, hints, spec);
     ir::ProfileResolver resolver(spec);
     return ir::memoizedTiming(resolver, spec, spec.stockFreq(), prec,
                               desc, items, hints.workgroupSize, cg)
@@ -165,7 +157,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
     struct Slot
     {
         const sim::DeviceSpec *spec = nullptr;
-        const ir::CompilerModel *compiler = nullptr;
+        const ir::BackendCaps *caps = nullptr;
         ir::Codegen cg;
         std::unique_ptr<ir::ProfileResolver> resolver;
         sim::ResourceId computeQ = 0;
@@ -194,9 +186,9 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
     for (size_t d = 0; d < devices.size(); ++d) {
         Slot &slot = slots[d];
         slot.spec = &devices.spec(d);
-        slot.compiler = &ir::compilerFor(devices.model(d));
+        slot.caps = &ir::capsFor(devices.model(d));
         if (kernel.desc.loop.needsBarriers &&
-            !slot.compiler->features().fineGrainedSync) {
+            !slot.caps->features.fineGrainedSync) {
             result.ok = false;
             result.error = csprintf(
                 "kernel %s requires work-group barriers which the "
@@ -204,8 +196,8 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
                 kernel.desc.name.c_str(), slot.spec->name.c_str());
             return result;
         }
-        slot.cg = slot.compiler->compile(kernel.desc, kernel.hints,
-                                         *slot.spec);
+        slot.cg = ir::compileWithCaps(*slot.caps, kernel.desc,
+                                      kernel.hints, *slot.spec);
         slot.resolver =
             std::make_unique<ir::ProfileResolver>(*slot.spec);
         slot.computeQ =
@@ -234,8 +226,6 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
     fault::FaultPlan *plan = opts.faults;
     const bool faulty = plan != nullptr && plan->enabled();
     const u32 retry_max = faulty ? plan->config().retryMax : 0;
-    const double backoff_base =
-        faulty ? plan->config().backoffSeconds : 0.0;
     const u64 faults_before = faulty ? plan->schedule().size() : 0;
     size_t alive = devices.size();
 
@@ -299,11 +289,10 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
                            timeline.finishTime(failed));
                 return std::nullopt;
             }
-            const double gap =
-                fault::backoffSeconds(attempt + 1, backoff_base);
+            const double gap = fault::backoffSeconds(
+                attempt + 1, fault::kBackoffSeconds);
             timeline.blockResource(dma,
                                    timeline.finishTime(failed) + gap);
-            plan->degrade(slot.spec->name);
             result.transferRetries += 1;
             metrics.add("fault.transfer_retries", 1);
             metrics.add("fault.backoff_seconds", gap);
@@ -415,7 +404,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
         }
 
         const bool discrete = !slot.spec->zeroCopy;
-        const double xfer_eff = slot.compiler->transferEfficiency();
+        const double xfer_eff = slot.caps->transferEfficiency;
 
         const sim::KernelTiming timing =
             ir::memoizedTiming(*slot.resolver, *slot.spec,
@@ -432,9 +421,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
         // declares the device dead after the stall timeout.
         if (faulty && plan->stallDevice(slot.spec->name)) {
             const double timeout =
-                opts.stallTimeoutSeconds > 0.0
-                    ? opts.stallTimeoutSeconds
-                    : 10.0 * std::max(kernel_secs, 1e-6);
+                kStallTimeoutChunks * std::max(kernel_secs, 1e-6);
             const sim::TaskId stalled = timeline.schedule(
                 slot.computeQ, timeout, std::span<const sim::TaskId>{},
                 sim::Timeline::SpanInfo{"stall [watchdog]", "fault",
@@ -456,7 +443,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
                 const u64 fixed_bytes =
                     static_cast<u64>(kernel.h2dBytesFixed);
                 const double secs =
-                    opts.pcie.transferSeconds(fixed_bytes) / xfer_eff;
+                    kPcie.transferSeconds(fixed_bytes) / xfer_eff;
                 auto staged = transferWithRetry(
                     slot, slot.dmaH2D, secs, fixed_bytes,
                     "h2d fixed tables", sim::NoTask);
@@ -470,7 +457,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
             const u64 h2d_bytes = static_cast<u64>(
                 static_cast<double>(take) * kernel.h2dBytesPerItem);
             const double secs =
-                opts.pcie.transferSeconds(h2d_bytes) / xfer_eff;
+                kPcie.transferSeconds(h2d_bytes) / xfer_eff;
             auto h2d = transferWithRetry(slot, slot.dmaH2D, secs,
                                          h2d_bytes, "h2d chunk",
                                          slot.fixedTask);
@@ -507,8 +494,8 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
             timeline.blockResource(
                 slot.computeQ,
                 timeline.finishTime(failed) +
-                    fault::backoffSeconds(attempt + 1, backoff_base));
-            plan->degrade(slot.spec->name);
+                    fault::backoffSeconds(attempt + 1,
+                                          fault::kBackoffSeconds));
             result.launchRetries += 1;
             metrics.add("fault.launch_retries", 1);
         }
@@ -531,7 +518,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
             const u64 d2h_bytes = static_cast<u64>(
                 static_cast<double>(take) * kernel.d2hBytesPerItem);
             const double secs =
-                opts.pcie.transferSeconds(d2h_bytes) / xfer_eff;
+                kPcie.transferSeconds(d2h_bytes) / xfer_eff;
             auto d2h = transferWithRetry(slot, slot.dmaD2H, secs,
                                          d2h_bytes, "d2h chunk",
                                          compute);
@@ -583,7 +570,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
         // Checkpoint at the chunk boundary: the undone iteration
         // space is the fresh-cursor remainder plus any rescue-queued
         // ranges, reported ascending for the resume.  Saving state
-        // costs checkpointSeconds on every surviving device.
+        // costs kCheckpointSeconds on every surviving device.
         if (wr < work.size()) {
             result.remaining.push_back({wpos, work[wr].second});
             for (size_t r = wr + 1; r < work.size(); ++r)
@@ -596,7 +583,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
             if (slot.dead)
                 continue;
             const sim::TaskId ckpt = timeline.schedule(
-                slot.computeQ, opts.checkpointSeconds,
+                slot.computeQ, kCheckpointSeconds,
                 std::span<const sim::TaskId>{},
                 sim::Timeline::SpanInfo{"checkpoint [preempt]",
                                         "preempt", 0.0, 0});

@@ -45,7 +45,6 @@
 #include "kernelir/trace.hh"
 #include "power/power.hh"
 #include "sim/device.hh"
-#include "sim/pcie.hh"
 #include "sim/timeline.hh"
 
 namespace hetsim::fault
@@ -112,8 +111,9 @@ class DevicePool
 
     /**
      * Parse a '+'-separated device list, e.g. "cpu+dgpu" or
-     * "cpu+apu".  Aliases: cpu, apu (the APU's integrated GPU), dgpu,
-     * hd7950.  @return nullopt on an unknown alias or empty list.
+     * "cpu+apu".  Each name is any sim::deviceByName() spelling; the
+     * pool name joins each preset's canonical spelling.  @return
+     * nullopt on an unknown name or empty list.
      */
     static std::optional<DevicePool> parse(const std::string &names);
 
@@ -156,8 +156,6 @@ struct ExecOptions
     u64 minChunkItems = 0;
     /** Execute functional bodies (real, validated results). */
     bool functional = true;
-    /** PCIe link used by discrete devices in the pool. */
-    sim::PcieLink pcie;
     /**
      * Fault-injection plan (non-owning; nullptr = fault-free).  The
      * executor draws transfer/launch/stall faults from the plan,
@@ -167,26 +165,17 @@ struct ExecOptions
      */
     fault::FaultPlan *faults = nullptr;
     /**
-     * Straggler watchdog: a stalled chunk is declared dead after this
-     * many simulated seconds (0 = auto, 10x the chunk's predicted
-     * duration).
-     */
-    double stallTimeoutSeconds = 0.0;
-    /**
      * Simulated-time budget of this launch (0 = unlimited).  Once a
      * device would pull its next chunk at or past this instant, the
      * executor stops grabbing work, checkpoints at the chunk boundary
      * (the undone ranges come back in CoExecResult::remaining), costs
-     * one checkpoint span per surviving device on the timeline, and
-     * returns with `preempted` set.  At least one chunk always runs,
+     * one 100 us checkpoint span per surviving device on the timeline,
+     * and returns with `preempted` set.  At least one chunk always runs,
      * so every slice makes progress.  Ignored for functional launches:
      * checkpointing live host-side buffers is out of scope, so
      * functional jobs run to completion (see DESIGN 7).
      */
     double budgetSeconds = 0.0;
-    /** Simulated cost of saving one checkpoint, charged on every
-     *  surviving device's compute queue when a launch is preempted. */
-    double checkpointSeconds = 100e-6;
     /**
      * Undone ranges of a previously preempted launch (non-owning;
      * nullptr = fresh launch over [0, items)).  The executor restricts
@@ -279,19 +268,11 @@ struct CoExecResult
 
 /**
  * Roofline-predicted kernel seconds for @p items work-items of
- * @p kernel on @p spec at stock clocks, through the same compiler the
- * co-execution pool would use for that device.  The static-ratio
- * policy splits by the throughput ratio (items / predicted seconds)
- * of exactly this prediction; tests assert the correspondence.
- */
-double predictKernelSeconds(const sim::DeviceSpec &spec, Precision prec,
-                            const ir::KernelDescriptor &desc,
-                            const ir::OptHints &hints, u64 items);
-
-/**
- * Same prediction through an explicit programming-model compiler -
- * the overload the executor uses when a pool overrides its GPU-slot
- * backend (`--backend`).
+ * @p kernel on @p spec at stock clocks, compiled under programming
+ * model @p model (DevicePool::model() of that device's slot).  The
+ * static-ratio policy splits by the throughput ratio (items /
+ * predicted seconds) of exactly this prediction; tests assert the
+ * correspondence.
  */
 double predictKernelSeconds(const sim::DeviceSpec &spec, Precision prec,
                             const ir::KernelDescriptor &desc,

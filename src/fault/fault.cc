@@ -25,20 +25,6 @@ toString(FaultKind kind)
     return "?";
 }
 
-const char *
-toString(DeviceHealth health)
-{
-    switch (health) {
-      case DeviceHealth::Healthy:
-        return "healthy";
-      case DeviceHealth::Degraded:
-        return "degraded";
-      case DeviceHealth::Dead:
-        return "dead";
-    }
-    return "?";
-}
-
 std::optional<FaultConfig>
 parseFaultSpec(const std::string &spec)
 {
@@ -94,25 +80,24 @@ shardSeed(u64 seed, u64 shard)
 bool
 matchesDevice(const sim::DeviceSpec &spec, const std::string &alias)
 {
-    if (alias.empty())
+    auto lower = [](std::string text) {
+        std::transform(text.begin(), text.end(), text.begin(),
+                       [](unsigned char c) { return std::tolower(c); });
+        return text;
+    };
+    const std::string want = lower(alias);
+    if (want.empty())
         return false;
-    std::string want = alias;
-    std::transform(want.begin(), want.end(), want.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    std::string name = spec.name;
-    std::transform(name.begin(), name.end(), name.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (want == name)
+    if (want == lower(spec.name))
         return true;
-    if (want == "cpu")
-        return spec.type == sim::DeviceType::Cpu;
     if (want == "gpu")
         return spec.type != sim::DeviceType::Cpu;
-    if (want == "dgpu")
-        return spec.type == sim::DeviceType::DiscreteGpu;
-    if (want == "apu" || want == "igpu")
-        return spec.type == sim::DeviceType::IntegratedGpu;
-    return false;
+    const sim::DevicePreset *preset = sim::presetByName(want);
+    if (preset == nullptr)
+        return false;
+    const sim::DeviceSpec named = preset->make();
+    return preset->namesType(want) ? named.type == spec.type
+                                   : named.name == spec.name;
 }
 
 FaultPlan::FaultPlan(const FaultConfig &config)
@@ -156,45 +141,17 @@ FaultPlan::shouldKill(const sim::DeviceSpec &spec,
 {
     if (!active || cfg.failDevice.empty())
         return false;
-    if (health(spec.name) == DeviceHealth::Dead)
+    if (isDead(spec.name))
         return false;
     return matchesDevice(spec, cfg.failDevice) &&
-           completed_chunks >= cfg.failAfterChunks;
-}
-
-DeviceHealth
-FaultPlan::health(const std::string &device) const
-{
-    auto it = states.find(device);
-    return it == states.end() ? DeviceHealth::Healthy : it->second;
-}
-
-void
-FaultPlan::degrade(const std::string &device)
-{
-    auto [it, inserted] =
-        states.emplace(device, DeviceHealth::Degraded);
-    if (!inserted && it->second == DeviceHealth::Healthy)
-        it->second = DeviceHealth::Degraded;
+           completed_chunks >= kFailAfterChunks;
 }
 
 void
 FaultPlan::markDead(const std::string &device)
 {
-    if (health(device) == DeviceHealth::Dead)
-        return;
-    states[device] = DeviceHealth::Dead;
-    events.push_back({FaultKind::DeviceDeath, device, events.size()});
-}
-
-bool
-FaultPlan::anyDead() const
-{
-    for (const auto &[device, health] : states) {
-        if (health == DeviceHealth::Dead)
-            return true;
-    }
-    return false;
+    if (dead.insert(device).second)
+        events.push_back({FaultKind::DeviceDeath, device, events.size()});
 }
 
 } // namespace hetsim::fault

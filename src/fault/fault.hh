@@ -13,21 +13,17 @@
  * equal simulation order yield bit-identical fault schedules, so every
  * recovery scenario is reproducible from its `--fault-seed`.
  *
- * The plan also carries the per-device health state machine
- *
- *     Healthy -> Degraded (a fault was survived via retry)
- *             -> Dead     (retry budget exhausted, watchdog fired, or
- *                          the device was named by --fail-device)
- *
- * which the runtime and co-executor consult to decide between retry,
- * straggler rescue, and graceful degradation.
+ * The plan also records which devices are dead: a device is alive
+ * or dead, and it dies when its retry budget is exhausted, the stall
+ * watchdog fires, or --fail-device names it.  Death is sticky and
+ * recorded once, as one DeviceDeath event.
  */
 
 #ifndef HETSIM_FAULT_FAULT_HH
 #define HETSIM_FAULT_FAULT_HH
 
-#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -51,16 +47,11 @@ enum class FaultKind : u8
 /** @return printable name, e.g. "transfer-fail". */
 const char *toString(FaultKind kind);
 
-/** Per-device health as seen by the recovery machinery. */
-enum class DeviceHealth : u8
-{
-    Healthy,  ///< no faults observed
-    Degraded, ///< survived at least one fault via retry
-    Dead,     ///< removed from service; work is redistributed
-};
+/** Initial retry backoff, simulated seconds (doubles per retry). */
+constexpr double kBackoffSeconds = 50e-6;
 
-/** @return printable name, e.g. "degraded". */
-const char *toString(DeviceHealth health);
+/** Completed chunks after which the --fail-device target dies. */
+constexpr u64 kFailAfterChunks = 1;
 
 /** Knobs of one fault-injection campaign. */
 struct FaultConfig
@@ -73,15 +64,11 @@ struct FaultConfig
     double stallRate = 0.0;
     /** Seed of the fault schedule (--fault-seed). */
     u64 seed = 0x5eedULL;
-    /** Retries allowed per operation before the device is Dead. */
+    /** Retries allowed per operation before the device dies. */
     u32 retryMax = 4;
-    /** Initial retry backoff, simulated seconds (doubles per retry). */
-    double backoffSeconds = 50e-6;
-    /** Device alias to kill mid-run (--fail-device); "" = none.
-     *  Aliases: cpu, gpu (any GPU), dgpu, apu/igpu, or a spec name. */
+    /** Device to kill mid-run (--fail-device); "" = none.  Any
+     *  matchesDevice() name. */
     std::string failDevice;
-    /** Completed chunks after which the named device dies. */
-    u64 failAfterChunks = 1;
 
     /** @return whether any fault source is configured. */
     bool
@@ -111,9 +98,10 @@ double backoffSeconds(u32 attempt, double base);
 u64 shardSeed(u64 seed, u64 shard);
 
 /**
- * @return whether CLI alias @p alias names @p spec.  Matches the
- * device's spec name (case-insensitive) or the aliases cpu, gpu (any
- * GPU type), dgpu, apu, igpu.
+ * @return whether @p alias names @p spec, in any letter case: the
+ * spec name, "gpu" (any GPU), a sim::DevicePreset type spelling (cpu,
+ * dgpu, apu/igpu: every device of that type), or another preset
+ * spelling (that preset only).
  */
 bool matchesDevice(const sim::DeviceSpec &spec, const std::string &alias);
 
@@ -134,7 +122,7 @@ struct FaultEvent
 };
 
 /**
- * A deterministic fault schedule plus the device-health state machine.
+ * A deterministic fault schedule plus the set of dead devices.
  * Default-constructed plans are inert: every query answers "no fault"
  * without consuming randomness.
  */
@@ -160,23 +148,22 @@ class FaultPlan
 
     /**
      * @return whether the --fail-device target @p spec must die now,
-     * i.e. it has completed @p completed_chunks >= failAfterChunks and
-     * is not already dead.
+     * i.e. it has completed @p completed_chunks >= kFailAfterChunks
+     * and is not already dead.
      */
     bool shouldKill(const sim::DeviceSpec &spec,
                     u64 completed_chunks) const;
 
-    /** @return the health of @p device (Healthy when never seen). */
-    DeviceHealth health(const std::string &device) const;
+    /** @return whether @p device has been marked dead. */
+    bool
+    isDead(const std::string &device) const
+    {
+        return dead.contains(device);
+    }
 
-    /** A fault was survived: Healthy -> Degraded (Dead is sticky). */
-    void degrade(const std::string &device);
-
-    /** Remove @p device from service and record the death event. */
+    /** Remove @p device from service and record its death event
+     *  (once: death is sticky). */
     void markDead(const std::string &device);
-
-    /** @return whether any device has been marked dead. */
-    bool anyDead() const;
 
     /** @return every injected fault so far, in schedule order. */
     const std::vector<FaultEvent> &schedule() const { return events; }
@@ -189,7 +176,7 @@ class FaultPlan
     Rng rng;
     bool active = false;
     std::vector<FaultEvent> events;
-    std::map<std::string, DeviceHealth> states;
+    std::set<std::string> dead;
 };
 
 } // namespace hetsim::fault

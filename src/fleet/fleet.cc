@@ -293,13 +293,13 @@ simulateFleet(const Topology &topo, const FleetConfig &cfg,
                         ++attempt;
                         net += baseNet +
                                fault::backoffSeconds(
-                                   attempt, cfg.faults.backoffSeconds);
+                                   attempt, fault::kBackoffSeconds);
                         ++a.faults;
                     }
                 }
                 if (plan.failLaunch(dev)) {
                     cost += fault::backoffSeconds(
-                        1, cfg.faults.backoffSeconds);
+                        1, fault::kBackoffSeconds);
                     ++a.faults;
                 }
                 if (plan.stallDevice(dev)) {

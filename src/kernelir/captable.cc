@@ -226,6 +226,18 @@ constexpr ModelKind kDeviceBackends[] = {
 
 } // namespace
 
+const char *
+toString(ModelKind kind)
+{
+    return capsFor(kind).name;
+}
+
+const char *
+displayName(ModelKind kind)
+{
+    return capsFor(kind).display;
+}
+
 std::span<const BackendCaps>
 backendTable()
 {

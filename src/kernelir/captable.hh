@@ -3,23 +3,20 @@
  * The declarative backend capability table.
  *
  * The paper's Figure 11 matrix (which optimizations each programming
- * model's toolchain can express) plus the calibration anchors used to
- * be spread across one virtual CompilerModel subclass per backend in
- * codegen.cc, and the frontends in src/opencl, src/amp and src/acc
- * each re-encoded parts of it.  This header replaces that with ONE
- * table: every backend is a BackendCaps row, and a single table-driven
- * compiler (codegen.cc) interprets the rows.  Adding a backend means
- * adding a row, not a class - the OpenMP target-offload and CUDA-style
- * models (Memeti et al., PAPERS.md) plug in exactly this way, with
- * their codegen quirks (implicit data mapping, collapse flattening,
- * occupancy-limited launches) expressed as table entries.
+ * model's toolchain can express) plus the calibration anchors, as ONE
+ * table: every backend is a BackendCaps row, and the one table-driven
+ * compiler, compileWithCaps(), interprets the rows.  The row is the
+ * compiler: callers hold `const BackendCaps &` from capsFor() and read
+ * its features, transfer behaviour and toolchain directly.  Adding a
+ * backend means adding a row, not a class - the OpenMP target-offload
+ * and CUDA-style models (Memeti et al., PAPERS.md) plug in exactly
+ * this way, with their codegen quirks (implicit data mapping, collapse
+ * flattening, occupancy-limited launches) expressed as table entries.
  *
  * Calibration rule (DESIGN.md): the relative code-generation quality
  * of the device compilers is calibrated ONCE from the paper's
  * read-memory micro-benchmark and then held fixed for all
- * applications.  The numbers in this table ARE those anchors; the
- * table-driven compiler reproduces the pre-refactor per-class
- * constants bitwise.
+ * applications.  The numbers in this table ARE those anchors.
  */
 
 #ifndef HETSIM_KERNELIR_CAPTABLE_HH

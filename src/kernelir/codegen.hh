@@ -1,14 +1,18 @@
 /**
  * @file
- * Per-programming-model compiler models.
+ * The vocabulary of the per-programming-model compilers.
  *
  * Each programming model in the paper reaches the GPU through a
  * different toolchain (Table III): the AMD Catalyst OpenCL driver, the
- * CLAMP C++ AMP compiler, and PGI's OpenACC compiler.  A CompilerModel
- * captures what that toolchain makes of a kernel: the SIMD efficiency
- * of the generated ISA, the coalescing quality of its memory accesses,
- * extra launch overhead, whether LDS staging and hand optimizations are
- * honored, and how well it manages host<->device transfers.
+ * CLAMP C++ AMP compiler, and PGI's OpenACC compiler.  What that
+ * toolchain makes of a kernel - the SIMD efficiency of the generated
+ * ISA, the coalescing quality of its memory accesses, extra launch
+ * overhead, whether LDS staging and hand optimizations are honored,
+ * and how well it manages host<->device transfers - is one
+ * ir::BackendCaps row of the capability table (captable.hh), compiled
+ * by ir::compileWithCaps.  This header holds the types that row and
+ * its compiler share: the model enum, the Figure 11 feature set and
+ * the codegen result.
  *
  * Calibration rule (see DESIGN.md): the relative code-generation
  * quality of the three device compilers is calibrated ONCE from the
@@ -19,8 +23,6 @@
 
 #ifndef HETSIM_KERNELIR_CODEGEN_HH
 #define HETSIM_KERNELIR_CODEGEN_HH
-
-#include <string>
 
 #include "kernelir/kernel.hh"
 #include "sim/device.hh"
@@ -47,10 +49,11 @@ enum class ModelKind
     Cuda,
 };
 
-/** @return short identifier, e.g. "opencl". */
+/** @return short identifier, e.g. "opencl" (capsFor(kind).name). */
 const char *toString(ModelKind kind);
 
-/** @return display name as used in the paper, e.g. "C++ AMP". */
+/** @return display name as used in the paper, e.g. "C++ AMP"
+ *  (capsFor(kind).display). */
 const char *displayName(ModelKind kind);
 
 /** The optimization-capability matrix of the paper's Figure 11. */
@@ -72,47 +75,6 @@ struct Codegen : sim::CodegenResult
      */
     double chainEfficiency = 1.0;
 };
-
-/** Models one programming model's compiler / runtime code quality. */
-class CompilerModel
-{
-  public:
-    virtual ~CompilerModel() = default;
-
-    /** @return which programming model this compiler serves. */
-    virtual ModelKind kind() const = 0;
-
-    /** @return the toolchain name (paper Table III). */
-    virtual std::string toolchain() const = 0;
-
-    /** @return supported optimization features (paper Figure 11). */
-    virtual CompilerFeatures features() const = 0;
-
-    /** @return whether the runtime manages transfers itself. */
-    virtual bool managesTransfers() const { return false; }
-
-    /**
-     * @return achieved fraction of the PCIe link's effective bandwidth
-     * for this model's transfers (explicit pinned staging = 1.0;
-     * compiler-managed pageable paths lower).
-     */
-    virtual double transferEfficiency() const { return 1.0; }
-
-    /**
-     * Compile one kernel.
-     *
-     * @param desc  the kernel descriptor.
-     * @param hints the variant author's hand-tuning decisions; models
-     *              silently ignore hints they cannot express.
-     * @param spec  target device.
-     */
-    virtual Codegen compile(const KernelDescriptor &desc,
-                            const OptHints &hints,
-                            const sim::DeviceSpec &spec) const = 0;
-};
-
-/** @return the process-wide compiler model for a programming model. */
-const CompilerModel &compilerFor(ModelKind kind);
 
 } // namespace hetsim::ir
 

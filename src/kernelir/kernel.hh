@@ -13,8 +13,9 @@
  *     address-trace generators, loop-structure traits, and LDS/barrier
  *     requirements.
  *
- * The descriptor is what the per-model CompilerModel (codegen.hh)
- * consumes to decide SIMD efficiency, and what the profile resolver
+ * The descriptor is what a programming model's capability row
+ * (captable.hh, compiled by ir::compileWithCaps) consumes to decide
+ * SIMD efficiency, and what the profile resolver
  * (trace.hh) turns into a sim::KernelProfile by running the address
  * traces through the device's L2 cache model.
  */

@@ -67,26 +67,17 @@ TraceAnalysis::kindSeconds(const std::string &kind) const
 
 TraceAnalysis
 analyzeSpans(const std::vector<TraceEvent> &events,
-             const std::vector<std::string> &trackNames,
-             const AnalyzeOptions &opt)
+             const std::vector<std::string> &trackNames)
 {
     TraceAnalysis out;
 
     // Callers guarantee event.track < trackNames.size().
     auto excluded = [&](const TraceEvent &event) {
-        for (const std::string &cat : opt.excludeCats) {
-            if (event.cat == cat)
-                return true;
-        }
-        const std::string &track = trackNames[event.track];
-        for (const std::string &prefix : opt.excludeTrackPrefixes) {
-            if (track.compare(0, prefix.size(), prefix) == 0)
-                return true;
-        }
-        if (opt.excludeWorkerSessionTracks &&
-            isWorkerSessionTrack(track))
+        if (event.cat == "run" || event.cat == "serve")
             return true;
-        return false;
+        const std::string &track = trackNames[event.track];
+        return track.starts_with("serve/") ||
+               isWorkerSessionTrack(track);
     };
 
     std::vector<Span> spans;
@@ -215,9 +206,9 @@ analyzeSpans(const std::vector<TraceEvent> &events,
 }
 
 TraceAnalysis
-analyzeTrace(const Tracer &tracer, const AnalyzeOptions &opt)
+analyzeTrace(const Tracer &tracer)
 {
-    return analyzeSpans(tracer.snapshot(), tracer.trackNames(), opt);
+    return analyzeSpans(tracer.snapshot(), tracer.trackNames());
 }
 
 } // namespace hetsim::obs

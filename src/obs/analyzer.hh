@@ -67,17 +67,6 @@ struct AttributionBucket
     u64 segments = 0;
 };
 
-/** Span filter; the defaults drop host wall-clock material. */
-struct AnalyzeOptions
-{
-    /** Categories excluded from the analysis. */
-    std::vector<std::string> excludeCats{"run", "serve"};
-    /** Track-name prefixes excluded from the analysis. */
-    std::vector<std::string> excludeTrackPrefixes{"serve/"};
-    /** Drop per-worker-session relabeled tracks ("w<digits>/..."). */
-    bool excludeWorkerSessionTracks = true;
-};
-
 /** Where the simulated time went, for one traced run. */
 struct TraceAnalysis
 {
@@ -101,14 +90,17 @@ struct TraceAnalysis
  *  serving-session relabeled device track). */
 bool isWorkerSessionTrack(const std::string &track);
 
-/** Analyze raw events against @p trackNames (indexed by TrackId). */
+/**
+ * Analyze raw events against @p trackNames (indexed by TrackId).
+ * Host wall-clock material is left out: spans of category "run" or
+ * "serve", tracks under "serve/", and per-worker-session relabeled
+ * tracks ("w<digits>/...").
+ */
 TraceAnalysis analyzeSpans(const std::vector<TraceEvent> &events,
-                           const std::vector<std::string> &trackNames,
-                           const AnalyzeOptions &opt = {});
+                           const std::vector<std::string> &trackNames);
 
 /** Analyze a tracer's current snapshot. */
-TraceAnalysis analyzeTrace(const Tracer &tracer,
-                           const AnalyzeOptions &opt = {});
+TraceAnalysis analyzeTrace(const Tracer &tracer);
 
 } // namespace hetsim::obs
 

@@ -22,12 +22,38 @@ defaultBounds()
     return bounds;
 }
 
-void
-recordInto(Histogram &hist, double value)
+/** @return @p name's histogram, created with decade bounds on first
+ *  use. */
+Histogram &
+histogramSlot(std::map<std::string, Histogram, std::less<>> &histograms,
+              std::string_view name)
 {
-    size_t bucket = std::lower_bound(hist.bounds.begin(),
-                                     hist.bounds.end(), value) -
-                    hist.bounds.begin();
+    auto it = histograms.find(name);
+    if (it == histograms.end())
+        it = histograms.emplace(name, makeHistogram(defaultBounds())).first;
+    return it->second;
+}
+
+} // namespace
+
+Histogram
+makeHistogram(std::vector<double> bounds)
+{
+    Histogram hist;
+    std::sort(bounds.begin(), bounds.end());
+    hist.counts.assign(bounds.size() + 1, 0);
+    hist.bounds = std::move(bounds);
+    return hist;
+}
+
+void
+histogramObserve(Histogram &hist, double value)
+{
+    if (hist.counts.size() != hist.bounds.size() + 1)
+        hist.counts.assign(hist.bounds.size() + 1, 0);
+    const size_t bucket = std::lower_bound(hist.bounds.begin(),
+                                           hist.bounds.end(), value) -
+                          hist.bounds.begin();
     hist.counts[bucket] += 1;
     if (hist.count == 0) {
         hist.min = value;
@@ -40,23 +66,12 @@ recordInto(Histogram &hist, double value)
     hist.sum += value;
 }
 
-/** @return @p name's histogram, created with decade bounds on first
- *  use. */
-Histogram &
-histogramSlot(std::map<std::string, Histogram, std::less<>> &histograms,
-              std::string_view name)
+Percentiles
+histogramPercentiles(const Histogram &hist)
 {
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-        Histogram hist;
-        hist.bounds = defaultBounds();
-        hist.counts.assign(hist.bounds.size() + 1, 0);
-        it = histograms.emplace(name, std::move(hist)).first;
-    }
-    return it->second;
+    return percentilesFromBuckets(hist.bounds, hist.counts, hist.min,
+                                  hist.max, hist.sum);
 }
-
-} // namespace
 
 void
 Metrics::add(std::string_view name, double delta)
@@ -82,11 +97,7 @@ Metrics::defineHistogram(std::string_view name, std::vector<double> bounds)
     std::lock_guard<std::mutex> lock(mtx);
     if (histograms.find(name) != histograms.end())
         return; // first definition wins; observations keep buckets
-    Histogram hist;
-    std::sort(bounds.begin(), bounds.end());
-    hist.counts.assign(bounds.size() + 1, 0);
-    hist.bounds = std::move(bounds);
-    histograms.emplace(name, std::move(hist));
+    histograms.emplace(name, makeHistogram(std::move(bounds)));
 }
 
 void
@@ -95,7 +106,7 @@ Metrics::observe(std::string_view name, double value)
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mtx);
-    recordInto(histogramSlot(histograms, name), value);
+    histogramObserve(histogramSlot(histograms, name), value);
 }
 
 void
@@ -107,7 +118,7 @@ Metrics::observeMany(std::string_view name,
     std::lock_guard<std::mutex> lock(mtx);
     Histogram &hist = histogramSlot(histograms, name);
     for (double value : values)
-        recordInto(hist, value);
+        histogramObserve(hist, value);
 }
 
 double
@@ -174,8 +185,7 @@ Metrics::dumpJson(std::ostream &os) const
         if (!first)
             os << ',';
         first = false;
-        const Percentiles pct = percentilesFromBuckets(
-            hist.bounds, hist.counts, hist.min, hist.max, hist.sum);
+        const Percentiles pct = histogramPercentiles(hist);
         json::writeString(os, name);
         os << ":{\"count\":" << hist.count
            << ",\"sum\":" << hist.sum << ",\"min\":" << hist.min

@@ -51,6 +51,15 @@ struct Histogram
     double max = 0.0;
 };
 
+/** @return an empty histogram with the given bounds, sorted. */
+Histogram makeHistogram(std::vector<double> bounds);
+
+/** Record @p value into @p hist. */
+void histogramObserve(Histogram &hist, double value);
+
+/** @return p50/p90/p99 of @p hist at bucket resolution. */
+Percentiles histogramPercentiles(const Histogram &hist);
+
 /** Thread-safe registry of named counters, gauges, and histograms. */
 class Metrics
 {

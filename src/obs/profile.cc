@@ -221,10 +221,10 @@ classifyRun(const TraceAnalysis &analysis,
 
 ProfileReport
 buildProfile(const Tracer &tracer, const Profiler &profiler,
-             const FlightRecorder &recorder, const AnalyzeOptions &opt)
+             const FlightRecorder &recorder)
 {
     ProfileReport report;
-    report.analysis = analyzeTrace(tracer, opt);
+    report.analysis = analyzeTrace(tracer);
     report.observations = profiler.observations();
     report.bottleneck = classifyRun(report.analysis, report.observations);
     const Rollup rollup = profiler.rollupSnapshot();

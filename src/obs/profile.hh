@@ -159,8 +159,7 @@ std::string classifyRun(const TraceAnalysis &analysis,
 /** Assemble a report from the process-wide collectors. */
 ProfileReport buildProfile(const Tracer &tracer,
                            const Profiler &profiler,
-                           const FlightRecorder &recorder,
-                           const AnalyzeOptions &opt = {});
+                           const FlightRecorder &recorder);
 
 /**
  * Serialize the report as one self-contained JSON object, schema

@@ -5,36 +5,6 @@
 namespace hetsim::obs
 {
 
-Histogram
-makeHistogram(std::vector<double> bounds)
-{
-    Histogram hist;
-    std::sort(bounds.begin(), bounds.end());
-    hist.counts.assign(bounds.size() + 1, 0);
-    hist.bounds = std::move(bounds);
-    return hist;
-}
-
-void
-histogramObserve(Histogram &hist, double value)
-{
-    if (hist.counts.size() != hist.bounds.size() + 1)
-        hist.counts.assign(hist.bounds.size() + 1, 0);
-    const size_t bucket = std::lower_bound(hist.bounds.begin(),
-                                           hist.bounds.end(), value) -
-                          hist.bounds.begin();
-    hist.counts[bucket] += 1;
-    if (hist.count == 0) {
-        hist.min = value;
-        hist.max = value;
-    } else {
-        hist.min = std::min(hist.min, value);
-        hist.max = std::max(hist.max, value);
-    }
-    hist.count += 1;
-    hist.sum += value;
-}
-
 bool
 histogramMerge(Histogram &into, const Histogram &from)
 {
@@ -56,13 +26,6 @@ histogramMerge(Histogram &into, const Histogram &from)
     into.min = std::min(into.min, from.min);
     into.max = std::max(into.max, from.max);
     return matched;
-}
-
-Percentiles
-histogramPercentiles(const Histogram &hist)
-{
-    return percentilesFromBuckets(hist.bounds, hist.counts, hist.min,
-                                  hist.max, hist.sum);
 }
 
 namespace

@@ -34,21 +34,12 @@
 namespace hetsim::obs
 {
 
-/** @return an empty histogram with the given ascending bounds. */
-Histogram makeHistogram(std::vector<double> bounds);
-
-/** Record @p value into @p hist. */
-void histogramObserve(Histogram &hist, double value);
-
 /**
  * Merge @p from into @p into by per-bucket addition.  The bounds must
  * match; mismatched histograms merge count/sum/min/max only and leave
  * @p into's buckets untouched.  @return whether the bounds matched.
  */
 bool histogramMerge(Histogram &into, const Histogram &from);
-
-/** @return p50/p90/p99 of @p hist at bucket resolution. */
-Percentiles histogramPercentiles(const Histogram &hist);
 
 /** One node's bounded metric summary. */
 struct ShardSummary

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/flatjson.hh"
+#include "sim/device.hh"
 #include "sim/timeline.hh"
 
 namespace hetsim::power
@@ -14,19 +15,13 @@ namespace hetsim::power
 namespace
 {
 
-/** CLI device aliases, matching coexec::DevicePool::parse. */
-std::optional<std::string>
-specNameForAlias(const std::string &alias)
+/** @return the spec name of the preset @p name spells, else @p name
+ *  (a full spec name, "default", or an unknown device). */
+std::string
+specNameFor(const std::string &name)
 {
-    if (alias == "cpu")
-        return "AMD A10-7850K (CPU)";
-    if (alias == "apu")
-        return "AMD A10-7850K (GPU)";
-    if (alias == "dgpu")
-        return "AMD Radeon R9 280X";
-    if (alias == "hd7950")
-        return "AMD Radeon HD 7950";
-    return std::nullopt;
+    const sim::DevicePreset *preset = sim::presetByName(name);
+    return preset != nullptr ? preset->make().name : name;
 }
 
 } // namespace
@@ -77,9 +72,7 @@ PowerTable::load(std::istream &is, const std::string &path,
                     ": missing string key \"device\"";
             return std::nullopt;
         }
-        std::string deviceName = deviceIt->second.text;
-        if (auto specName = specNameForAlias(deviceName))
-            deviceName = *specName;
+        const std::string deviceName = specNameFor(deviceIt->second.text);
 
         DevicePower draw = deviceName == "default"
                                ? table.fallback
@@ -229,10 +222,8 @@ double
 energyOfBusy(const PowerTable &table, const std::string &deviceName,
              double busySeconds, double makespanSeconds)
 {
-    std::string name = deviceName;
-    if (auto specName = specNameForAlias(deviceName))
-        name = *specName;
-    const ResourcePower &draw = table.powerFor(name).compute;
+    const ResourcePower &draw =
+        table.powerFor(specNameFor(deviceName)).compute;
     double idleSeconds = makespanSeconds - busySeconds;
     if (idleSeconds < 0.0)
         idleSeconds = 0.0;

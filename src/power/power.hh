@@ -26,8 +26,8 @@
  *    "dma_idle_w": 2, "dma_busy_w": 12, "host_idle_w": 10,
  *    "host_busy_w": 45}
  *
- * `"device"` takes the CLI aliases (dgpu/apu/cpu/hd7950) or a full
- * spec name; the special name `"default"` replaces the fallback row
+ * `"device"` takes any sim::deviceByName() spelling or a full spec
+ * name; the special name `"default"` replaces the fallback row
  * used for unknown devices.
  */
 
@@ -139,7 +139,8 @@ EnergyReport energyOf(const sim::Timeline &timeline,
 /**
  * Energy of a run known only by aggregate (device kind, busy seconds,
  * makespan) - the fleet-rollup path, where per-node timelines are
- * never materialized.  Uses the compute-queue draw of @p deviceName.
+ * never materialized.  Uses the compute-queue draw of @p deviceName,
+ * a sim::deviceByName() spelling or a full spec name.
  */
 double energyOfBusy(const PowerTable &table,
                     const std::string &deviceName, double busySeconds,

@@ -37,8 +37,7 @@ ScopedSessionLabel::~ScopedSessionLabel()
 RuntimeContext::RuntimeContext(sim::DeviceSpec spec_, ir::ModelKind model,
                                Precision prec)
     : spec(std::move(spec_)),
-      modelKind(model),
-      compilerModel(&ir::compilerFor(model)),
+      caps(ir::capsFor(model)),
       prec(prec),
       clocks(spec.stockFreq()),
       resolver(spec)
@@ -142,7 +141,7 @@ RuntimeContext::scheduleTransfer(BufferId buf, bool to_device,
     }
 
     const double seconds = pcie.transferSeconds(info.bytes) /
-                           compilerModel->transferEfficiency();
+                           caps.transferEfficiency;
     const sim::TaskId task = timeline.schedule(
         to_device ? dmaH2D : dmaD2H, seconds, dep,
         sim::Timeline::SpanInfo{
@@ -196,10 +195,10 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
         fatal("kernel %s launched with zero items", desc.name.c_str());
 
     if (desc.loop.needsBarriers &&
-        !compilerModel->features().fineGrainedSync) {
+        !caps.features.fineGrainedSync) {
         fatal("kernel %s requires work-group barriers which %s cannot "
               "express; restructure the algorithm for this model",
-              desc.name.c_str(), displayName(modelKind));
+              desc.name.c_str(), caps.display);
     }
 
     // Functional execution (real results) on the host pool.
@@ -207,7 +206,7 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
         cpu::ThreadPool::global().parallelFor(items, body);
 
     // Temporal modeling (memoized across repeated launches).
-    ir::Codegen cg = compilerModel->compile(desc, hints, spec);
+    ir::Codegen cg = ir::compileWithCaps(caps, desc, hints, spec);
     sim::TimingEntry eval =
         ir::memoizedTiming(resolver, spec, clocks, prec, desc, items,
                            hints.workgroupSize, cg);
@@ -230,7 +229,7 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
     count("kernel.launch_overhead_seconds", timing.launchSeconds);
     // In --metrics-out but not in --stats.
     obs::Metrics::global().add("kernel.items", static_cast<double>(items));
-    ir::observeLaunch(spec, modelKind, clocks, prec, desc, items,
+    ir::observeLaunch(spec, caps.kind, clocks, prec, desc, items,
                       hints.workgroupSize, timing);
     return task;
 }

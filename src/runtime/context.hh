@@ -4,10 +4,10 @@
  * frontends lower to.
  *
  * A context binds a device (sim::DeviceSpec), a programming model's
- * compiler (ir::CompilerModel), an element precision and a frequency
- * domain.  Frontends create buffers, move data (explicitly or through
- * the managed-residency helpers), and launch kernels.  A launch does
- * two things:
+ * capability row (ir::BackendCaps, which is also its compiler), an
+ * element precision and a frequency domain.  Frontends create
+ * buffers, move data (explicitly or through the managed-residency
+ * helpers), and launch kernels.  A launch does two things:
  *
  *  - functionally executes the kernel body on the host thread pool so
  *    the application computes its real results, and
@@ -31,7 +31,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "kernelir/codegen.hh"
+#include "kernelir/captable.hh"
 #include "kernelir/kernel.hh"
 #include "kernelir/trace.hh"
 #include "sim/device.hh"
@@ -102,7 +102,7 @@ class RuntimeContext
     void setFunctionalExecution(bool on) { functional = on; }
 
     const sim::DeviceSpec &device() const { return spec; }
-    ir::ModelKind model() const { return modelKind; }
+    ir::ModelKind model() const { return caps.kind; }
     Precision precision() const { return prec; }
 
     // --- Buffers --------------------------------------------------------
@@ -209,8 +209,7 @@ class RuntimeContext
     void count(std::string_view name, double delta);
 
     sim::DeviceSpec spec;
-    ir::ModelKind modelKind;
-    const ir::CompilerModel *compilerModel;
+    const ir::BackendCaps &caps;
     Precision prec;
     sim::FreqDomain clocks;
     sim::PcieLink pcie;

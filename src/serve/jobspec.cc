@@ -291,9 +291,9 @@ jobClassKey(const JobSpec &spec)
                formatDouble(spec.faultConfig.launchFailRate) + ":" +
                formatDouble(spec.faultConfig.stallRate) + ":" +
                std::to_string(spec.faultConfig.retryMax) + ":" +
-               formatDouble(spec.faultConfig.backoffSeconds) + ":" +
+               formatDouble(fault::kBackoffSeconds) + ":" +
                spec.faultConfig.failDevice + ":" +
-               std::to_string(spec.faultConfig.failAfterChunks);
+               std::to_string(fault::kFailAfterChunks);
     }
     return key;
 }

@@ -546,22 +546,7 @@ Server::recordResult(JobResult result)
     if (recorder.enabled() && result.status != JobStatus::Ok) {
         obs::FlightRecord rec;
         rec.jobId = result.id;
-        switch (result.status) {
-          case JobStatus::Error:
-            rec.kind = "error";
-            break;
-          case JobStatus::Rejected:
-            rec.kind = "rejected";
-            break;
-          case JobStatus::Shed:
-            rec.kind = "shed";
-            break;
-          case JobStatus::Expired:
-            rec.kind = "expired";
-            break;
-          case JobStatus::Ok:
-            break;
-        }
+        rec.kind = toString(result.status);
         rec.what = result.app;
         rec.where = result.worker >= 0
                         ? "w" + std::to_string(result.worker)

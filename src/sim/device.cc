@@ -1,5 +1,7 @@
 #include "device.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -168,31 +170,67 @@ a10_7850kCpu()
     return spec;
 }
 
+namespace
+{
+
+constexpr DevicePreset kPresets[] = {
+    {radeonR9_280X, {"dgpu", "r9-280x", "280x"}, 1},
+    {radeonHd7950, {"hd7950", nullptr, nullptr}, 0},
+    {a10_7850kGpu, {"apu", "igpu", "a10-7850k"}, 2},
+    {a10_7850kCpu, {"cpu", nullptr, nullptr}, 1},
+};
+
+/** @return whether @p name is the lower-case @p spelling in any
+ *  letter case. */
+bool
+sameSpelling(std::string_view spelling, std::string_view name)
+{
+    return std::equal(spelling.begin(), spelling.end(), name.begin(),
+                      name.end(), [](char a, unsigned char b) {
+                          return a == std::tolower(b);
+                      });
+}
+
+} // namespace
+
+bool
+DevicePreset::namesType(std::string_view name) const
+{
+    for (size_t i = 0; i < typeSpellings; ++i) {
+        if (sameSpelling(spellings[i], name))
+            return true;
+    }
+    return false;
+}
+
+const DevicePreset *
+presetByName(std::string_view name)
+{
+    for (const DevicePreset &preset : kPresets) {
+        for (const char *spelling : preset.spellings) {
+            if (spelling != nullptr && sameSpelling(spelling, name))
+                return &preset;
+        }
+    }
+    return nullptr;
+}
+
 DeviceSpec
 deviceFor(DeviceType type)
 {
-    switch (type) {
-      case DeviceType::DiscreteGpu:
-        return radeonR9_280X();
-      case DeviceType::IntegratedGpu:
-        return a10_7850kGpu();
-      case DeviceType::Cpu:
-        return a10_7850kCpu();
+    for (const DevicePreset &preset : kPresets) {
+        DeviceSpec spec = preset.make();
+        if (spec.type == type)
+            return spec;
     }
-    fatal("unknown device type");
+    fatal("no device preset of type %s", toString(type));
 }
 
 std::optional<DeviceSpec>
 deviceByName(const std::string &name)
 {
-    if (name == "dgpu" || name == "r9-280x")
-        return radeonR9_280X();
-    if (name == "hd7950")
-        return radeonHd7950();
-    if (name == "apu" || name == "a10-7850k")
-        return a10_7850kGpu();
-    if (name == "cpu")
-        return a10_7850kCpu();
+    if (const DevicePreset *preset = presetByName(name))
+        return preset->make();
     return std::nullopt;
 }
 

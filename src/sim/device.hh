@@ -12,8 +12,10 @@
 #ifndef HETSIM_SIM_DEVICE_HH
 #define HETSIM_SIM_DEVICE_HH
 
+#include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.hh"
 
@@ -161,17 +163,42 @@ DeviceSpec a10_7850kGpu();
 DeviceSpec a10_7850kCpu();
 
 /**
+ * One device preset and the names it answers to: the one table every
+ * layer that takes a device name reads (the CLI's --device, coexec
+ * --devices pools, serve jobs, fleet topologies, --power-model rows
+ * and --fail-device).
+ */
+struct DevicePreset
+{
+    /** Builds the preset's spec. */
+    DeviceSpec (*make)();
+    /** Accepted spellings, lower case, canonical first; unused slots
+     *  are nullptr.  Lookups ignore letter case. */
+    std::array<const char *, 3> spellings;
+    /** How many leading spellings name every device of the preset's
+     *  type when selecting devices (--fail-device dgpu also names the
+     *  HD 7950); the rest name this preset only. */
+    size_t typeSpellings = 0;
+
+    /** @return the canonical spelling, e.g. "dgpu". */
+    const char *canonical() const { return spellings[0]; }
+
+    /** @return whether @p name is one of the leading typeSpellings. */
+    bool namesType(std::string_view name) const;
+};
+
+/** @return the preset @p name spells (any letter case), or nullptr. */
+const DevicePreset *presetByName(std::string_view name);
+
+/**
  * @return the Table II preset for a device type: the R9 280X, the
- * A10-7850K's GPU or its CPU.  The one DeviceType -> DeviceSpec map
- * every frontend's by-type constructor goes through.
+ * A10-7850K's GPU or its CPU, i.e. the first preset of that type.
+ * The one DeviceType -> DeviceSpec map every frontend's by-type
+ * constructor goes through.
  */
 DeviceSpec deviceFor(DeviceType type);
 
-/**
- * @return the device spec for a CLI alias (dgpu/r9-280x, hd7950,
- * apu/a10-7850k, cpu), if valid.  Shared by the CLI and the serve
- * layer's JobSpec resolution.
- */
+/** @return the spec of the preset @p name spells, if any. */
 std::optional<DeviceSpec> deviceByName(const std::string &name);
 
 } // namespace hetsim::sim

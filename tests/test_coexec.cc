@@ -15,6 +15,7 @@
 #include "coexec/coexec.hh"
 #include "coexec/scheduler.hh"
 #include "hc/hc.hh"
+#include "sim/pcie.hh"
 
 namespace hetsim::coexec
 {
@@ -126,7 +127,7 @@ TEST(CoexecStatic, SplitFollowsRooflineThroughputRatio)
     for (size_t d = 0; d < 2; ++d) {
         double secs = predictKernelSeconds(
             pool->spec(d), Precision::Single, kernel.desc,
-            kernel.hints, kernel.items);
+            kernel.hints, kernel.items, pool->model(d));
         ASSERT_GT(secs, 0.0);
         thr[d] = static_cast<double>(kernel.items) / secs;
         sum += thr[d];
@@ -244,7 +245,7 @@ TEST(CoexecTransfers, FixedFootprintStagedOncePerDiscreteDevice)
     opts.functional = false;
     CoExecutor executor(*pool, Precision::Single);
     CoExecResult result = executor.execute(kernel, opts);
-    const double table_secs = opts.pcie.transferSeconds(
+    const double table_secs = sim::PcieLink{}.transferSeconds(
         static_cast<u64>(kernel.h2dBytesFixed));
     EXPECT_GE(result.devices[1].transferSeconds, table_secs);
 }

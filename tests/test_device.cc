@@ -1,10 +1,19 @@
 /**
  * @file
- * Tests for the device presets (paper Table II) and derived rates.
+ * Tests for the device presets (paper Table II), derived rates, and
+ * the device spellings every layer resolves through.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "coexec/coexec.hh"
+#include "fault/fault.hh"
+#include "power/power.hh"
 #include "sim/device.hh"
 
 namespace hetsim::sim
@@ -94,6 +103,129 @@ TEST(Device, MissLatencyFallsWithBothClocks)
     // Core-only change still reduces latency (on-chip portion).
     EXPECT_GT(spec.missLatencySeconds({300, 1500}),
               spec.missLatencySeconds(fast));
+}
+
+/** One accepted device spelling and the preset it names. */
+struct Spelling
+{
+    std::string name;
+    /** Spec name of the preset the spelling resolves to. */
+    std::string spec;
+    /** The pool name DevicePool::parse prints for it. */
+    std::string pool;
+};
+
+const std::string kR9 = "AMD Radeon R9 280X";
+const std::string kHd7950 = "AMD Radeon HD 7950";
+const std::string kApu = "AMD A10-7850K (GPU)";
+const std::string kCpu = "AMD A10-7850K (CPU)";
+
+/** @return the preset named @p specName. */
+DeviceSpec
+presetNamed(const std::string &specName)
+{
+    for (const DeviceSpec &spec : {radeonR9_280X(), radeonHd7950(),
+                                   a10_7850kGpu(), a10_7850kCpu()}) {
+        if (spec.name == specName)
+            return spec;
+    }
+    ADD_FAILURE() << "no preset named " << specName;
+    return {};
+}
+
+/** Pins one spelling in the four contexts that resolve devices. */
+void
+expectResolves(const Spelling &s)
+{
+    // The CLI's --device and the serve layer's "device" key.
+    auto device = deviceByName(s.name);
+    ASSERT_TRUE(device.has_value()) << s.name;
+    EXPECT_EQ(device->name, s.spec) << s.name;
+
+    // coexec --devices: the spec, and the canonical pool name.
+    auto pool = coexec::DevicePool::parse(s.name);
+    ASSERT_TRUE(pool.has_value()) << s.name;
+    ASSERT_EQ(pool->size(), 1u) << s.name;
+    EXPECT_EQ(pool->spec(0).name, s.spec) << s.name;
+    EXPECT_EQ(pool->name(), s.pool) << s.name;
+    auto withCpu = coexec::DevicePool::parse("cpu+" + s.name);
+    ASSERT_TRUE(withCpu.has_value()) << s.name;
+    EXPECT_EQ(withCpu->name(), "cpu+" + s.pool) << s.name;
+
+    // --power-model "device" rows and energyOfBusy.
+    std::istringstream is("{\"device\": \"" + s.name +
+                          "\", \"compute_busy_w\": 77.5}\n");
+    std::string error;
+    auto table = power::PowerTable::load(is, "p.jsonl", error);
+    ASSERT_TRUE(table.has_value()) << error;
+    EXPECT_EQ(table->powerFor(s.spec).compute.busyWatts, 77.5)
+        << s.name;
+    const power::PowerTable builtin;
+    EXPECT_EQ(power::energyOfBusy(builtin, s.name, 2.0, 10.0),
+              power::energyOfBusy(builtin, s.spec, 2.0, 10.0))
+        << s.name;
+
+    // --fail-device.
+    EXPECT_TRUE(fault::matchesDevice(presetNamed(s.spec), s.name))
+        << s.name;
+}
+
+TEST(DeviceTable, EverySpellingResolves)
+{
+    const std::vector<Spelling> spellings = {
+        {"dgpu", kR9, "dgpu"},
+        {"r9-280x", kR9, "dgpu"},
+        {"280x", kR9, "dgpu"},
+        {"hd7950", kHd7950, "hd7950"},
+        {"apu", kApu, "apu"},
+        {"igpu", kApu, "apu"},
+        {"a10-7850k", kApu, "apu"},
+        {"cpu", kCpu, "cpu"},
+    };
+    for (const Spelling &s : spellings) {
+        expectResolves(s);
+        std::string upper = s.name;
+        for (char &c : upper)
+            c = static_cast<char>(std::toupper(
+                static_cast<unsigned char>(c)));
+        expectResolves({upper, s.spec, s.pool});
+    }
+
+    // Type aliases: gpu names every GPU, dgpu every discrete board,
+    // apu/igpu the integrated GPU, cpu the host.
+    EXPECT_TRUE(fault::matchesDevice(radeonHd7950(), "gpu"));
+    EXPECT_TRUE(fault::matchesDevice(a10_7850kGpu(), "GPU"));
+    EXPECT_FALSE(fault::matchesDevice(a10_7850kCpu(), "gpu"));
+    EXPECT_TRUE(fault::matchesDevice(radeonHd7950(), "dgpu"));
+    EXPECT_FALSE(fault::matchesDevice(a10_7850kGpu(), "dgpu"));
+    EXPECT_FALSE(fault::matchesDevice(radeonR9_280X(), "igpu"));
+    // A preset's own spelling names that preset only.
+    EXPECT_FALSE(fault::matchesDevice(radeonR9_280X(), "hd7950"));
+    EXPECT_FALSE(fault::matchesDevice(radeonHd7950(), "r9-280x"));
+    EXPECT_FALSE(fault::matchesDevice(radeonHd7950(), "280x"));
+    // Full spec names, any case.
+    for (const DeviceSpec &spec : {radeonR9_280X(), radeonHd7950(),
+                                   a10_7850kGpu(), a10_7850kCpu()}) {
+        EXPECT_TRUE(fault::matchesDevice(spec, spec.name)) << spec.name;
+        std::istringstream is("{\"device\": \"" + spec.name +
+                              "\", \"compute_busy_w\": 77.5}\n");
+        std::string error;
+        auto table = power::PowerTable::load(is, "p.jsonl", error);
+        ASSERT_TRUE(table.has_value()) << error;
+        EXPECT_EQ(table->powerFor(spec.name).compute.busyWatts, 77.5);
+    }
+
+    // Unknown spellings stay unknown everywhere.
+    for (const char *bad : {"", "fpga", "gpu", "r9", "7950", "cpu "}) {
+        EXPECT_FALSE(deviceByName(bad).has_value()) << bad;
+        EXPECT_FALSE(coexec::DevicePool::parse(bad).has_value()) << bad;
+    }
+    EXPECT_FALSE(fault::matchesDevice(a10_7850kCpu(), "fpga"));
+    EXPECT_FALSE(fault::matchesDevice(a10_7850kCpu(), ""));
+    // Each type's preset is that type's first table row.
+    EXPECT_EQ(deviceFor(DeviceType::DiscreteGpu).name, kR9);
+    EXPECT_EQ(deviceFor(DeviceType::IntegratedGpu).name, kApu);
+    EXPECT_EQ(deviceFor(DeviceType::Cpu).name, kCpu);
 }
 
 } // namespace

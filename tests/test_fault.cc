@@ -134,7 +134,7 @@ TEST(FaultPlan_, DefaultConstructedIsInert)
     EXPECT_FALSE(plan.failTransfer("x"));
     EXPECT_FALSE(plan.failLaunch("x"));
     EXPECT_FALSE(plan.stallDevice("x"));
-    EXPECT_FALSE(plan.anyDead());
+    EXPECT_FALSE(plan.isDead("x"));
     EXPECT_TRUE(plan.schedule().empty());
 }
 
@@ -202,19 +202,15 @@ TEST(FaultPlan_, HealthStateMachine)
     FaultConfig cfg;
     cfg.transferFailRate = 0.5;
     FaultPlan plan(cfg);
-    EXPECT_EQ(plan.health("d"), fault::DeviceHealth::Healthy);
-    plan.degrade("d");
-    EXPECT_EQ(plan.health("d"), fault::DeviceHealth::Degraded);
+    EXPECT_FALSE(plan.isDead("d"));
     plan.markDead("d");
-    EXPECT_EQ(plan.health("d"), fault::DeviceHealth::Dead);
-    EXPECT_TRUE(plan.anyDead());
-    // Dead is sticky: a later degrade cannot resurrect the device,
-    // and a second markDead records no second death event.
-    const size_t deaths = plan.schedule().size();
-    plan.degrade("d");
+    EXPECT_TRUE(plan.isDead("d"));
+    ASSERT_EQ(plan.schedule().size(), 1u);
+    EXPECT_EQ(plan.schedule()[0].kind, fault::FaultKind::DeviceDeath);
+    // Dead is sticky: a second markDead records no second death event.
     plan.markDead("d");
-    EXPECT_EQ(plan.health("d"), fault::DeviceHealth::Dead);
-    EXPECT_EQ(plan.schedule().size(), deaths);
+    EXPECT_TRUE(plan.isDead("d"));
+    EXPECT_EQ(plan.schedule().size(), 1u);
 }
 
 // --- Co-execution under faults -----------------------------------------
@@ -295,8 +291,7 @@ TEST(CoexecFault, FailDeviceDegradesGracefullyBitwiseCorrect)
     EXPECT_GE(result.chunkRescues, 1u);
     ASSERT_EQ(result.deadDevices.size(), 1u);
     EXPECT_EQ(result.deadDevices[0], pool->spec(1).name);
-    EXPECT_EQ(plan.health(pool->spec(1).name),
-              fault::DeviceHealth::Dead);
+    EXPECT_TRUE(plan.isDead(pool->spec(1).name));
 
     // Exactly-once item coverage despite the rescue: bitwise-correct
     // functional results relative to any fault-free run.
@@ -333,6 +328,27 @@ TEST(CoexecFault, FailDeviceChecksumMatchesCpuOnly)
     // A pool that loses its GPU mid-run computes the same checksum as
     // a CPU-only pool (and validates against the serial core).
     EXPECT_DOUBLE_EQ(run("cpu+dgpu", "gpu"), run("cpu", nullptr));
+}
+
+TEST(CoexecFault, FailDeviceByPresetSpellingKillsThatPreset)
+{
+    auto pool = DevicePool::parse("cpu+hd7950");
+    ASSERT_TRUE(pool.has_value());
+    auto kernel =
+        apps::coex::makeReadmemCoKernel(0.05, Precision::Single);
+    FaultConfig cfg;
+    cfg.failDevice = "hd7950";
+    FaultPlan plan(cfg);
+    ExecOptions opts;
+    opts.functional = true;
+    opts.faults = &plan;
+    coexec::CoExecutor executor(*pool, Precision::Single);
+    const CoExecResult result = executor.execute(kernel, opts);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_TRUE(result.validated);
+    ASSERT_EQ(result.deadDevices.size(), 1u);
+    EXPECT_EQ(result.deadDevices[0], "AMD Radeon HD 7950");
+    EXPECT_EQ(result.faultsInjected, 1u);
 }
 
 TEST(CoexecFault, StallWatchdogRescuesChunk)

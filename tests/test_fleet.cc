@@ -849,6 +849,31 @@ TEST(FleetSim, NodeDeathsRetryTheVictimElsewhere)
     EXPECT_EQ(a->digest, b->digest);
 }
 
+TEST(FleetSim, EnergyIsTheSameForEveryDeviceSpelling)
+{
+    // One campaign on R9 280X nodes, spelled two ways: the nodes are
+    // the same board, so they must draw the same power.
+    auto run = [](const std::string &device) {
+        std::istringstream is("{\"device\": \"" + device +
+                              "\", \"count\": 4}\n");
+        std::string error;
+        auto topo = fleet::parseTopology(is, error);
+        EXPECT_TRUE(topo.has_value()) << error;
+        fleet::FleetConfig cfg = tinyConfig(500);
+        for (fleet::JobClass &cls : cfg.classes)
+            cls.secondsByDevice = {{device, cls.secondsByDevice["dgpu"]}};
+        auto res = fleet::simulateFleet(*topo, cfg, error);
+        EXPECT_TRUE(res.has_value()) << error;
+        return *res;
+    };
+    const fleet::FleetResult dgpu = run("dgpu");
+    const fleet::FleetResult r9 = run("r9-280x");
+    EXPECT_EQ(r9.digest, dgpu.digest);
+    EXPECT_EQ(r9.makespanSeconds, dgpu.makespanSeconds);
+    EXPECT_GT(dgpu.energyJoules, 0.0);
+    EXPECT_EQ(r9.energyJoules, dgpu.energyJoules);
+}
+
 TEST(FleetSim, TransientFaultsLengthenTheCampaign)
 {
     const fleet::Topology topo = mixedTopology(1);
