@@ -4,7 +4,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
@@ -75,21 +75,24 @@ DevicePool::DevicePool(std::vector<sim::DeviceSpec> specs_)
 std::optional<DevicePool>
 DevicePool::parse(const std::string &names)
 {
+    // Every '+'-separated token must name a device: an empty one
+    // (leading, doubled or trailing '+', or no name at all) does not.
     std::vector<sim::DeviceSpec> specs;
     std::string alias_list;
-    std::stringstream ss(names);
-    std::string alias;
-    while (std::getline(ss, alias, '+')) {
-        const sim::DevicePreset *preset = sim::presetByName(alias);
+    for (size_t start = 0;;) {
+        const size_t end = names.find('+', start);
+        const sim::DevicePreset *preset = sim::presetByName(
+            std::string_view(names).substr(start, end - start));
         if (preset == nullptr)
             return std::nullopt;
         specs.push_back(preset->make());
         if (!alias_list.empty())
             alias_list += '+';
         alias_list += preset->canonical();
+        if (end == std::string::npos)
+            break;
+        start = end + 1;
     }
-    if (specs.empty())
-        return std::nullopt;
     DevicePool pool(std::move(specs));
     pool.poolName = alias_list;
     return pool;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "apps/coexec_kernels.hh"
 #include "coexec/coexec.hh"
@@ -310,25 +309,7 @@ Server::validateConfig(const ServerConfig &config)
         return std::string("default deadline must be >= 0 ms");
     if (config.defaultServiceDeadlineMs < 0.0)
         return std::string("default service deadline must be >= 0 ms");
-    if (config.autoscale) {
-        const u32 ceiling = config.maxWorkers != 0 ? config.maxWorkers
-                                                   : config.workers;
-        if (config.minWorkers == 0)
-            return std::string("autoscaler needs --min-workers >= 1");
-        if (config.minWorkers > ceiling) {
-            return std::string("autoscaler floor exceeds ceiling "
-                               "(--min-workers > --max-workers)");
-        }
-    }
     return std::nullopt;
-}
-
-u32
-Server::poolCeiling() const
-{
-    if (!cfg.autoscale)
-        return cfg.workers;
-    return cfg.maxWorkers != 0 ? cfg.maxWorkers : cfg.workers;
 }
 
 std::optional<std::string>
@@ -336,7 +317,6 @@ Server::start()
 {
     if (auto err = validateConfig(cfg))
         return err;
-    const u32 pool = poolCeiling();
     {
         std::lock_guard<std::mutex> lk(mtx);
         if (started)
@@ -344,7 +324,6 @@ Server::start()
         started = true;
         stopping = false;
         startWallSec = nowSeconds();
-        activeWorkers = cfg.autoscale ? cfg.minWorkers : pool;
     }
     obs::Metrics &metrics = obs::Metrics::global();
     metrics.defineHistogram("serve.queue_wait_ms",
@@ -352,79 +331,10 @@ Server::start()
     metrics.defineHistogram("serve.service_ms",
                             latencyBucketBoundsMs());
     metrics.set("serve.workers", cfg.workers);
-    metrics.set("serve.active_workers", activeWorkers);
-    workers.reserve(pool);
-    for (u32 w = 0; w < pool; ++w)
+    workers.reserve(cfg.workers);
+    for (u32 w = 0; w < cfg.workers; ++w)
         workers.emplace_back([this, w] { workerLoop(w); });
     return std::nullopt;
-}
-
-void
-Server::maybeScaleUp()
-{
-    // Caller holds mtx.  Raises only; the gate falls on drain.
-    if (!cfg.autoscale)
-        return;
-    const u32 ceiling = poolCeiling();
-    u32 target = activeWorkers;
-    const char *reason = nullptr;
-    if (cfg.autoscaleBacklogSeconds > 0.0 &&
-        predictedBacklogSeconds > 0.0) {
-        // Surrogate-predicted backlog: enough workers that each holds
-        // at most the configured horizon of predicted work.
-        target = static_cast<u32>(std::ceil(
-            predictedBacklogSeconds / cfg.autoscaleBacklogSeconds));
-        reason = "backlog";
-    } else if (cfg.scaleUpQueueFactor > 0.0) {
-        const double depth = static_cast<double>(queue.size());
-        if (depth > static_cast<double>(activeWorkers) *
-                        cfg.scaleUpQueueFactor) {
-            target = static_cast<u32>(
-                std::ceil(depth / cfg.scaleUpQueueFactor));
-            reason = "queue-depth";
-        }
-    }
-    target = std::min(std::max(target, cfg.minWorkers), ceiling);
-    if (reason == nullptr || target <= activeWorkers)
-        return;
-    AutoscaleEvent event;
-    event.seq = autoscaleEvents.size();
-    event.atSubmitSeq = submitSeq;
-    event.fromWorkers = activeWorkers;
-    event.toWorkers = target;
-    event.queueDepth = queue.size();
-    event.backlogSeconds = predictedBacklogSeconds;
-    event.reason = reason;
-    activeWorkers = target;
-    autoscaleEvents.push_back(std::move(event));
-    obs::Metrics &metrics = obs::Metrics::global();
-    metrics.add("serve.autoscale.events");
-    metrics.set("serve.active_workers", activeWorkers);
-    // The newly opened worker slots are parked on workCv.
-    workCv.notify_all();
-}
-
-void
-Server::maybeScaleDown()
-{
-    // Caller holds mtx; called by the dequeue that emptied the queue.
-    if (!cfg.autoscale || !queue.empty() ||
-        activeWorkers <= cfg.minWorkers) {
-        return;
-    }
-    AutoscaleEvent event;
-    event.seq = autoscaleEvents.size();
-    event.atSubmitSeq = submitSeq;
-    event.fromWorkers = activeWorkers;
-    event.toWorkers = cfg.minWorkers;
-    event.queueDepth = 0;
-    event.backlogSeconds = predictedBacklogSeconds;
-    event.reason = "drained";
-    activeWorkers = cfg.minWorkers;
-    autoscaleEvents.push_back(std::move(event));
-    obs::Metrics &metrics = obs::Metrics::global();
-    metrics.add("serve.autoscale.events");
-    metrics.set("serve.active_workers", activeWorkers);
 }
 
 void
@@ -729,21 +639,8 @@ Server::submit(JobSpec spec)
     tenantQueued[spec.tenant] += 1;
     queue.push_back(QueuedJob{std::move(spec), nowSeconds(),
                               submitSeq++, depth, predictedSeconds});
-    maybeScaleUp();
     lk.unlock();
-    wakeWorker();
-}
-
-void
-Server::wakeWorker()
-{
-    // The autoscaler gates workers by index.  notify_one may pick a
-    // gated worker, which goes straight back to sleep: the wakeup is
-    // lost, and with every open slot asleep the job waits forever.
-    if (cfg.autoscale)
-        workCv.notify_all();
-    else
-        workCv.notify_one();
+    workCv.notify_one();
 }
 
 void
@@ -759,7 +656,7 @@ Server::requeueContinuation(QueuedJob job)
     predictedBacklogSeconds += job.predictedSeconds;
     tenantQueued[job.spec.tenant] += 1;
     queue.push_back(std::move(job));
-    wakeWorker();
+    workCv.notify_one();
 }
 
 void
@@ -776,9 +673,7 @@ Server::workerLoop(u32 index)
     while (true) {
         std::unique_lock<std::mutex> lk(mtx);
         workCv.wait(lk, [&] {
-            return stopping ||
-                   (!paused && !queue.empty() &&
-                    index < activeWorkers);
+            return stopping || (!paused && !queue.empty());
         });
         if (stopping)
             break;
@@ -790,7 +685,6 @@ Server::workerLoop(u32 index)
         auto queued = tenantQueued.find(job.spec.tenant);
         if (queued != tenantQueued.end() && queued->second > 0)
             queued->second -= 1;
-        maybeScaleDown();
         ++busyWorkers;
         const u64 seq = serviceSeq++;
         const double epochSec = startWallSec;
@@ -1009,9 +903,7 @@ Server::report()
     std::lock_guard<std::mutex> lk(mtx);
     ServerReport rep;
     rep.workers = cfg.workers;
-    rep.activeWorkers = activeWorkers;
     rep.preemptions = preemptionEvents;
-    rep.autoscaleEvents = autoscaleEvents;
     rep.submitted = results.size();
     std::vector<double> waits, services;
     struct TenantFold

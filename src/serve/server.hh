@@ -49,13 +49,6 @@
  * with the least weighted virtual service (served/weight, ties to the
  * lexicographically first name), then the tenant's highest-priority
  * oldest job.  Per-tenant quotas cap queued jobs per tenant.
- *
- * Autoscaling: with cfg.autoscale, dequeue is gated to the first
- * `activeWorkers` sessions of a maxWorkers-sized pool; queue depth
- * (or surrogate-predicted backlog) raises the gate at submit and a
- * drained queue lowers it, every decision recorded as an
- * AutoscaleEvent.  Scaling changes host-side concurrency only -
- * never any serialized result field.
  */
 
 #ifndef HETSIM_SERVE_SERVER_HH
@@ -133,43 +126,11 @@ struct ServerConfig
     /** Tenant weights and quotas (--tenants / --quota). */
     TenantTable tenants;
     /**
-     * Worker-pool autoscaler (--autoscale): the pool holds maxWorkers
-     * sessions but only the first `activeWorkers` (starting at
-     * minWorkers) dequeue.  At submit, the target is
-     * ceil(backlog / autoscaleBacklogSeconds) when the predicted
-     * backlog is known and the horizon is set, otherwise
-     * ceil(depth / scaleUpQueueFactor); only raises apply.  A drained
-     * queue drops the gate back to minWorkers.
-     */
-    bool autoscale = false;
-    u32 minWorkers = 1;
-    /** Autoscale pool ceiling (0 = `workers`). */
-    u32 maxWorkers = 0;
-    /** Queued jobs per active worker before scaling up. */
-    double scaleUpQueueFactor = 2.0;
-    /** Predicted-backlog horizon per worker, simulated seconds
-     *  (0 = use the queue-depth rule). */
-    double autoscaleBacklogSeconds = 0.0;
-    /**
      * Live result hook (the streaming front-end): invoked under the
      * server mutex as each terminal result records, in completion
      * order.  Must not call back into the Server.
      */
     std::function<void(const JobResult &)> onResult;
-};
-
-/** One autoscaler decision (deterministic event log). */
-struct AutoscaleEvent
-{
-    u64 seq = 0;          ///< decision order
-    u64 atSubmitSeq = 0;  ///< admissions seen when decided
-    u32 fromWorkers = 0;  ///< gate before
-    u32 toWorkers = 0;    ///< gate after
-    u64 queueDepth = 0;   ///< queue depth at the decision
-    /** Surrogate-predicted backlog, simulated seconds (0 unknown). */
-    double backlogSeconds = 0.0;
-    /** "queue-depth" | "backlog" | "drained". */
-    std::string reason;
 };
 
 /** Aggregate serving statistics after a drain. */
@@ -184,10 +145,6 @@ struct ServerReport
     /** Preemption events across all jobs (slices re-queued). */
     u64 preemptions = 0;
     u32 workers = 0;
-    /** Autoscaler gate when the report was taken. */
-    u32 activeWorkers = 0;
-    /** Autoscaler decision log, in decision order. */
-    std::vector<AutoscaleEvent> autoscaleEvents;
 
     /** Per-tenant rollup (sorted by tenant name). */
     struct TenantStats
@@ -370,18 +327,8 @@ class Server
     void recordResult(JobResult result);
     /** Echo spec fields into a fresh refusal/expiry result. */
     static JobResult specEcho(const JobSpec &spec, JobStatus status);
-    /** Autoscaler ceiling (maxWorkers defaulted from workers). */
-    u32 poolCeiling() const;
-    /** Raise the worker gate if the submit-side rule says so (caller
-     *  holds mtx). */
-    void maybeScaleUp();
-    /** Drop the gate to minWorkers on a drained queue (caller holds
-     *  mtx). */
-    void maybeScaleDown();
     /** Re-queue a preempted job's continuation (caller holds mtx). */
     void requeueContinuation(QueuedJob job);
-    /** Wake a worker for one newly queued job. */
-    void wakeWorker();
 
     ServerConfig cfg;
     std::vector<std::thread> workers;
@@ -399,9 +346,6 @@ class Server
      *  per tenant (quota accounting). */
     std::map<std::string, u64> tenantServed;
     std::map<std::string, u64> tenantQueued;
-    /** Autoscaler state: dequeue gate + decision log. */
-    u32 activeWorkers = 0;
-    std::vector<AutoscaleEvent> autoscaleEvents;
     u64 preemptionEvents = 0;
     u64 submitSeq = 0;
     u64 serviceSeq = 0;

@@ -5,12 +5,11 @@
  * `hetsim serve --stream` turns the batch server into an online one:
  * JobSpec JSONL lines arrive incrementally on an input stream, each
  * job is submitted the moment its line is read (admission, quotas,
- * fair-share, preemption, and autoscaling all apply live), and every
- * terminal result is emitted to the output stream as soon as it
- * records - in completion order, which is host-dependent.  The
- * deterministic artifact is the sorted result set (StreamOutcome /
- * --results-out), which is byte-identical at any worker count, like
- * a batch.
+ * fair-share and preemption all apply live), and every terminal
+ * result is emitted to the output stream as soon as it records - in
+ * completion order, which is host-dependent.  The deterministic
+ * artifact is the sorted result set (StreamOutcome / --results-out),
+ * which is byte-identical at any worker count, like a batch.
  *
  * Protocol grammar (line-oriented, over stdin/stdout):
  *

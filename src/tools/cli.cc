@@ -109,9 +109,8 @@ usage(std::ostream &os)
           "             [--scale f] [--results-out FILE]\n"
           "  hetsim serve --stream [--workers n] [--tenants a:3,b:1]\n"
           "             [--quota a:10] [--service-deadline-ms n]\n"
-          "             [--max-preemptions n] [--autoscale]\n"
-          "             [--min-workers n] [--max-workers n]\n"
-          "             [--results-out FILE]  < jobs.jsonl\n"
+          "             [--max-preemptions n] [--results-out FILE]\n"
+          "             < jobs.jsonl\n"
           "  hetsim fleet [--topology FILE | --nodes n] [--njobs n]\n"
           "             [--placement first-fit|least-loaded|locality]\n"
           "             [--rate jobs/s] [--slo-ms n] "
@@ -170,11 +169,7 @@ usage(std::ostream &os)
           "(0 = none)\n"
           "  --max-preemptions N preemptions a job survives before it "
           "expires\n"
-          "                      (default 16)\n"
-          "  --autoscale         queue-driven worker-pool autoscaler\n"
-          "  --min-workers N     autoscale floor (default 1)\n"
-          "  --max-workers N     autoscale ceiling (default: "
-          "--workers)\n\n"
+          "                      (default 16)\n\n"
           "fleet simulator (fleet):\n"
           "  --topology FILE     cluster topology JSONL: node groups\n"
           "                      {\"device\": \"dgpu\", \"count\": 32, "
@@ -884,9 +879,6 @@ serveConfig(const Args &args, const model::Surrogate &surrogate)
         cfg.tenants.applyWeights(args.tenants, tenant_err);
     if (!args.quota.empty())
         cfg.tenants.applyQuotas(args.quota, tenant_err);
-    cfg.autoscale = args.autoscale;
-    cfg.minWorkers = static_cast<u32>(args.minWorkers);
-    cfg.maxWorkers = static_cast<u32>(args.maxWorkers);
     if (args.predictAdmission && args.surrogate) {
         cfg.predictAdmission = true;
         cfg.surrogate = &surrogate;
@@ -988,12 +980,6 @@ printServeSummary(const serve::ServerReport &report, std::ostream &os)
     if (report.preemptions > 0)
         table.addRow({"preempted slices",
                       std::to_string(report.preemptions)});
-    if (!report.autoscaleEvents.empty()) {
-        table.addRow({"autoscale events",
-                      std::to_string(report.autoscaleEvents.size())});
-        table.addRow({"active workers (final)",
-                      std::to_string(report.activeWorkers)});
-    }
     table.print(os);
 
     // A per-tenant table only when tenancy is actually in play (more
@@ -1984,11 +1970,6 @@ const FlagSpec kFlags[] = {
      "simulated milliseconds (0 = none)", &Args::serviceDeadlineMs},
     {"--max-preemptions", Kind::Count, "a preemption count",
      &Args::maxPreemptions},
-    {"--autoscale", Kind::On, nullptr, &Args::autoscale},
-    {"--min-workers", Kind::PositiveCount, "a positive worker count",
-     &Args::minWorkers},
-    {"--max-workers", Kind::PositiveCount,
-     "a positive worker count (omit for --workers)", &Args::maxWorkers},
     {"--topology", Kind::Path, "a file path", &Args::topology},
     {"--nodes", Kind::PositiveCount, "a positive node count",
      &Args::nodes},
@@ -2118,8 +2099,6 @@ parse(const std::vector<std::string> &argv)
     if (!args.error.empty())
         return args;
 
-    const u64 ceiling =
-        args.maxWorkers != 0 ? args.maxWorkers : args.workers;
     if (args.predictAdmission && args.modelIn.empty()) {
         args.error = "--predict-admission needs --model-in FILE "
                      "(recorded job costs to predict from)";
@@ -2130,9 +2109,6 @@ parse(const std::vector<std::string> &argv)
                args.command != "coexec") {
         args.error = "--energy-out writes one run's energy report; "
                      "it is a run/coexec-verb flag";
-    } else if (args.autoscale && args.minWorkers > ceiling) {
-        args.error = "--min-workers exceeds the autoscale "
-                     "ceiling (--max-workers, default --workers)";
     } else if (args.command == "predict" && args.fitObs.empty() &&
                args.modelIn.empty()) {
         args.error = "predict needs --fit OBS_JSONL or --model-in "

@@ -77,9 +77,6 @@ struct Args
      *  coexec jobs past it are preempted at chunk boundaries. */
     u64 serviceDeadlineMs = 0;
     u64 maxPreemptions = 16; ///< preemptions before a job expires
-    bool autoscale = false;  ///< queue-driven worker-pool autoscaler
-    u64 minWorkers = 1;      ///< autoscale floor
-    u64 maxWorkers = 0;      ///< autoscale ceiling (0 = --workers)
     // --- fleet simulator (fleet verb) -------------------------------
     std::string topology;   ///< topology JSONL path ("" = built-in)
     u64 nodes = 64;         ///< built-in topology size (no --topology)

@@ -27,33 +27,14 @@
 #include "serve/jobspec.hh"
 #include "tools/cli.hh"
 
+#include "temp_file.hh"
+
 namespace hetsim::cli
 {
 namespace
 {
 
-/** Writes @p text to a temp jobs file; removes it on destruction. */
-class TempJobsFile
-{
-  public:
-    explicit TempJobsFile(const std::string &text)
-        : filePath("hetsim_test_jobs_" +
-                   std::to_string(::testing::UnitTest::GetInstance()
-                                      ->random_seed()) +
-                   "_" + std::to_string(counter++) + ".jsonl")
-    {
-        std::ofstream out(filePath);
-        out << text;
-    }
-    ~TempJobsFile() { std::remove(filePath.c_str()); }
-    const std::string &path() const { return filePath; }
-
-  private:
-    static int counter;
-    std::string filePath;
-};
-
-int TempJobsFile::counter = 0;
+using test::TempFile;
 
 /** @return the whole contents of the file at @p path. */
 std::string
@@ -380,15 +361,6 @@ const FlagPin kFlagPins[] = {
     {"--max-preemptions", "-2",
      "--max-preemptions wants a preemption count, got '-2'", "3",
      [](const Args &a) { return a.maxPreemptions == 3; }},
-    {"--autoscale", nullptr, nullptr, nullptr,
-     [](const Args &a) { return a.autoscale; }},
-    {"--min-workers", "0",
-     "--min-workers wants a positive worker count, got '0'", "2",
-     [](const Args &a) { return a.minWorkers == 2; }},
-    {"--max-workers", "0",
-     "--max-workers wants a positive worker count (omit for --workers), "
-     "got '0'",
-     "6", [](const Args &a) { return a.maxWorkers == 6; }},
     {"--topology", "", "--topology wants a file path", "c.jsonl",
      [](const Args &a) { return a.topology == "c.jsonl"; }},
     {"--nodes", "3x", "--nodes wants a positive node count, got '3x'", "12",
@@ -453,7 +425,7 @@ parseOne(const FlagPin &pin, const char *value)
 
 TEST(CliParse, EveryFlagErrorIsPinned)
 {
-    EXPECT_EQ(std::size(kFlagPins), 57u);
+    EXPECT_EQ(std::size(kFlagPins), 54u);
     const Args defaults;
     for (const FlagPin &pin : kFlagPins) {
         const bool boolean = pin.good == nullptr;
@@ -480,7 +452,7 @@ TEST(CliParse, EveryFlagErrorIsPinned)
     EXPECT_EQ(parse({"run", "--wat"}).error, "unknown option '--wat'");
     EXPECT_EQ(parse({"run", "wat"}).error, "unknown option 'wat'");
 
-    // The five cross-flag checks, in the order they run.
+    // The four cross-flag checks, in the order they run.
     const std::string predictAdmission =
         "--predict-admission needs --model-in FILE (recorded job costs "
         "to predict from)";
@@ -490,34 +462,26 @@ TEST(CliParse, EveryFlagErrorIsPinned)
     const std::string energyOut =
         "--energy-out writes one run's energy report; it is a "
         "run/coexec-verb flag";
-    const std::string autoscale =
-        "--min-workers exceeds the autoscale ceiling (--max-workers, "
-        "default --workers)";
     const std::string predict =
         "predict needs --fit OBS_JSONL or --model-in FILE";
     EXPECT_EQ(parse({"serve", "--predict-admission"}).error,
               predictAdmission);
     EXPECT_EQ(parse({"batch", "--stream"}).error, stream);
     EXPECT_EQ(parse({"serve", "--energy-out", "e.json"}).error, energyOut);
-    EXPECT_EQ(parse({"serve", "--autoscale", "--workers", "2",
-                     "--min-workers", "3"})
-                  .error,
-              autoscale);
-    EXPECT_EQ(parse({"serve", "--autoscale", "--min-workers", "8",
-                     "--max-workers", "2"})
-                  .error,
-              autoscale);
     EXPECT_EQ(parse({"predict"}).error, predict);
     EXPECT_EQ(parse({"predict", "--stream", "--predict-admission"}).error,
               predictAdmission);
     EXPECT_EQ(parse({"predict", "--stream", "--energy-out", "e"}).error,
               stream);
-    EXPECT_EQ(parse({"predict", "--energy-out", "e", "--autoscale",
-                     "--min-workers", "9"})
-                  .error,
-              energyOut);
-    EXPECT_EQ(parse({"predict", "--autoscale", "--min-workers", "9"}).error,
-              autoscale);
+    EXPECT_EQ(parse({"predict", "--energy-out", "e"}).error, energyOut);
+
+    // The serve pool is a fixed --workers N; the autoscaler's flags
+    // are gone.
+    for (const char *gone : {"--autoscale", "--min-workers",
+                             "--max-workers"}) {
+        EXPECT_EQ(parse({"serve", gone}).error,
+                  "unknown option '" + std::string(gone) + "'");
+    }
 
     // In-loop errors win over cross-flag ones, and the first in argv
     // order wins among them.
@@ -931,7 +895,7 @@ TEST(CliExecute, ProfileVerbAttributesTheRun)
                 R"( "device": "dgpu", "scale": 0.1})"
                 "\n";
     }
-    TempJobsFile jobs(text);
+    TempFile jobs(text);
     std::ostringstream batch;
     ASSERT_EQ(execute(parse({"batch", "--jobs", jobs.path(), "--workers",
                              "2", "--queue-cap", "4", "--admission",
@@ -1052,22 +1016,18 @@ TEST(CliParse, ServeIntegerFlagsRejectJunk)
     EXPECT_NE(bad.error.find("--admission"), std::string::npos);
 }
 
-TEST(CliParse, StreamTenantAndAutoscaleFlags)
+TEST(CliParse, StreamTenantAndPreemptionFlags)
 {
     Args args = parse({"serve", "--stream", "--tenants", "a:3,b:1",
                        "--quota", "a:10,b:4",
                        "--service-deadline-ms", "5",
-                       "--max-preemptions", "3", "--autoscale",
-                       "--min-workers", "2", "--max-workers", "6"});
+                       "--max-preemptions", "3"});
     EXPECT_TRUE(args.error.empty()) << args.error;
     EXPECT_TRUE(args.stream);
     EXPECT_EQ(args.tenants, "a:3,b:1");
     EXPECT_EQ(args.quota, "a:10,b:4");
     EXPECT_EQ(args.serviceDeadlineMs, 5u);
     EXPECT_EQ(args.maxPreemptions, 3u);
-    EXPECT_TRUE(args.autoscale);
-    EXPECT_EQ(args.minWorkers, 2u);
-    EXPECT_EQ(args.maxWorkers, 6u);
 
     // --stream belongs to serve only.
     Args wrongVerb = parse({"batch", "--jobs", "j.jsonl", "--stream"});
@@ -1084,19 +1044,12 @@ TEST(CliParse, StreamTenantAndAutoscaleFlags)
     EXPECT_FALSE(
         parse({"serve", "--quota", "a:1.5"}).error.empty());
 
-    // An autoscale floor above the ceiling is caught at parse time.
-    Args inverted = parse({"serve", "--autoscale", "--min-workers",
-                           "8", "--max-workers", "2"});
-    EXPECT_FALSE(inverted.error.empty());
-
     // Junk numerics follow the strict-flag convention.
     EXPECT_FALSE(
         parse({"serve", "--service-deadline-ms", "soon"})
             .error.empty());
     EXPECT_FALSE(
         parse({"serve", "--max-preemptions", "-2"}).error.empty());
-    EXPECT_FALSE(
-        parse({"serve", "--min-workers", "0"}).error.empty());
 }
 
 TEST(CliExecute, ServeStreamSpeaksTheLineProtocol)
@@ -1129,9 +1082,8 @@ TEST(CliExecute, ServeStreamSpeaksTheLineProtocol)
     EXPECT_EQ(os.str().find("serving summary"), std::string::npos);
 
     // A 50-job two-tenant stream: "hot" floods 40 jobs at weight 1,
-    // "cold" submits 10 at weight 4, the faulted co-executions carry
-    // a 10 ms service deadline (forced preemption), and the pool
-    // autoscales from 1 to 4 workers.
+    // "cold" submits 10 at weight 4, and the faulted co-executions
+    // carry a 10 ms service deadline (forced preemption).
     const char *hot[] = {
         R"("app": "readmem", "model": "opencl", "device": "dgpu")",
         R"("app": "xsbench", "model": "opencl", "device": "apu")",
@@ -1140,7 +1092,7 @@ TEST(CliExecute, ServeStreamSpeaksTheLineProtocol)
         R"( "fault_seed": )",
         R"("app": "minife", "model": "openmp", "device": "cpu")",
     };
-    std::string stream;
+    std::string jobLines;
     for (int i = 0, cursor = 0; i < 50; ++i) {
         std::string job = "{\"id\": " + std::to_string(i + 1) + ", ";
         if (i % 5 == 4) {
@@ -1153,9 +1105,9 @@ TEST(CliExecute, ServeStreamSpeaksTheLineProtocol)
             job += ", \"tenant\": \"hot\"";
             ++cursor;
         }
-        stream += job + ", \"scale\": 0.1}\n";
+        jobLines += job + ", \"scale\": 0.1}\n";
     }
-    stream += "end\n";
+    const std::string stream = jobLines + "end\n";
     auto serveStream = [&](const std::vector<std::string> &flags,
                            const std::string &resultsOut) {
         std::istringstream in(stream);
@@ -1170,23 +1122,36 @@ TEST(CliExecute, ServeStreamSpeaksTheLineProtocol)
         std::cin.rdbuf(prior);
         EXPECT_EQ(rc, 0) << out.str();
     };
-    TempJobsFile autoscaled(""), wide("");
-    serveStream({"--workers", "4", "--autoscale", "--min-workers", "1",
-                 "--max-workers", "4", "--metrics-out", "/dev/null"},
-                autoscaled.path());
+    TempFile four, seven;
+    serveStream({"--workers", "4", "--metrics-out", "/dev/null"},
+                four.path());
     const obs::Metrics &metrics = obs::Metrics::global();
     EXPECT_EQ(metrics.counterValue("serve.completed"), 50.0);
     EXPECT_GE(metrics.counterValue("serve.preemptions"), 1.0);
-    EXPECT_GE(metrics.counterValue("serve.autoscale.events"), 1.0);
+
+    // Byte-identical sorted results at 7 workers.
+    serveStream({"--workers", "7"}, seven.path());
+    const std::string sorted = readFile(four.path());
+    EXPECT_EQ(sorted, readFile(seven.path()));
+
     // Fair share: the weighted-up cold tenant dispatches earlier on
-    // average than the flooding hot tenant.
+    // average than the flooding hot tenant.  A live stream's dequeue
+    // order depends on how far ingestion is ahead of the workers, so
+    // this runs the same jobs as a batch whose queue is full before
+    // its one worker starts.
+    TempFile jobs(jobLines), batched;
+    std::ostringstream batchOut;
+    ASSERT_EQ(execute(parse({"batch", "--jobs", jobs.path(), "--workers",
+                             "1", "--tenants", "hot:1,cold:4",
+                             "--max-preemptions", "64", "--results-out",
+                             batched.path(), "--metrics-out",
+                             "/dev/null"}),
+                      batchOut),
+              0)
+        << batchOut.str();
     EXPECT_LT(metrics.gaugeValue("serve.tenant.cold.mean_service_seq"),
               metrics.gaugeValue("serve.tenant.hot.mean_service_seq"));
-
-    // Byte-identical sorted results at 7 fixed workers.
-    serveStream({"--workers", "7"}, wide.path());
-    const std::string sorted = readFile(autoscaled.path());
-    EXPECT_EQ(sorted, readFile(wide.path()));
+    EXPECT_EQ(readFile(batched.path()), sorted);
 
     const std::vector<json::Object> results = jsonlObjects(sorted);
     ASSERT_EQ(results.size(), 50u);
@@ -1239,7 +1204,7 @@ TEST(CliExecute, BatchMissingJobsFileFailsLoudly)
 
 TEST(CliExecute, BatchMalformedJobsReportLineNumber)
 {
-    TempJobsFile jobs(R"({"app": "readmem", "scale": 0.02}
+    TempFile jobs(R"({"app": "readmem", "scale": 0.02}
 {"app": "readmem", "scale": oops}
 )");
     std::ostringstream os;
@@ -1251,7 +1216,7 @@ TEST(CliExecute, BatchMalformedJobsReportLineNumber)
 
 TEST(CliExecute, BatchEmptyJobsFileIsAnError)
 {
-    TempJobsFile jobs("\n\n");
+    TempFile jobs("\n\n");
     std::ostringstream os;
     EXPECT_EQ(execute(parse({"batch", "--jobs", jobs.path()}), os), 2);
     EXPECT_NE(os.str().find("no jobs"), std::string::npos) << os.str();
@@ -1259,7 +1224,7 @@ TEST(CliExecute, BatchEmptyJobsFileIsAnError)
 
 TEST(CliExecute, BatchUnwritableResultsOutFailsLoudly)
 {
-    TempJobsFile jobs(R"({"app": "readmem", "scale": 0.02})"
+    TempFile jobs(R"({"app": "readmem", "scale": 0.02})"
                       "\n");
     std::ostringstream os;
     Args args = parse({"batch", "--jobs", jobs.path(), "--results-out",
@@ -1271,7 +1236,7 @@ TEST(CliExecute, BatchUnwritableResultsOutFailsLoudly)
 
 TEST(CliExecute, BatchZeroWorkersIsAStructuredError)
 {
-    TempJobsFile jobs(R"({"app": "readmem", "scale": 0.02})"
+    TempFile jobs(R"({"app": "readmem", "scale": 0.02})"
                       "\n");
     std::ostringstream os;
     Args args =
@@ -1283,7 +1248,7 @@ TEST(CliExecute, BatchZeroWorkersIsAStructuredError)
 
 TEST(CliExecute, BatchEmitsOrderedJsonlOnStdout)
 {
-    TempJobsFile jobs(R"({"id": 2, "app": "readmem", "scale": 0.02}
+    TempFile jobs(R"({"id": 2, "app": "readmem", "scale": 0.02}
 {"id": 1, "app": "minife", "model": "openmp", "device": "cpu", "scale": 0.02}
 )");
     std::ostringstream os;
@@ -1314,7 +1279,7 @@ TEST(CliExecute, BatchEmitsOrderedJsonlOnStdout)
             text += std::to_string(40 + i);
         text += ", \"scale\": 0.1}\n";
     }
-    TempJobsFile mixed(text);
+    TempFile mixed(text);
     std::ostringstream batch;
     ASSERT_EQ(execute(parse({"batch", "--jobs", mixed.path(),
                              "--workers", "4", "--trace-out",
@@ -1420,7 +1385,7 @@ TEST(CliExecute, FleetMissingTopologyFileFailsLoudly)
 
 TEST(CliExecute, FleetTopologyErrorsCarryPathAndLine)
 {
-    TempJobsFile topo("{\"device\": \"warp9\"}\n");
+    TempFile topo("{\"device\": \"warp9\"}\n");
     std::ostringstream os;
     Args args = parse({"fleet", "--topology", topo.path()});
     EXPECT_EQ(execute(args, os), 2);
@@ -1575,17 +1540,18 @@ TEST(CliParse, SurrogateFlagValidation)
 
 TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
 {
-    const std::string obsPath = "hetsim_test_obs.jsonl";
-    const std::string modelPath = "hetsim_test_model.jsonl";
-    const std::string modelPath2 = "hetsim_test_model2.jsonl";
+    TempFile obsFile, modelFile, modelFile2;
+    const std::string &obsPath = obsFile.path();
+    const std::string &modelPath = modelFile.path();
+    const std::string &modelPath2 = modelFile2.path();
 
     // Generate observations from two real runs at different clocks.
     // --observations-out truncates its file, so each run writes its
     // own and the fit reads their concatenation.
     std::string observations;
     for (const char *freq : {"925:1250", "500:1250"}) {
-        const std::string runPath =
-            obsPath + "." + std::string(freq, 3);
+        TempFile runFile;
+        const std::string &runPath = runFile.path();
         std::ostringstream os;
         Args run = parse({"run", "--app", "readmem", "--scale", "0.05",
                           "--freq", freq, "--observations-out",
@@ -1594,7 +1560,6 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
         ASSERT_EQ(execute(run, os), 0) << os.str();
         std::ifstream in(runPath);
         observations.append(std::istreambuf_iterator<char>(in), {});
-        std::remove(runPath.c_str());
     }
     EXPECT_NE(observations.find("\"core_mhz\":925,"), std::string::npos);
     EXPECT_NE(observations.find("\"core_mhz\":500,"), std::string::npos);
@@ -1630,10 +1595,6 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
     EXPECT_NE(badOs.str().find("no_such_model.jsonl"),
               std::string::npos);
 
-    std::remove(obsPath.c_str());
-    std::remove(modelPath.c_str());
-    std::remove(modelPath2.c_str());
-
     // Training set: adaptive co-execution observations (many chunk
     // sizes at stock clocks) plus a clock grid for readmem.  Scale 0.1
     // at two clock settings is held out: the fit never sees it.
@@ -1666,7 +1627,8 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
     }
     std::ostringstream trainJsonl;
     obs::writeObservationsJsonl(trainJsonl, train);
-    TempJobsFile trainFile(trainJsonl.str()), model("");
+    TempFile trainFile(trainJsonl.str());
+    TempFile model;
     std::ostringstream fitted;
     ASSERT_EQ(execute(parse({"predict", "--fit", trainFile.path(),
                              "--model-out", model.path()}),
@@ -1741,7 +1703,8 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
 
 TEST(CliExecute, FleetSurrogateCostingReproducesProbedRun)
 {
-    const std::string modelPath = "hetsim_test_fleet_model.jsonl";
+    TempFile modelFile;
+    const std::string &modelPath = modelFile.path();
     std::vector<std::string> base{"fleet",   "--nodes", "4",
                                   "--njobs", "150",     "--scale",
                                   "0.02",    "--seed",  "7"};
@@ -1756,7 +1719,7 @@ TEST(CliExecute, FleetSurrogateCostingReproducesProbedRun)
     std::vector<std::string> surrogateArgs = base;
     surrogateArgs.insert(surrogateArgs.end(), {"--model-in", modelPath});
     std::vector<std::string> resaveArgs = surrogateArgs;
-    TempJobsFile resaved("");
+    TempFile resaved;
     resaveArgs.insert(resaveArgs.end(), {"--model-out", resaved.path()});
     std::ostringstream served;
     ASSERT_EQ(execute(parse(resaveArgs), served), 0);
@@ -1773,13 +1736,11 @@ TEST(CliExecute, FleetSurrogateCostingReproducesProbedRun)
     EXPECT_EQ(served.str(), probed.str());
     EXPECT_EQ(served.str(), recorded.str());
     EXPECT_NE(served.str().find("digest"), std::string::npos);
-
-    std::remove(modelPath.c_str());
 }
 
 TEST(CliExecute, FleetRunsFromATopologyFile)
 {
-    TempJobsFile topo(
+    TempFile topo(
         "{\"device\": \"apu\", \"count\": 2, \"name\": \"r0\"}\n"
         "{\"net_gbs\": 25, \"net_latency_us\": 2}\n");
     std::ostringstream os;
@@ -1851,7 +1812,8 @@ TEST(CliExecute, BackendsDumpsTheCapabilityTable)
 
 TEST(CliExecute, EnergyOutWritesAReportAndPowerModelOverridesIt)
 {
-    const std::string energyPath = "hetsim_test_energy.json";
+    TempFile energyFile;
+    const std::string &energyPath = energyFile.path();
     std::vector<std::string> base{"run",     "--app",  "readmem",
                                   "--model", "cuda",   "--scale",
                                   "0.05",    "--energy-out",
@@ -1870,7 +1832,7 @@ TEST(CliExecute, EnergyOutWritesAReportAndPowerModelOverridesIt)
     EXPECT_NE(report.str().find("\"buckets\""), std::string::npos);
 
     // A hotter wattage table changes the reported joules.
-    TempJobsFile watts("{\"device\": \"dgpu\", "
+    TempFile watts("{\"device\": \"dgpu\", "
                        "\"compute_busy_w\": 2500}\n");
     std::vector<std::string> hot = base;
     hot.insert(hot.end(), {"--power-model", watts.path()});
@@ -1892,8 +1854,6 @@ TEST(CliExecute, EnergyOutWritesAReportAndPowerModelOverridesIt)
         << coexec.str();
     EXPECT_NE(coexec.str().find("energy bucket error"), std::string::npos)
         << coexec.str();
-
-    std::remove(energyPath.c_str());
 }
 
 TEST(CliExecute, PowerModelErrorsAreLoud)
@@ -1910,7 +1870,7 @@ TEST(CliExecute, PowerModelErrorsAreLoud)
               std::string::npos);
 
     // Malformed row: exit 2 with path:line context.
-    TempJobsFile badWatts("{\"device\": \"dgpu\", "
+    TempFile badWatts("{\"device\": \"dgpu\", "
                           "\"compute_watts\": 9}\n");
     std::ostringstream malformed;
     Args badArgs = parse({"run", "--app", "readmem", "--scale",

@@ -220,6 +220,9 @@ TEST(DeviceTable, EverySpellingResolves)
         EXPECT_FALSE(deviceByName(bad).has_value()) << bad;
         EXPECT_FALSE(coexec::DevicePool::parse(bad).has_value()) << bad;
     }
+    // An empty pool token is an error wherever it sits.
+    for (const char *bad : {"+", "+cpu", "cpu++dgpu", "cpu+", "cpu+dgpu+"})
+        EXPECT_FALSE(coexec::DevicePool::parse(bad).has_value()) << bad;
     EXPECT_FALSE(fault::matchesDevice(a10_7850kCpu(), "fpga"));
     EXPECT_FALSE(fault::matchesDevice(a10_7850kCpu(), ""));
     // Each type's preset is that type's first table row.

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -13,6 +12,8 @@
 #include "obs/crashdump.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
+
+#include "temp_file.hh"
 
 namespace hetsim
 {
@@ -57,9 +58,8 @@ TEST(LoggingDeath, FatalExits)
 // child, so they are observed through the filesystem.
 TEST(LoggingDeath, CrashHooksRunOnPanic)
 {
-    const std::string path =
-        testing::TempDir() + "crash_hook_panic.txt";
-    std::remove(path.c_str());
+    const test::TempFile file;
+    const std::string &path = file.path();
     EXPECT_DEATH(
         {
             int removed = addCrashHook([&] {
@@ -80,14 +80,12 @@ TEST(LoggingDeath, CrashHooksRunOnPanic)
     content << in.rdbuf();
     // Newest-first order, removed hook absent.
     EXPECT_EQ(content.str(), "second\nfirst\n");
-    std::remove(path.c_str());
 }
 
 TEST(LoggingDeath, CrashHooksRunOnFatal)
 {
-    const std::string path =
-        testing::TempDir() + "crash_hook_fatal.txt";
-    std::remove(path.c_str());
+    const test::TempFile file;
+    const std::string &path = file.path();
     EXPECT_EXIT(
         {
             addCrashHook([&] {
@@ -100,18 +98,15 @@ TEST(LoggingDeath, CrashHooksRunOnFatal)
     std::string content;
     std::getline(in, content);
     EXPECT_EQ(content, "flushed");
-    std::remove(path.c_str());
 }
 
 // Satellite 3: a panic() mid-run with observability enabled still
 // leaves parseable --trace-out/--metrics-out files behind.
 TEST(LoggingDeath, CrashDumpFlushesObservabilityOutputs)
 {
-    const std::string trace = testing::TempDir() + "crash_trace.json";
-    const std::string metrics =
-        testing::TempDir() + "crash_metrics.json";
-    std::remove(trace.c_str());
-    std::remove(metrics.c_str());
+    const test::TempFile traceFile, metricsFile;
+    const std::string &trace = traceFile.path();
+    const std::string &metrics = metricsFile.path();
     EXPECT_DEATH(
         {
             obs::Tracer::global().clear();
@@ -139,8 +134,6 @@ TEST(LoggingDeath, CrashDumpFlushesObservabilityOutputs)
     mbuf << min.rdbuf();
     EXPECT_NE(mbuf.str().find("fault.degradations"),
               std::string::npos);
-    std::remove(trace.c_str());
-    std::remove(metrics.c_str());
 }
 
 } // namespace

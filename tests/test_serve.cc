@@ -855,80 +855,6 @@ TEST(ServeTenants, QuotaShedsWithinTheTenantOnly)
     EXPECT_NE(results[3].error.find("over quota"), std::string::npos);
 }
 
-// --- Autoscaler --------------------------------------------------------
-
-TEST(ServeAutoscale, QueueDepthRaisesTheGateAndDrainLowersIt)
-{
-    ServerConfig cfg;
-    cfg.workers = 4;
-    cfg.autoscale = true;
-    cfg.minWorkers = 1;
-    cfg.maxWorkers = 4;
-    cfg.scaleUpQueueFactor = 1.0;
-    Server server(cfg);
-    server.pause();
-    ASSERT_FALSE(server.start().has_value());
-    for (u64 id = 1; id <= 8; ++id)
-        server.submit(tinyJob(id));
-    server.resume();
-    server.drain();
-    auto report = server.report();
-    auto results = server.takeResults();
-    server.shutdown();
-
-    EXPECT_EQ(results.size(), 8u);
-    for (const auto &res : results)
-        EXPECT_EQ(res.status, JobStatus::Ok);
-    ASSERT_FALSE(report.autoscaleEvents.empty());
-    bool scaledUp = false;
-    for (const auto &event : report.autoscaleEvents) {
-        EXPECT_LE(event.toWorkers, 4u);
-        EXPECT_GE(event.toWorkers, 1u);
-        if (event.reason == "queue-depth") {
-            scaledUp = true;
-            EXPECT_GT(event.toWorkers, event.fromWorkers);
-        }
-    }
-    EXPECT_TRUE(scaledUp);
-    // The drained queue dropped the gate back to the floor.
-    EXPECT_EQ(report.autoscaleEvents.back().reason, "drained");
-    EXPECT_EQ(report.activeWorkers, 1u);
-}
-
-TEST(ServeAutoscale, BacklogRuleUsesPredictedCosts)
-{
-    JobSpec probe = tinyJob(1);
-    model::Surrogate surrogate;
-    surrogate.setJobCost(jobClassKey(probe), jobDeviceKey(probe),
-                         0.5); // half a simulated second each
-
-    ServerConfig cfg;
-    cfg.workers = 4;
-    cfg.autoscale = true;
-    cfg.minWorkers = 1;
-    cfg.maxWorkers = 4;
-    cfg.autoscaleBacklogSeconds = 0.5; // one predicted job per worker
-    cfg.predictAdmission = true;
-    cfg.surrogate = &surrogate;
-    Server server(cfg);
-    server.pause();
-    ASSERT_FALSE(server.start().has_value());
-    for (u64 id = 1; id <= 4; ++id)
-        server.submit(tinyJob(id));
-    server.resume();
-    server.drain();
-    auto report = server.report();
-    server.shutdown();
-
-    bool backlogRule = false;
-    for (const auto &event : report.autoscaleEvents)
-        if (event.reason == "backlog") {
-            backlogRule = true;
-            EXPECT_GT(event.backlogSeconds, 0.0);
-        }
-    EXPECT_TRUE(backlogRule);
-}
-
 // --- Streaming front-end -----------------------------------------------
 
 TEST(ServeStream, EndSentinelStopsIngestionAndEmitsLiveLines)
