@@ -611,26 +611,17 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
             static_cast<double>(slot.report.items) /
             static_cast<double>(items_target);
         slot.report.finishSeconds = slot.lastFinish;
+        slot.report.busySeconds =
+            timeline.resourceBusyTime(slot.computeQ);
         // Idle: the pool kept running while this device's compute
         // queue had nothing scheduled (EngineCL's load-balance FoM).
         slot.report.idleSeconds =
-            result.seconds - timeline.resourceBusyTime(slot.computeQ);
+            result.seconds - slot.report.busySeconds;
         for (const auto &bucket : result.energy.buckets)
             if (bucket.resource.rfind(slot.spec->name + "/", 0) == 0)
                 slot.report.energyJoules +=
                     bucket.busyJoules + bucket.idleJoules;
         result.transferSeconds += slot.report.transferSeconds;
-        if (metrics.enabled()) {
-            const std::string prefix = "coexec." + slot.spec->name;
-            metrics.set(prefix + ".busy_seconds",
-                        timeline.resourceBusyTime(slot.computeQ));
-            metrics.set(prefix + ".idle_seconds",
-                        slot.report.idleSeconds);
-            metrics.set(prefix + ".transfer_seconds",
-                        slot.report.transferSeconds);
-            metrics.set(prefix + ".chunks",
-                        static_cast<double>(slot.report.chunks));
-        }
         result.devices.push_back(slot.report);
     }
     // A failed launch skips validation: the functional results are

@@ -204,8 +204,11 @@ struct DeviceReport
     double kernelSeconds = 0.0;   ///< simulated compute time
     double transferSeconds = 0.0; ///< simulated PCIe staging time
     double finishSeconds = 0.0;   ///< completion time on the timeline
+    /** Time the device's compute queue was busy: kernels plus launch
+     *  timeouts, rescue and checkpoint costs. */
+    double busySeconds = 0.0;
     /** Time the device's compute queue sat idle while the pool was
-     *  still running: co-exec makespan minus compute-busy time. */
+     *  still running: co-exec makespan minus busySeconds. */
     double idleSeconds = 0.0;
     /** Energy-to-solution share (J): this device's compute and DMA
      *  resources accrued over the pool makespan. */

@@ -12,8 +12,8 @@
  * with the boundedness label from obs::dominantTerm, the same argmax
  * the profiler applies to observations.  Predictions are a map lookup
  * plus a handful of multiply-adds, so what-if queries (frequency
- * sweeps, coexec split ratios, admission estimates) answer in
- * microseconds instead of re-simulating.
+ * sweeps, coexec split ratios) answer in microseconds instead of
+ * re-simulating.
  *
  * Beside the five global forms each group keeps a piecewise
  * refinement: a per-items clock fit at every distinct item count the
@@ -32,11 +32,10 @@
  *    signature the fit saw, kept bit-exact so a prediction at an
  *    already-observed point can be checked against the simulator; and
  *  - job costs: (class, device) -> simulated seconds pairs recorded
- *    from real runs.  Fleet class costing and serve's
- *    --predict-admission read these, never the fitted curves, so the
- *    decisions they inform reproduce the probe path bitwise
- *    (doubles round-trip through the model file at 17 significant
- *    digits).
+ *    from real fleet probes.  Fleet class costing reads these, never
+ *    the fitted curves, so a campaign costed from a model file
+ *    reproduces the probe path bitwise (doubles round-trip through
+ *    the model file at 17 significant digits).
  *
  * Serialization is JSONL, schema "hetsim.model.v1": a header line,
  * then "group" / "refine" / "anchor" / "job_cost" records with fixed

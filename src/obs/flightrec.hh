@@ -5,10 +5,11 @@
  * Keeping full spans for every job in a 1000-node campaign would blow
  * the trace budget, but the jobs anyone debugs are the ones that went
  * wrong.  The flight recorder keeps the black box only for those: a
- * job that failed, was shed by admission control, expired past its
- * deadline, or was rescued after a node death gets its full record -
- * spans, fault events, and the queue state it saw - while healthy
- * jobs keep nothing beyond the normal rollup summaries.
+ * job that failed, was preempted or expired past its service
+ * deadline, missed its fleet SLO, or was rescued after a node death
+ * gets its full record - spans, fault events, and the queue state it
+ * saw - while healthy jobs keep nothing beyond the normal rollup
+ * summaries.
  *
  * Retention is deterministic: the recorder holds at most `capacity`
  * records and, when over budget, evicts the records with the highest
@@ -39,20 +40,20 @@ struct FlightRecord
 {
     /** Stable id of the job (serve jobId, fleet job index + 1). */
     u64 jobId = 0;
-    /** Why it was retained: "error" | "rejected" | "shed" |
-     *  "expired" | "preempted" | "slo_miss" |
-     *  "retry_after_node_death". */
+    /** Why it was retained: "error" | "expired" | "preempted" |
+     *  "slo_miss" | "retry_after_node_death". */
     std::string kind;
     /** Job name / class name. */
     std::string what;
     /** Where it ran or was queued ("serve", node name, ...). */
     std::string where;
-    /** Free-form detail (error message, victim info, ...). */
+    /** Free-form detail (error message, preemption info, ...). */
     std::string detail;
     double arrivalSeconds = 0.0;
     double startSeconds = 0.0;
     double finishSeconds = 0.0;
-    /** Deadline at submit, 0 when none. */
+    /** Service deadline of a preempted serve job, or the fleet SLO;
+     *  0 when none. */
     double deadlineMs = 0.0;
     /** Queue depth the job observed at submit time. */
     u64 queueDepth = 0;
@@ -63,7 +64,7 @@ struct FlightRecord
     std::vector<TraceEvent> spans;
 };
 
-/** Process-wide recorder of failed/shed/expired job black boxes. */
+/** Process-wide recorder of failed/expired job black boxes. */
 class FlightRecorder
 {
   public:

@@ -1,17 +1,15 @@
 #include "jobspec.hh"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <set>
 
 #include "common/flatjson.hh"
 #include "common/numparse.hh"
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim::serve
 {
@@ -24,10 +22,6 @@ toString(JobStatus status)
         return "ok";
       case JobStatus::Error:
         return "error";
-      case JobStatus::Rejected:
-        return "rejected";
-      case JobStatus::Shed:
-        return "shed";
       case JobStatus::Expired:
         return "expired";
     }
@@ -45,6 +39,25 @@ backendByName(const std::string &name)
     if (kind == ir::ModelKind::Serial || kind == ir::ModelKind::OpenMp)
         return std::nullopt;
     return kind;
+}
+
+std::string
+backendNames(const char *sep)
+{
+    std::string names;
+    for (const ir::BackendCaps &model : ir::backendTable()) {
+        for (const ir::BackendCaps &row : ir::backendTable()) {
+            for (const char *spelling : {row.name, row.alias}) {
+                if (*spelling == '\0' ||
+                    backendByName(spelling) != model.kind)
+                    continue;
+                if (!names.empty())
+                    names += sep;
+                names += spelling;
+            }
+        }
+    }
+    return names;
 }
 
 std::optional<sim::FreqDomain>
@@ -67,18 +80,6 @@ formatG17(double value)
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     return buf;
 }
-
-namespace
-{
-
-/** Local alias predating the public formatG17 export. */
-std::string
-formatDouble(double value)
-{
-    return formatG17(value);
-}
-
-} // namespace
 
 std::optional<JobSpec>
 parseJobLine(const std::string &line, size_t lineno, std::string &error)
@@ -130,9 +131,9 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
             if (!wantString(text))
                 return fail("\"backend\" wants a string");
             if (!backendByName(text))
-                return fail("\"backend\" wants a device backend "
-                            "(ocl, amp, acc, hc, omp, cuda), got '" +
-                            text + "'");
+                return fail("\"backend\" wants a device backend (" +
+                            backendNames(", ") + "), got '" + text +
+                            "'");
             spec.backend = text;
         } else if (key == "policy") {
             ok = wantString(spec.policy);
@@ -191,13 +192,6 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
                 return fail("\"fail_device\" wants a device alias");
             spec.faultConfig.failDevice = text;
             spec.faultsGiven = true;
-        } else if (key == "deadline_ms") {
-            if (value.kind != json::Value::Kind::Number ||
-                value.number < 0.0)
-                return fail("\"deadline_ms\" wants a non-negative "
-                            "number");
-            spec.deadlineMs = value.number;
-            spec.deadlineGiven = true;
         } else if (key == "service_deadline_ms") {
             if (value.kind != json::Value::Kind::Number ||
                 value.number < 0.0)
@@ -207,13 +201,6 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
             spec.serviceDeadlineGiven = true;
         } else if (key == "tenant") {
             ok = wantString(spec.tenant);
-        } else if (key == "priority") {
-            auto v = value.kind == json::Value::Kind::Number
-                         ? json::parseLong(value.text)
-                         : std::nullopt;
-            if (!v)
-                return fail("\"priority\" wants an integer");
-            spec.priority = static_cast<int>(*v);
         } else {
             return fail("unknown key \"" + key + "\"");
         }
@@ -256,54 +243,6 @@ parseJobs(std::istream &is, std::string &error)
     return jobs;
 }
 
-std::string
-jobClassKey(const JobSpec &spec)
-{
-    std::string key = spec.app + "|";
-    if (spec.coexec()) {
-        key += "coexec:" + spec.policy;
-        // Canonicalized so "ocl" and "opencl" share one cost class.
-        if (auto backend = backendByName(spec.backend)) {
-            key += ':';
-            key += ir::toString(*backend);
-        }
-    } else {
-        key += spec.model;
-    }
-    key += spec.doublePrecision ? "|dp" : "|sp";
-    key += "|scale=" + formatDouble(spec.scale);
-    if (spec.freq.coreMhz > 0.0 || spec.freq.memMhz > 0.0)
-        key += "|freq=" + formatDouble(spec.freq.coreMhz) + ":" +
-               formatDouble(spec.freq.memMhz);
-    if (spec.functional)
-        key += "|fn";
-    // The service deadline changes the simulated outcome (preemption
-    // slices add checkpoint costs), so it is part of the class.
-    if (spec.serviceDeadlineMs > 0.0)
-        key += "|sdl=" + formatDouble(spec.serviceDeadlineMs);
-    if (spec.faultsGiven) {
-        char seed[32];
-        std::snprintf(seed, sizeof(seed), "0x%llx",
-                      static_cast<unsigned long long>(
-                          spec.faultConfig.seed));
-        key += "|faults=" + std::string(seed) + ":" +
-               formatDouble(spec.faultConfig.transferFailRate) + ":" +
-               formatDouble(spec.faultConfig.launchFailRate) + ":" +
-               formatDouble(spec.faultConfig.stallRate) + ":" +
-               std::to_string(spec.faultConfig.retryMax) + ":" +
-               formatDouble(fault::kBackoffSeconds) + ":" +
-               spec.faultConfig.failDevice + ":" +
-               std::to_string(fault::kFailAfterChunks);
-    }
-    return key;
-}
-
-std::string
-jobDeviceKey(const JobSpec &spec)
-{
-    return spec.coexec() ? spec.devices : spec.device;
-}
-
 void
 writeResultLine(std::ostream &os, const JobResult &res)
 {
@@ -326,16 +265,16 @@ writeResultLine(std::ostream &os, const JobResult &res)
     if (!res.tenant.empty())
         field("tenant", res.tenant);
     if (res.status == JobStatus::Ok) {
-        os << ",\"seconds\":" << formatDouble(res.simSeconds)
-           << ",\"kernel_seconds\":" << formatDouble(res.kernelSeconds)
+        os << ",\"seconds\":" << formatG17(res.simSeconds)
+           << ",\"kernel_seconds\":" << formatG17(res.kernelSeconds)
            << ",\"transfer_seconds\":"
-           << formatDouble(res.transferSeconds);
+           << formatG17(res.transferSeconds);
         if (res.functionalRun) {
-            os << ",\"checksum\":" << formatDouble(res.checksum)
+            os << ",\"checksum\":" << formatG17(res.checksum)
                << ",\"validated\":"
                << (res.validated ? "true" : "false");
         }
-        os << ",\"energy_j\":" << formatDouble(res.energyJoules)
+        os << ",\"energy_j\":" << formatG17(res.energyJoules)
            << ",\"faults_injected\":" << res.faultsInjected
            << ",\"fault_schedule_hash\":\"0x" << std::hex
            << res.faultScheduleHash << std::dec << "\"";

@@ -4,11 +4,11 @@
  *
  * A JobSpec describes one simulation configuration out of the paper's
  * experiment grid (app x model x device x precision x scale x clocks,
- * plus a fault plan), extended with the serving-layer knobs: a
- * priority, a deadline, and a per-job timing-cache switch.  Jobs enter
- * the server either from a JSONL file (`hetsim batch`, one JSON object
- * per line) or from the built-in closed-loop generator
- * (`hetsim serve --shots N`).
+ * plus a fault plan), extended with the serving-layer knobs: a tenant
+ * label, a simulated service deadline, and a per-job timing-cache
+ * switch.  Jobs enter the server from a JSONL file (`hetsim batch`,
+ * one JSON object per line), from stdin (`hetsim serve --stream`) or
+ * from the built-in closed-loop generator (`hetsim serve --shots N`).
  *
  * The parser is strict: unknown keys, wrong value types, duplicate
  * ids, and malformed JSON are errors that carry the 1-based line
@@ -63,13 +63,6 @@ struct JobSpec
     /** Fault campaign; faultsGiven gates attachment. */
     fault::FaultConfig faultConfig;
     bool faultsGiven = false;
-    /** Queue-wait deadline in host milliseconds (0 = none): a job
-     *  still queued this long after submission is cancelled. */
-    double deadlineMs = 0.0;
-    /** The line carried an explicit "deadline_ms".  Only absent
-     *  fields inherit the server's `--deadline-ms` default; an
-     *  explicit 0 means "no deadline". */
-    bool deadlineGiven = false;
     /**
      * Service deadline in *simulated* milliseconds (0 = none): a
      * running non-functional coexec job is preempted - checkpointed
@@ -78,11 +71,10 @@ struct JobSpec
      * simulated time, never the host clock.
      */
     double serviceDeadlineMs = 0.0;
-    /** The line carried an explicit "service_deadline_ms" (same
-     *  inheritance rule as deadlineGiven). */
+    /** The line carried an explicit "service_deadline_ms".  Only
+     *  absent fields inherit the server's `--service-deadline-ms`
+     *  default; an explicit 0 means "no deadline". */
     bool serviceDeadlineGiven = false;
-    /** Higher priorities dequeue first (FIFO within a priority). */
-    int priority = 0;
     /** Tenant label for fair-share scheduling ("" = anonymous). */
     std::string tenant;
 
@@ -90,28 +82,12 @@ struct JobSpec
     bool coexec() const { return !devices.empty(); }
 };
 
-/**
- * Canonical surrogate job-cost class of a spec: every field the
- * simulated seconds depend on except the device half, e.g.
- * "readmem|opencl|sp|scale=1" or "xsbench|coexec:adaptive|dp|
- * scale=0.5|freq=925:1375|faults=0x5eed:...".  Equal keys imply
- * bit-equal simulated seconds (the simulator is deterministic), which
- * is what lets a recorded cost stand in for a probe at admission
- * time.  Doubles are rendered round-trip exact.
- */
-std::string jobClassKey(const JobSpec &spec);
-
-/** Device half of the job-cost key: device alias or '+'-pool. */
-std::string jobDeviceKey(const JobSpec &spec);
-
 /** Terminal state of a job. */
 enum class JobStatus : u8
 {
-    Ok,       ///< ran to completion
-    Error,    ///< bad spec or failed run (see error)
-    Rejected, ///< admission control: queue full (reject policy)
-    Shed,     ///< admission control: evicted for a higher priority
-    Expired,  ///< cancelled in the queue past its deadline
+    Ok,      ///< ran to completion
+    Error,   ///< bad spec or failed run (see error)
+    Expired, ///< preempted more than --max-preemptions times
 };
 
 /** @return printable name, e.g. "ok". */
@@ -127,6 +103,11 @@ const char *toString(JobStatus status);
  * host-CPU OpenMP baseline.
  */
 std::optional<ir::ModelKind> backendByName(const std::string &name);
+
+/** @return every ir::backendTable() spelling backendByName accepts,
+ *  grouped by the model it selects, in table order, joined by @p sep
+ *  - the one source of the backend lists in error and help texts. */
+std::string backendNames(const char *sep);
 
 /** @return a "core:mem" pair of finite positive MHz, if valid - the
  *  JobSpec "freq" key and the CLI's --freq share this parser. */
@@ -174,8 +155,6 @@ struct JobResult
     int worker = -1;
     /** Queue depth observed at submit (flight-recorder context). */
     u64 queueDepthAtSubmit = 0;
-    /** Effective queue-wait deadline (after the server default). */
-    double deadlineMs = 0.0;
     /** Effective service deadline (after the server default). */
     double serviceDeadlineMs = 0.0;
     /** Injected fault events the job saw, "<kind> <device> <seq>";
@@ -194,7 +173,7 @@ struct JobResult
  *   id, app, model, device, devices, backend, policy, scale, dp,
  *   functional, freq ("core:mem"), timing_cache,
  *   faults ("kind:rate,..."), fault_seed, retry_max, fail_device,
- *   deadline_ms, service_deadline_ms, priority, tenant
+ *   service_deadline_ms, tenant
  *
  * @return nullopt and set @p error on malformed JSON, an unknown key,
  * or a wrong value type.

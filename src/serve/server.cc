@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "core/workload.hh"
 #include "fleet/cluster.hh"
-#include "model/surrogate.hh"
 #include "obs/flightrec.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
@@ -40,32 +39,6 @@ latencyBucketBoundsMs()
 }
 
 } // namespace
-
-const char *
-toString(Admission admission)
-{
-    switch (admission) {
-      case Admission::Reject:
-        return "reject";
-      case Admission::Shed:
-        return "shed";
-      case Admission::Block:
-        return "block";
-    }
-    return "?";
-}
-
-std::optional<Admission>
-admissionByName(const std::string &name)
-{
-    if (name == "reject")
-        return Admission::Reject;
-    if (name == "shed")
-        return Admission::Shed;
-    if (name == "block")
-        return Admission::Block;
-    return std::nullopt;
-}
 
 u64
 faultScheduleHash(const std::vector<fault::FaultEvent> &schedule)
@@ -305,8 +278,6 @@ Server::validateConfig(const ServerConfig &config)
         return std::string(
             "server needs at least one worker (got --workers 0)");
     }
-    if (config.defaultDeadlineMs < 0.0)
-        return std::string("default deadline must be >= 0 ms");
     if (config.defaultServiceDeadlineMs < 0.0)
         return std::string("default service deadline must be >= 0 ms");
     return std::nullopt;
@@ -326,9 +297,9 @@ Server::start()
         startWallSec = nowSeconds();
     }
     obs::Metrics &metrics = obs::Metrics::global();
-    metrics.defineHistogram("serve.queue_wait_ms",
+    metrics.defineHistogram("host.serve.queue_wait_ms",
                             latencyBucketBoundsMs());
-    metrics.defineHistogram("serve.service_ms",
+    metrics.defineHistogram("host.serve.service_ms",
                             latencyBucketBoundsMs());
     metrics.set("serve.workers", cfg.workers);
     workers.reserve(cfg.workers);
@@ -364,7 +335,7 @@ Server::bestQueuedIndex() const
     // virtual service (dispatches / weight; ties go to the
     // lexicographically first name).  With no tenancy configured and
     // unlabeled jobs there is exactly one tenant, which reduces to
-    // the original highest-priority-oldest rule.
+    // oldest-first.
     const std::string *bestTenant = nullptr;
     double bestVirtual = 0.0;
     for (const QueuedJob &q : queue) {
@@ -382,24 +353,20 @@ Server::bestQueuedIndex() const
             bestVirtual = virt;
         }
     }
-    // Within the tenant: highest priority, oldest first.
+    // Within the tenant: oldest first.
     size_t best = queue.size();
     for (size_t i = 0; i < queue.size(); ++i) {
         const QueuedJob &a = queue[i];
-        if (a.spec.tenant != *bestTenant)
-            continue;
-        if (best == queue.size() ||
-            a.spec.priority > queue[best].spec.priority ||
-            (a.spec.priority == queue[best].spec.priority &&
-             a.submitSeq < queue[best].submitSeq)) {
+        if (a.spec.tenant == *bestTenant &&
+            (best == queue.size() ||
+             a.submitSeq < queue[best].submitSeq))
             best = i;
-        }
     }
     return best;
 }
 
 JobResult
-Server::specEcho(const JobSpec &spec, JobStatus status)
+Server::expiredEcho(const JobSpec &spec)
 {
     JobResult res;
     res.id = spec.id;
@@ -409,8 +376,7 @@ Server::specEcho(const JobSpec &spec, JobStatus status)
     res.devices = spec.devices;
     res.policy = spec.policy;
     res.tenant = spec.tenant;
-    res.status = status;
-    res.deadlineMs = spec.deadlineMs;
+    res.status = JobStatus::Expired;
     res.serviceDeadlineMs = spec.serviceDeadlineMs;
     return res;
 }
@@ -429,14 +395,6 @@ Server::recordResult(JobResult result)
       case JobStatus::Error:
         metrics.add("serve.errors");
         statusName = "errors";
-        break;
-      case JobStatus::Rejected:
-        metrics.add("serve.rejected");
-        statusName = "rejected";
-        break;
-      case JobStatus::Shed:
-        metrics.add("serve.shed");
-        statusName = "shed";
         break;
       case JobStatus::Expired:
         metrics.add("serve.expired");
@@ -465,7 +423,6 @@ Server::recordResult(JobResult result)
         rec.startSeconds = result.hostQueueWaitMs * 1e-3;
         rec.finishSeconds =
             (result.hostQueueWaitMs + result.hostServiceMs) * 1e-3;
-        rec.deadlineMs = result.deadlineMs;
         rec.queueDepth = result.queueDepthAtSubmit;
         rec.faultEvents = result.faultEvents;
         recorder.record(std::move(rec));
@@ -479,166 +436,17 @@ Server::recordResult(JobResult result)
 void
 Server::submit(JobSpec spec)
 {
-    // Only *absent* deadline fields inherit the server defaults: an
-    // explicit "deadline_ms": 0 (or service_deadline_ms: 0) means
-    // "this job has no deadline", not "use the default".
-    if (!spec.deadlineGiven && spec.deadlineMs <= 0.0)
-        spec.deadlineMs = cfg.defaultDeadlineMs;
+    // Only an *absent* service deadline inherits the server default:
+    // an explicit "service_deadline_ms": 0 means "this job has no
+    // deadline", not "use the default".
     if (!spec.serviceDeadlineGiven && spec.serviceDeadlineMs <= 0.0)
         spec.serviceDeadlineMs = cfg.defaultServiceDeadlineMs;
     obs::Metrics::global().add("serve.submitted");
 
     std::unique_lock<std::mutex> lk(mtx);
-
-    // Predict-admission: consult the surrogate's recorded cost before
-    // any queue-cap policy.  Everything here is simulated quantities
-    // folded in submit order, so the decision (and the result line it
-    // may produce) is deterministic at any worker count.
-    double predictedSeconds = 0.0;
-    if (cfg.predictAdmission && cfg.surrogate != nullptr) {
-        obs::Metrics &metrics = obs::Metrics::global();
-        const auto cost = cfg.surrogate->jobCost(jobClassKey(spec),
-                                                 jobDeviceKey(spec));
-        if (cost) {
-            metrics.add("serve.predict.known");
-            predictedSeconds = *cost;
-            const double waitSeconds =
-                cfg.workers > 0 ? predictedBacklogSeconds /
-                                      static_cast<double>(cfg.workers)
-                                : predictedBacklogSeconds;
-            const double predictedMs =
-                (waitSeconds + predictedSeconds) * 1e3;
-            if (spec.deadlineMs > 0.0 &&
-                predictedMs > spec.deadlineMs) {
-                metrics.add("serve.predict.rejected");
-                JobResult res =
-                    specEcho(spec, JobStatus::Rejected);
-                // %.17g so the reported prediction round-trips (the
-                // model layer's wire convention).
-                res.error =
-                    "predict-admission: predicted completion " +
-                    formatG17(predictedMs) + " ms > deadline " +
-                    formatG17(spec.deadlineMs) + " ms";
-                res.queueDepthAtSubmit = queue.size();
-                recordResult(std::move(res));
-                idleCv.notify_all();
-                return;
-            }
-        } else {
-            metrics.add("serve.predict.unknown");
-        }
-    }
-
-    // Evict @p victim from the queue (shed bookkeeping).
-    auto evictQueued = [&](size_t victim, const std::string &why) {
-        const QueuedJob &q = queue[victim];
-        JobResult res = specEcho(q.spec, JobStatus::Shed);
-        res.error = why;
-        // The victim's own submit-time context, not the shed
-        // instant's: its queue depth at submit and how long it sat
-        // queued before eviction.
-        res.queueDepthAtSubmit = q.depthAtSubmit;
-        res.hostQueueWaitMs = (nowSeconds() - q.submitSec) * 1e3;
-        recordResult(std::move(res));
-        predictedBacklogSeconds -= q.predictedSeconds;
-        auto queued = tenantQueued.find(q.spec.tenant);
-        if (queued != tenantQueued.end() && queued->second > 0)
-            queued->second -= 1;
-        queue.erase(queue.begin() + static_cast<ptrdiff_t>(victim));
-    };
-    // Refuse the incoming job (never queued: the depth it observed
-    // is the current one).
-    auto refuseIncoming = [&](JobStatus status, std::string why) {
-        JobResult res = specEcho(spec, status);
-        res.error = std::move(why);
-        res.queueDepthAtSubmit = queue.size();
-        recordResult(std::move(res));
-        idleCv.notify_all();
-    };
-    // Victim pick among queued jobs of @p tenant (nullptr = any):
-    // lowest priority, newest on a tie; queue.size() when none.
-    auto shedVictim = [&](const std::string *tenant) {
-        size_t victim = queue.size();
-        for (size_t i = 0; i < queue.size(); ++i) {
-            const QueuedJob &a = queue[i];
-            if (tenant != nullptr && a.spec.tenant != *tenant)
-                continue;
-            if (victim == queue.size() ||
-                a.spec.priority < queue[victim].spec.priority ||
-                (a.spec.priority == queue[victim].spec.priority &&
-                 a.submitSeq > queue[victim].submitSeq)) {
-                victim = i;
-            }
-        }
-        return victim;
-    };
-
-    // Per-tenant quota, ahead of the global queue cap.  Under Shed
-    // the tenant's own lowest-priority newest job is the victim (the
-    // incoming job itself unless strictly higher-priority); other
-    // admission policies refuse the incoming job - Block does not
-    // wait, a tenant over quota must not stall other tenants.
-    const TenantPolicy tenantPolicy = cfg.tenants.policy(spec.tenant);
-    if (tenantPolicy.quota > 0 &&
-        tenantQueued[spec.tenant] >= tenantPolicy.quota) {
-        const std::string quotaWhy =
-            "tenant '" + spec.tenant + "' over quota (" +
-            std::to_string(tenantPolicy.quota) + " queued)";
-        if (cfg.admission == Admission::Shed) {
-            const size_t victim = shedVictim(&spec.tenant);
-            if (victim == queue.size() ||
-                spec.priority <= queue[victim].spec.priority) {
-                refuseIncoming(JobStatus::Shed, quotaWhy);
-                return;
-            }
-            evictQueued(victim, "shed at admission (" + quotaWhy +
-                                    ")");
-        } else {
-            refuseIncoming(JobStatus::Rejected, quotaWhy);
-            return;
-        }
-    }
-
-    if (cfg.queueCap != 0 && queue.size() >= cfg.queueCap) {
-        switch (cfg.admission) {
-          case Admission::Reject:
-            refuseIncoming(JobStatus::Rejected,
-                           "queue full (cap " +
-                               std::to_string(cfg.queueCap) + ")");
-            return;
-          case Admission::Shed: {
-            // Victim: lowest priority, newest on a tie.  An incoming
-            // job that is not strictly higher-priority than the
-            // victim is shed itself (it would be the victim) - one
-            // shed result either way, never both.
-            const size_t victim = shedVictim(nullptr);
-            if (spec.priority <= queue[victim].spec.priority) {
-                refuseIncoming(JobStatus::Shed,
-                               "shed at admission (queue cap " +
-                                   std::to_string(cfg.queueCap) +
-                                   ")");
-                return;
-            }
-            evictQueued(victim, "shed at admission (queue cap " +
-                                    std::to_string(cfg.queueCap) +
-                                    ")");
-            break;
-          }
-          case Admission::Block:
-            spaceCv.wait(lk, [&] {
-                return stopping ||
-                       queue.size() < cfg.queueCap;
-            });
-            if (stopping)
-                return;
-            break;
-        }
-    }
     const u64 depth = queue.size();
-    predictedBacklogSeconds += predictedSeconds;
-    tenantQueued[spec.tenant] += 1;
-    queue.push_back(QueuedJob{std::move(spec), nowSeconds(),
-                              submitSeq++, depth, predictedSeconds});
+    queue.push_back(
+        QueuedJob{std::move(spec), nowSeconds(), submitSeq++, depth});
     lk.unlock();
     workCv.notify_one();
 }
@@ -646,15 +454,11 @@ Server::submit(JobSpec spec)
 void
 Server::requeueContinuation(QueuedJob job)
 {
-    // Caller holds mtx.  Continuations bypass admission, quotas, and
-    // the queue cap: the job was already admitted once, and dropping
-    // checkpointed work would waste the simulated time it cost.  A
-    // fresh submitSeq sends the continuation to the back of its
-    // priority class, so queued peers get a turn between slices.
+    // Caller holds mtx.  A fresh submitSeq sends the continuation to
+    // the back of its tenant's queue, so queued peers get a turn
+    // between slices.
     job.submitSeq = submitSeq++;
     job.submitSec = nowSeconds();
-    predictedBacklogSeconds += job.predictedSeconds;
-    tenantQueued[job.spec.tenant] += 1;
     queue.push_back(std::move(job));
     workCv.notify_one();
 }
@@ -680,38 +484,14 @@ Server::workerLoop(u32 index)
         const size_t idx = bestQueuedIndex();
         QueuedJob job = std::move(queue[idx]);
         queue.erase(queue.begin() + static_cast<ptrdiff_t>(idx));
-        predictedBacklogSeconds -= job.predictedSeconds;
         tenantServed[job.spec.tenant] += 1;
-        auto queued = tenantQueued.find(job.spec.tenant);
-        if (queued != tenantQueued.end() && queued->second > 0)
-            queued->second -= 1;
         ++busyWorkers;
         const u64 seq = serviceSeq++;
         const double epochSec = startWallSec;
         lk.unlock();
-        spaceCv.notify_one();
 
         const double dequeueSec = nowSeconds();
         const double waitMs = (dequeueSec - job.submitSec) * 1e3;
-
-        // Queue-wait deadlines cover fresh jobs only: a continuation
-        // already consumed service, and its "wait" restarted at the
-        // preemption instant.
-        if (!job.continuation() && job.spec.deadlineMs > 0.0 &&
-            waitMs > job.spec.deadlineMs) {
-            JobResult res = specEcho(job.spec, JobStatus::Expired);
-            res.error = "deadline expired in queue (" +
-                        std::to_string(waitMs) + " ms > " +
-                        std::to_string(job.spec.deadlineMs) + " ms)";
-            res.hostQueueWaitMs = waitMs;
-            res.queueDepthAtSubmit = job.depthAtSubmit;
-            lk.lock();
-            recordResult(std::move(res));
-            --busyWorkers;
-            lk.unlock();
-            idleCv.notify_all();
-            continue;
-        }
 
         // Service-deadline budget: non-functional co-execution jobs
         // get serviceDeadlineMs of simulated time per slice
@@ -789,8 +569,7 @@ Server::workerLoop(u32 index)
             lk.lock();
             preemptionEvents += 1;
             if (job.preemptions > cfg.maxPreemptions) {
-                JobResult res =
-                    specEcho(job.spec, JobStatus::Expired);
+                JobResult res = expiredEcho(job.spec);
                 res.error = csprintf(
                     "service deadline %g ms: preempted %llu times "
                     "(max %u)",
@@ -830,12 +609,11 @@ Server::workerLoop(u32 index)
         res.hostServiceMs = (doneSec - dequeueSec) * 1e3;
         res.serviceSeq = seq;
         res.worker = static_cast<int>(index);
-        res.deadlineMs = job.spec.deadlineMs;
         res.serviceDeadlineMs = job.spec.serviceDeadlineMs;
         res.queueDepthAtSubmit = job.depthAtSubmit;
 
-        metrics.observe("serve.queue_wait_ms", res.hostQueueWaitMs);
-        metrics.observe("serve.service_ms", res.hostServiceMs);
+        metrics.observe("host.serve.queue_wait_ms", res.hostQueueWaitMs);
+        metrics.observe("host.serve.service_ms", res.hostServiceMs);
         if (tracer.enabled()) {
             tracer.span(track,
                         "job " + std::to_string(res.id) + " " +
@@ -872,7 +650,6 @@ Server::shutdown()
         stopping = true;
     }
     workCv.notify_all();
-    spaceCv.notify_all();
     idleCv.notify_all();
     for (auto &worker : workers)
         worker.join();
@@ -908,7 +685,7 @@ Server::report()
     std::vector<double> waits, services;
     struct TenantFold
     {
-        u64 submitted = 0, completed = 0, shed = 0, expired = 0;
+        u64 submitted = 0, completed = 0, expired = 0;
         u64 preemptions = 0;
         u64 ranJobs = 0;
         double serviceSeqSum = 0.0;
@@ -942,13 +719,6 @@ Server::report()
           case JobStatus::Error:
             ++rep.errors;
             break;
-          case JobStatus::Rejected:
-            ++rep.rejected;
-            break;
-          case JobStatus::Shed:
-            ++rep.shed;
-            ++fold.shed;
-            break;
           case JobStatus::Expired:
             ++rep.expired;
             ++fold.expired;
@@ -968,7 +738,6 @@ Server::report()
         stats.weight = cfg.tenants.policy(tenant).weight;
         stats.submitted = fold.submitted;
         stats.completed = fold.completed;
-        stats.shed = fold.shed;
         stats.expired = fold.expired;
         stats.preemptions = fold.preemptions;
         stats.meanServiceSeq =
@@ -1000,14 +769,6 @@ runBatch(const std::vector<JobSpec> &jobs, const ServerConfig &config,
 {
     if (auto err = Server::validateConfig(config)) {
         error = *err;
-        return std::nullopt;
-    }
-    if (config.admission == Admission::Block &&
-        config.queueCap != 0 && jobs.size() > config.queueCap) {
-        error = "block admission would deadlock a prefilled batch of " +
-                std::to_string(jobs.size()) + " jobs (queue cap " +
-                std::to_string(config.queueCap) +
-                "); use reject or shed";
         return std::nullopt;
     }
 

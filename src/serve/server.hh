@@ -3,13 +3,13 @@
  * hetsim::serve - an in-process simulation job server.
  *
  * The Server turns the one-shot CLI verbs into a serving layer: jobs
- * (JobSpec) are submitted to a bounded priority queue guarded by an
- * admission policy, a pool of worker sessions executes them - each
- * worker owning its own runtime contexts while every session shares
- * the process-wide sim::TimingCache - and per-job results plus
- * latency distributions come back out.  Two front-ends drive it:
- * `hetsim batch` (JSONL job file in, JSONL results out) and
- * `hetsim serve --shots N` (closed-loop load generator).
+ * (JobSpec) are submitted to an unbounded queue, a pool of worker
+ * sessions executes every one of them - each worker owning its own
+ * runtime contexts while every session shares the process-wide
+ * sim::TimingCache - and per-job results plus latency distributions
+ * come back out.  Two front-ends drive it: `hetsim batch` (JSONL job
+ * file in, JSONL results out) and `hetsim serve` (`--stream` JSONL on
+ * stdin, or the `--shots N` closed-loop load generator).
  *
  * Determinism contract: the serialized result of a job depends only on
  * its spec (the simulator is deterministic), so a batch's result file
@@ -21,18 +21,6 @@
  * scaling numbers (makespan, throughput) that are reproducible on any
  * host - including single-core CI runners, where host wall-clock
  * cannot show parallel speedup for CPU-bound simulation work.
- *
- * Admission control when the queue is full:
- *  - reject: the incoming job completes immediately as Rejected;
- *  - shed:   the lowest-priority queued job (newest on a tie) is
- *            evicted as Shed - unless the incoming job's priority is
- *            no higher, in which case the incoming job is shed;
- *  - block:  submit() waits for space (live/closed-loop mode only; a
- *            prefilled batch would deadlock, so runBatch refuses it).
- *
- * Deadlines are queue-wait deadlines in host milliseconds, checked at
- * dequeue: a job still queued past its deadline completes as Expired
- * without ever running.
  *
  * Service deadlines ("service_deadline_ms" / --service-deadline-ms)
  * preempt *running* jobs: a non-functional co-execution job gets a
@@ -47,8 +35,7 @@
  *
  * Multi-tenancy: jobs carry a tenant label; dequeue picks the tenant
  * with the least weighted virtual service (served/weight, ties to the
- * lexicographically first name), then the tenant's highest-priority
- * oldest job.  Per-tenant quotas cap queued jobs per tenant.
+ * lexicographically first name), then that tenant's oldest job.
  */
 
 #ifndef HETSIM_SERVE_SERVER_HH
@@ -68,62 +55,20 @@
 #include "serve/jobspec.hh"
 #include "serve/tenant.hh"
 
-namespace hetsim::model
-{
-class Surrogate;
-}
-
 namespace hetsim::serve
 {
-
-/** Policy applied when a job arrives and the queue is full. */
-enum class Admission : u8
-{
-    Reject, ///< fail the incoming job immediately
-    Shed,   ///< evict the lowest-priority queued job (newest on tie)
-    Block,  ///< make submit() wait for space
-};
-
-/** @return CLI identifier, e.g. "reject". */
-const char *toString(Admission admission);
-
-/** @return the policy for a CLI alias (reject/shed/block). */
-std::optional<Admission> admissionByName(const std::string &name);
 
 /** Serving-layer configuration. */
 struct ServerConfig
 {
     /** Worker sessions (must be >= 1; validateConfig rejects 0). */
     u32 workers = 4;
-    /** Queue capacity (0 = unbounded; admission never fires). */
-    size_t queueCap = 0;
-    Admission admission = Admission::Reject;
-    /** Default queue-wait deadline applied to jobs that carry none
-     *  (0 = no default). */
-    double defaultDeadlineMs = 0.0;
-    /**
-     * Predict-admission (`--predict-admission`): at submit, ask the
-     * surrogate for the job's recorded cost (jobClassKey x
-     * jobDeviceKey); when known and the job carries a deadline, the
-     * deadline is additionally read as a *virtual-latency* SLO - a job
-     * whose predicted completion (queued predicted backlog spread over
-     * the workers, plus its own predicted service time, in simulated
-     * milliseconds) exceeds the deadline is Rejected at admission
-     * instead of wasting a worker.  Jobs with unknown costs or no
-     * deadline admit as before (fail open).  Decisions are made in
-     * deterministic submit order from simulated quantities only, so
-     * batch results stay byte-identical at any worker count; the
-     * simulated seconds of jobs that do run are untouched.
-     */
-    bool predictAdmission = false;
-    /** Cost oracle consulted by predict-admission (borrowed). */
-    const model::Surrogate *surrogate = nullptr;
     /** Default service deadline (simulated ms) for jobs that carry
      *  none (0 = no default); see the file comment on preemption. */
     double defaultServiceDeadlineMs = 0.0;
     /** Preemptions a job may survive before it completes Expired. */
     u32 maxPreemptions = 16;
-    /** Tenant weights and quotas (--tenants / --quota). */
+    /** Tenant weights (--tenants). */
     TenantTable tenants;
     /**
      * Live result hook (the streaming front-end): invoked under the
@@ -139,8 +84,6 @@ struct ServerReport
     u64 submitted = 0;
     u64 completed = 0; ///< terminal Ok
     u64 errors = 0;
-    u64 rejected = 0;
-    u64 shed = 0;
     u64 expired = 0;
     /** Preemption events across all jobs (slices re-queued). */
     u64 preemptions = 0;
@@ -153,7 +96,6 @@ struct ServerReport
         double weight = 1.0;
         u64 submitted = 0;  ///< results carrying this tenant
         u64 completed = 0;
-        u64 shed = 0;
         u64 expired = 0;
         u64 preemptions = 0;
         /** Mean dispatch sequence of the tenant's ran jobs - the
@@ -198,10 +140,10 @@ struct ServerReport
 };
 
 /**
- * Execute one job synchronously on the calling thread (no queueing,
- * no admission).  This is exactly what a worker session runs, so
- * tests can compare a served job against a standalone run - fault
- * schedules in particular must be bitwise identical.
+ * Execute one job synchronously on the calling thread (no queueing).
+ * This is exactly what a worker session runs, so tests can compare a
+ * served job against a standalone run - fault schedules in particular
+ * must be bitwise identical.
  */
 JobResult runJob(const JobSpec &spec);
 
@@ -270,12 +212,7 @@ class Server
     /** Resume dequeuing; the drain wall-clock starts here. */
     void resume();
 
-    /**
-     * Submit one job (admission control applies; see file comment).
-     * Jobs refused at admission complete immediately as
-     * Rejected/Shed.  With Block admission this call waits for queue
-     * space.
-     */
+    /** Queue one job; a worker runs it once dequeuing is on. */
     void submit(JobSpec spec);
 
     /** Wait until the queue is empty and every worker is idle. */
@@ -297,11 +234,8 @@ class Server
     {
         JobSpec spec;
         double submitSec = 0.0; ///< host seconds (monotonic)
-        u64 submitSeq = 0;      ///< admission order
+        u64 submitSeq = 0;      ///< submit order
         u64 depthAtSubmit = 0;  ///< queue depth seen at submit
-        /** Predicted service seconds this job contributes to the
-         *  predicted backlog (0 = cost unknown). */
-        double predictedSeconds = 0.0;
 
         // --- Preemption continuation state ---------------------------
         /** Non-empty: resume these ranges instead of a fresh run. */
@@ -321,12 +255,12 @@ class Server
 
     void workerLoop(u32 index);
     /** Pick the queue index to dequeue: the least-weighted-service
-     *  tenant's highest-priority oldest job (see file comment). */
+     *  tenant's oldest job (see file comment). */
     size_t bestQueuedIndex() const;
     /** Record a terminal result and bump its status counter. */
     void recordResult(JobResult result);
-    /** Echo spec fields into a fresh refusal/expiry result. */
-    static JobResult specEcho(const JobSpec &spec, JobStatus status);
+    /** Echo spec fields into a fresh Expired result. */
+    static JobResult expiredEcho(const JobSpec &spec);
     /** Re-queue a preempted job's continuation (caller holds mtx). */
     void requeueContinuation(QueuedJob job);
 
@@ -334,18 +268,12 @@ class Server
     std::vector<std::thread> workers;
 
     mutable std::mutex mtx;
-    std::condition_variable workCv;  ///< queue -> workers
-    std::condition_variable spaceCv; ///< queue space -> Block submits
-    std::condition_variable idleCv;  ///< drain() wakeups
+    std::condition_variable workCv; ///< queue -> workers
+    std::condition_variable idleCv; ///< drain() wakeups
     std::vector<QueuedJob> queue;
     std::vector<JobResult> results;
-    /** Sum of predictedSeconds over queued jobs (predict-admission
-     *  backlog estimate; falls as jobs dequeue or are shed). */
-    double predictedBacklogSeconds = 0.0;
-    /** Fair-share bookkeeping: dispatches per tenant / queued jobs
-     *  per tenant (quota accounting). */
+    /** Fair-share bookkeeping: dispatches per tenant. */
     std::map<std::string, u64> tenantServed;
-    std::map<std::string, u64> tenantQueued;
     u64 preemptionEvents = 0;
     u64 submitSeq = 0;
     u64 serviceSeq = 0;
@@ -366,10 +294,9 @@ struct BatchOutcome
 
 /**
  * Run @p jobs as a deterministic prefilled batch: the server starts
- * paused, every job is submitted (admission and shedding therefore
- * happen in file order), then the workers drain the queue.  @return
- * nullopt and set @p error on an invalid configuration or a
- * Block-admission batch that would deadlock.
+ * paused, every job is submitted in file order, then the workers
+ * drain the queue.  @return nullopt and set @p error on an invalid
+ * configuration.
  */
 std::optional<BatchOutcome> runBatch(const std::vector<JobSpec> &jobs,
                                      const ServerConfig &config,

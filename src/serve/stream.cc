@@ -77,7 +77,6 @@ runStream(std::istream &in, std::ostream &out,
             server.shutdown();
             return std::nullopt;
         }
-        outcome.specs.push_back(*spec);
         server.submit(std::move(*spec));
     }
 

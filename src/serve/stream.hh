@@ -4,10 +4,10 @@
  *
  * `hetsim serve --stream` turns the batch server into an online one:
  * JobSpec JSONL lines arrive incrementally on an input stream, each
- * job is submitted the moment its line is read (admission, quotas,
- * fair-share and preemption all apply live), and every terminal
- * result is emitted to the output stream as soon as it records - in
- * completion order, which is host-dependent.  The deterministic
+ * job is submitted the moment its line is read (fair-share and
+ * preemption apply live), and every terminal result is emitted to the
+ * output stream as soon as it records - in completion order, which is
+ * host-dependent.  The deterministic
  * artifact is the sorted result set (StreamOutcome / --results-out),
  * which is byte-identical at any worker count, like a batch.
  *
@@ -44,8 +44,6 @@ struct StreamOutcome
 {
     /** Terminal results, ascending id (the determinism artifact). */
     std::vector<JobResult> results;
-    /** Accepted job specs in arrival order (model absorption). */
-    std::vector<JobSpec> specs;
     ServerReport report;
     /** Input lines consumed (incl. blanks and the sentinel). */
     u64 linesRead = 0;

@@ -19,7 +19,7 @@ namespace
  * ':' separator.
  */
 bool
-splitSpec(const std::string &spec, const char *flag,
+splitSpec(const std::string &spec,
           std::vector<std::pair<std::string, std::string>> &out,
           std::string &error)
 {
@@ -31,7 +31,7 @@ splitSpec(const std::string &spec, const char *flag,
         const std::string entry = spec.substr(pos, comma - pos);
         pos = comma + 1;
         if (entry.empty()) {
-            error = csprintf("%s: empty entry in '%s'", flag,
+            error = csprintf("--tenants: empty entry in '%s'",
                              spec.c_str());
             return false;
         }
@@ -39,16 +39,12 @@ splitSpec(const std::string &spec, const char *flag,
         if (colon == std::string::npos || colon == 0 ||
             colon + 1 == entry.size()) {
             error = csprintf(
-                "%s: entry '%s' is not of the form name:value", flag,
+                "--tenants: entry '%s' is not of the form name:value",
                 entry.c_str());
             return false;
         }
         out.emplace_back(entry.substr(0, colon),
                          entry.substr(colon + 1));
-    }
-    if (out.empty()) {
-        error = csprintf("%s: empty spec", flag);
-        return false;
     }
     return true;
 }
@@ -59,7 +55,7 @@ bool
 TenantTable::applyWeights(const std::string &spec, std::string &error)
 {
     std::vector<std::pair<std::string, std::string>> entries;
-    if (!splitSpec(spec, "--tenants", entries, error))
+    if (!splitSpec(spec, entries, error))
         return false;
     std::map<std::string, TenantPolicy> merged = policies;
     for (const auto &[name, text] : entries) {
@@ -75,32 +71,6 @@ TenantTable::applyWeights(const std::string &spec, std::string &error)
             return false;
         }
         merged[name].weight = w;
-    }
-    policies = std::move(merged);
-    return true;
-}
-
-bool
-TenantTable::applyQuotas(const std::string &spec, std::string &error)
-{
-    std::vector<std::pair<std::string, std::string>> entries;
-    if (!splitSpec(spec, "--quota", entries, error))
-        return false;
-    std::map<std::string, TenantPolicy> merged = policies;
-    for (const auto &[name, text] : entries) {
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long q =
-            std::strtoull(text.c_str(), &end, 10);
-        if (errno != 0 || end == text.c_str() || *end != '\0' ||
-            text[0] == '-' || q == 0) {
-            error = csprintf(
-                "--quota: quota '%s' for tenant '%s' is not an "
-                "integer >= 1",
-                text.c_str(), name.c_str());
-            return false;
-        }
-        merged[name].quota = static_cast<size_t>(q);
     }
     policies = std::move(merged);
     return true;

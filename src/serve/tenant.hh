@@ -5,17 +5,16 @@
  * Tenancy is a label on the JobSpec (`tenant`, default "" = the
  * anonymous tenant).  The TenantTable maps tenant names to scheduling
  * policy: a fair-share *weight* (how big a slice of dequeue bandwidth
- * the tenant gets under contention) and an optional queue *quota*
- * (how many of its jobs may sit queued at once).  Tenants that never
- * appear in the table run with weight 1 and no quota, so single-tenant
- * workloads behave exactly as before the tenancy layer existed.
+ * the tenant gets under contention).  Tenants that never appear in the
+ * table run with weight 1, so single-tenant workloads dequeue in plain
+ * submit order.
  *
  * The server dequeues by weighted virtual time: each tenant accrues
  * served/weight "virtual service" per dispatched job and the tenant
  * with the smallest accrual (ties: lexicographically first name) goes
- * next.  Within a tenant, ordering stays highest-priority-first,
- * oldest-first.  The rule depends only on dispatch counts - never on
- * host timing - so scheduling decisions are deterministic.
+ * next.  Within a tenant, the oldest job goes first.  The rule depends
+ * only on dispatch counts - never on host timing - so scheduling
+ * decisions are deterministic.
  */
 
 #ifndef HETSIM_SERVE_TENANT_HH
@@ -34,8 +33,6 @@ struct TenantPolicy
 {
     /** Fair-share weight (> 0); dequeue bandwidth is proportional. */
     double weight = 1.0;
-    /** Max jobs this tenant may have queued (0 = unlimited). */
-    size_t quota = 0;
 };
 
 /** Tenant name -> policy, with defaults for unlisted tenants. */
@@ -49,25 +46,8 @@ class TenantTable
      */
     bool applyWeights(const std::string &spec, std::string &error);
 
-    /**
-     * Merge a `--quota` spec, e.g. "acme:10,hooli:4".  Quotas must be
-     * integers >= 1 (omit a tenant for unlimited).  @return false and
-     * set @p error on a malformed spec (table left unchanged).
-     */
-    bool applyQuotas(const std::string &spec, std::string &error);
-
     /** @return the policy for @p tenant (defaults when unlisted). */
     TenantPolicy policy(const std::string &tenant) const;
-
-    /** @return true when no tenant has explicit policy. */
-    bool empty() const { return policies.empty(); }
-
-    /** Name -> policy, naturally sorted (for reports). */
-    const std::map<std::string, TenantPolicy> &
-    entries() const
-    {
-        return policies;
-    }
 
   private:
     std::map<std::string, TenantPolicy> policies;

@@ -88,7 +88,8 @@ usage(std::ostream &os)
           "             [--scale f]\n"
           "  hetsim coexec --app <app> --devices <d1+d2[+..]>\n"
           "             [--policy static|dynamic|adaptive]\n"
-          "             [--backend ocl|amp|acc|hc|omp|cuda]\n"
+          "             [--backend "
+       << serve::backendNames("|") << "]\n"
           "             [--chunk n] [--min-chunk n] [--scale f] "
           "[--dp] [--functional]\n"
           "             [--inject-faults spec] [--fault-seed n]\n"
@@ -101,15 +102,11 @@ usage(std::ostream &os)
           "FILE]\n"
           "  hetsim batch --jobs FILE [--results-out FILE] "
           "[--workers n]\n"
-          "             [--queue-cap n] [--deadline-ms n]\n"
-          "             [--admission reject|shed|block]\n"
-          "  hetsim serve --shots n [--workers n] [--queue-cap n]\n"
-          "             [--deadline-ms n] [--admission "
-          "reject|shed|block]\n"
-          "             [--scale f] [--results-out FILE]\n"
+          "  hetsim serve --shots n [--workers n] [--scale f]\n"
+          "             [--results-out FILE]\n"
           "  hetsim serve --stream [--workers n] [--tenants a:3,b:1]\n"
-          "             [--quota a:10] [--service-deadline-ms n]\n"
-          "             [--max-preemptions n] [--results-out FILE]\n"
+          "             [--service-deadline-ms n] [--max-preemptions n]\n"
+          "             [--results-out FILE]\n"
           "             < jobs.jsonl\n"
           "  hetsim fleet [--topology FILE | --nodes n] [--njobs n]\n"
           "             [--placement first-fit|least-loaded|locality]\n"
@@ -133,21 +130,12 @@ usage(std::ostream &os)
           "                      dp, functional, freq, timing_cache, "
           "faults,\n"
           "                      fault_seed, retry_max, fail_device, "
-          "deadline_ms,\n"
-          "                      priority, service_deadline_ms, "
-          "tenant\n"
+          "service_deadline_ms,\n"
+          "                      tenant\n"
           "  --results-out FILE  results JSONL (default: stdout); "
           "deterministic\n"
           "                      fields only, ordered by job id\n"
           "  --workers N         worker sessions (default 4)\n"
-          "  --queue-cap N       admission queue capacity (default "
-          "unbounded)\n"
-          "  --admission P       queue-full policy: reject (default), "
-          "shed\n"
-          "                      (evict lowest-priority, newest on "
-          "tie), block\n"
-          "  --deadline-ms N     default queue-wait deadline for jobs "
-          "without one\n"
           "  --shots N           serve: closed-loop jobs to generate "
           "(default 16)\n"
           "  --stream            serve: read JobSpec JSONL from stdin "
@@ -158,8 +146,6 @@ usage(std::ostream &os)
           "  --tenants S         fair-share weights, name:w pairs "
           "(e.g. a:3,b:1);\n"
           "                      unlisted tenants weigh 1\n"
-          "  --quota S           per-tenant queued-job quotas, name:n "
-          "pairs\n"
           "  --service-deadline-ms N\n"
           "                      default *simulated* service budget "
           "per dispatch\n"
@@ -247,13 +233,14 @@ usage(std::ostream &os)
           "1e-9)\n"
           "  --backend B         coexec/breakdown/predict: device "
           "backend the GPU\n"
-          "                      slots compile under (ocl, amp, acc, "
-          "hc, omp,\n"
-          "                      cuda; default hc).  NB --backend omp "
-          "is OpenMP\n"
-          "                      target offload; --model omp is the "
-          "CPU host\n"
-          "                      model\n"
+          "                      slots compile under (default hc), one "
+          "of\n"
+          "                      "
+       << serve::backendNames("|")
+       << "\n"
+          "                      NB --backend omp is OpenMP target "
+          "offload; --model\n"
+          "                      omp is the CPU host model\n"
           "  energy-to-solution columns appear on run/compare/coexec/"
           "batch/\n"
           "  serve/fleet output\n\n"
@@ -280,16 +267,9 @@ usage(std::ostream &os)
           "                      --sweep prints a frequency sweep, "
           "--devices a+b\n"
           "                      a coexec split ratio\n"
-          "  --predict-admission batch/serve: reject jobs whose "
-          "predicted\n"
-          "                      completion (recorded cost + predicted "
-          "backlog)\n"
-          "                      exceeds their deadline (needs "
-          "--model-in)\n"
           "  --no-surrogate      ignore loaded models: probe/simulate "
           "every cost\n"
-          "                      (A/B escape hatch; disables "
-          "predict-admission)\n\n"
+          "                      (A/B escape hatch)\n\n"
           "apps:    " << appNames(" ", false) << "\n"
           "         (coexec: " << appNames(" ", true) << ")\n"
           "models:  " << modelNames() << "\n"
@@ -568,6 +548,26 @@ struct CoexecLaunch
     Precision prec;
 };
 
+/**
+ * Sets the coexec.<device>.* gauges from one co-executed launch.  Only
+ * the verbs that run a single launch call this: a batch or serve run
+ * has no one launch they could describe.
+ */
+void
+setCoexecGauges(const coexec::CoExecResult &result)
+{
+    obs::Metrics &metrics = obs::Metrics::global();
+    if (!metrics.enabled())
+        return;
+    for (const coexec::DeviceReport &dev : result.devices) {
+        const std::string prefix = "coexec." + dev.device;
+        metrics.set(prefix + ".busy_seconds", dev.busySeconds);
+        metrics.set(prefix + ".idle_seconds", dev.idleSeconds);
+        metrics.set(prefix + ".transfer_seconds", dev.transferSeconds);
+        metrics.set(prefix + ".chunks", static_cast<double>(dev.chunks));
+    }
+}
+
 /** @return the requested launch, or nullopt with the error printed. */
 std::optional<CoexecLaunch>
 coexecLaunch(const Args &args, std::ostream &os)
@@ -618,6 +618,7 @@ cmdCoexec(const Args &args, std::ostream &os)
         opts.faults = &plan;
     coexec::CoExecutor executor(pool, prec);
     auto result = executor.execute(kernel, opts);
+    setCoexecGauges(result);
     if (!result.ok) {
         os << "error: " << result.error << "\n";
         return 2;
@@ -733,6 +734,7 @@ runForBreakdown(const Args &args, std::ostream &os, std::string &title)
         opts.functional = false;
         coexec::CoExecutor executor(pool, prec);
         auto result = executor.execute(kernel, opts);
+        setCoexecGauges(result);
         if (!result.ok) {
             os << "error: " << result.error << "\n";
             return -1.0;
@@ -859,30 +861,20 @@ cmdProfile(const Args &args, std::ostream &os)
     return analysis.attributionError() > 1e-9 ? 1 : 0;
 }
 
-/** Assemble the serving config shared by the batch and serve verbs;
- *  --predict-admission answers from @p surrogate. */
+/** Assemble the serving config shared by the batch and serve verbs. */
 serve::ServerConfig
-serveConfig(const Args &args, const model::Surrogate &surrogate)
+serveConfig(const Args &args)
 {
     serve::ServerConfig cfg;
     cfg.workers = static_cast<u32>(args.workers);
-    cfg.queueCap = static_cast<size_t>(args.queueCap);
-    cfg.admission = *serve::admissionByName(args.admission);
-    cfg.defaultDeadlineMs = static_cast<double>(args.deadlineMs);
     cfg.defaultServiceDeadlineMs =
         static_cast<double>(args.serviceDeadlineMs);
     cfg.maxPreemptions = static_cast<u32>(args.maxPreemptions);
-    // The specs were validated at parse time; re-application here
+    // The spec was validated at parse time; re-application here
     // cannot fail.
     std::string tenant_err;
     if (!args.tenants.empty())
         cfg.tenants.applyWeights(args.tenants, tenant_err);
-    if (!args.quota.empty())
-        cfg.tenants.applyQuotas(args.quota, tenant_err);
-    if (args.predictAdmission && args.surrogate) {
-        cfg.predictAdmission = true;
-        cfg.surrogate = &surrogate;
-    }
     return cfg;
 }
 
@@ -920,31 +912,19 @@ writeModelOut(const Args &args, const model::Surrogate &surrogate,
 }
 
 /**
- * Folds a finished serving run into @p surrogate for --model-out:
- * fits kernel models from the profiler's observation records and
- * stores every Ok job's simulated seconds as an exact
- * (class key, device key) cost anchor for later predict-admission.
+ * The --model-out of batch and serve: fits kernel models from the
+ * served jobs' observation records into @p surrogate (seeded by
+ * --model-in) and writes it.  @return 0, or 2 on failure.
  */
-void
-absorbServeRun(const std::vector<serve::JobSpec> &jobs,
-               const std::vector<serve::JobResult> &results,
-               model::Surrogate &surrogate)
+int
+writeServeModel(const Args &args, model::Surrogate &surrogate,
+                std::ostream &os)
 {
+    if (args.modelOut.empty())
+        return 0;
     surrogate.fitFromObservations(
         obs::Profiler::global().observations());
-    std::map<u64, const serve::JobSpec *> byId;
-    for (const serve::JobSpec &spec : jobs)
-        byId[spec.id] = &spec;
-    for (const serve::JobResult &res : results) {
-        if (res.status != serve::JobStatus::Ok)
-            continue;
-        const auto it = byId.find(res.id);
-        if (it == byId.end())
-            continue;
-        surrogate.setJobCost(serve::jobClassKey(*it->second),
-                             serve::jobDeviceKey(*it->second),
-                             res.simSeconds);
-    }
+    return writeModelOut(args, surrogate, os);
 }
 
 /** Print the serving summary table shared by batch and serve. */
@@ -957,8 +937,6 @@ printServeSummary(const serve::ServerReport &report, std::ostream &os)
     table.addRow({"jobs submitted", std::to_string(report.submitted)});
     table.addRow({"ok", std::to_string(report.completed)});
     table.addRow({"error", std::to_string(report.errors)});
-    table.addRow({"rejected", std::to_string(report.rejected)});
-    table.addRow({"shed", std::to_string(report.shed)});
     table.addRow({"expired", std::to_string(report.expired)});
     table.addRow({"queue wait p50/p95/p99 (ms)",
                   Table::num(report.queueWaitMs.p50, 2) + " / " +
@@ -990,14 +968,13 @@ printServeSummary(const serve::ServerReport &report, std::ostream &os)
     if (multi_tenant) {
         Table tenants("per-tenant fair share");
         tenants.setHeader({"tenant", "weight", "submitted", "ok",
-                           "shed", "expired", "preempted",
-                           "mean svc seq", "energy (J)"});
+                           "expired", "preempted", "mean svc seq",
+                           "energy (J)"});
         for (const auto &t : report.tenants)
             tenants.addRow({t.tenant.empty() ? "-" : t.tenant,
                             Table::num(t.weight, 2),
                             std::to_string(t.submitted),
                             std::to_string(t.completed),
-                            std::to_string(t.shed),
                             std::to_string(t.expired),
                             std::to_string(t.preemptions),
                             Table::num(t.meanServiceSeq, 2),
@@ -1054,9 +1031,8 @@ cmdBatch(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args, surrogate);
     std::string error;
-    auto outcome = serve::runBatch(*jobs, cfg, error);
+    auto outcome = serve::runBatch(*jobs, serveConfig(args), error);
     if (!outcome) {
         os << "error: " << error << "\n";
         return 2;
@@ -1064,11 +1040,8 @@ cmdBatch(const Args &args, std::ostream &os)
     int rc = writeServeResults(args, outcome->results, os);
     if (rc != 0)
         return rc;
-    if (!args.modelOut.empty()) {
-        absorbServeRun(*jobs, outcome->results, surrogate);
-        if (int out_rc = writeModelOut(args, surrogate, os))
-            return out_rc;
-    }
+    if (int out_rc = writeServeModel(args, surrogate, os))
+        return out_rc;
     // With the JSONL going to a file, the summary goes to the
     // console; with JSONL on stdout, stdout stays machine-readable.
     if (!args.resultsOut.empty())
@@ -1090,18 +1063,15 @@ cmdServeStream(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args, surrogate);
     std::string error;
-    auto outcome = serve::runStream(std::cin, os, cfg, error);
+    auto outcome =
+        serve::runStream(std::cin, os, serveConfig(args), error);
     if (!outcome) {
         os << "error: " << error << "\n";
         return 2;
     }
-    if (!args.modelOut.empty()) {
-        absorbServeRun(outcome->specs, outcome->results, surrogate);
-        if (int out_rc = writeModelOut(args, surrogate, os))
-            return out_rc;
-    }
+    if (int out_rc = writeServeModel(args, surrogate, os))
+        return out_rc;
     if (!args.resultsOut.empty()) {
         if (int rc = writeServeResults(args, outcome->results, os))
             return rc;
@@ -1153,7 +1123,6 @@ cmdServe(const Args &args, std::ostream &os)
         }
         spec.scale = args.scale;
         spec.timingCache = args.timingCache;
-        spec.deadlineMs = static_cast<double>(args.deadlineMs);
         jobs.push_back(std::move(spec));
     }
 
@@ -1161,13 +1130,13 @@ cmdServe(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args, surrogate);
+    serve::ServerConfig cfg = serveConfig(args);
     if (auto err = serve::Server::validateConfig(cfg)) {
         os << "error: " << *err << "\n";
         return 2;
     }
     // Live (not prefilled): jobs arrive while the workers run, so
-    // queue-wait latencies and admission behave like a real server.
+    // queue-wait latencies behave like a real server's.
     serve::Server server(cfg);
     if (auto err = server.start()) {
         os << "error: " << *err << "\n";
@@ -1181,11 +1150,8 @@ cmdServe(const Args &args, std::ostream &os)
     server.shutdown();
 
     printServeSummary(report, os);
-    if (!args.modelOut.empty()) {
-        absorbServeRun(jobs, results, surrogate);
-        if (int out_rc = writeModelOut(args, surrogate, os))
-            return out_rc;
-    }
+    if (int out_rc = writeServeModel(args, surrogate, os))
+        return out_rc;
     if (!args.resultsOut.empty())
         return writeServeResults(args, results, os);
     return 0;
@@ -1293,7 +1259,8 @@ costFleetClasses(const Args &args, const fleet::Topology &topo,
         os << "error: fleet class probe: " << error << "\n";
         return std::nullopt;
     }
-    obs::Metrics::global().add("fleet.cost.wall_seconds", costSeconds);
+    obs::Metrics::global().add("host.fleet.cost.wall_seconds",
+                               costSeconds);
     obs::Metrics::global().add(
         "fleet.cost.surrogate_hits",
         static_cast<double>(outcome->surrogateHits));
@@ -1879,10 +1846,13 @@ const FlagSpec kFlags[] = {
          a.devicesGiven = true;
          return true;
      }},
-    {"--backend", Kind::Custom,
-     "a device backend (ocl, amp, acc, hc, omp, cuda)", &Args::backend,
-     [](Args &, const std::string &v) {
-         return serve::backendByName(v).has_value();
+    {"--backend", Kind::Custom, nullptr, &Args::backend,
+     [](Args &a, const std::string &v) {
+         if (serve::backendByName(v))
+             return true;
+         a.error = "--backend wants a device backend (" +
+                   serve::backendNames(", ") + "), got '" + v + "'";
+         return false;
      }},
     {"--power-model", Kind::Path, "a file path", &Args::powerModel},
     {"--energy-out", Kind::Path, "a file path", &Args::energyOut},
@@ -1947,24 +1917,11 @@ const FlagSpec kFlags[] = {
     // 0 parses fine; the server reports the structured zero-worker
     // configuration error.
     {"--workers", Kind::Count, "a worker count", &Args::workers},
-    {"--queue-cap", Kind::Count, "a job count (0 = unbounded)",
-     &Args::queueCap},
-    {"--deadline-ms", Kind::Count, "milliseconds (0 = none)",
-     &Args::deadlineMs},
     {"--shots", Kind::PositiveCount, "a positive job count", &Args::shots},
-    {"--admission", Kind::Custom, "reject, shed, or block",
-     &Args::admission,
-     [](Args &, const std::string &v) {
-         return serve::admissionByName(v).has_value();
-     }},
     {"--stream", Kind::On, nullptr, &Args::stream},
     {"--tenants", Kind::Custom, nullptr, &Args::tenants,
      [](Args &a, const std::string &v) {
          return serve::TenantTable().applyWeights(v, a.error);
-     }},
-    {"--quota", Kind::Custom, nullptr, &Args::quota,
-     [](Args &a, const std::string &v) {
-         return serve::TenantTable().applyQuotas(v, a.error);
      }},
     {"--service-deadline-ms", Kind::Count,
      "simulated milliseconds (0 = none)", &Args::serviceDeadlineMs},
@@ -1999,7 +1956,6 @@ const FlagSpec kFlags[] = {
     {"--kernel", Kind::Path, "a kernel name", &Args::kernel},
     {"--items", Kind::PositiveCount, "a positive item count",
      &Args::items},
-    {"--predict-admission", Kind::On, nullptr, &Args::predictAdmission},
     {"--no-surrogate", Kind::Off, nullptr, &Args::surrogate},
     {"--sweep", Kind::On, nullptr, &Args::fleetSweep},
     {"--dp", Kind::On, nullptr, &Args::doublePrecision},
@@ -2099,10 +2055,7 @@ parse(const std::vector<std::string> &argv)
     if (!args.error.empty())
         return args;
 
-    if (args.predictAdmission && args.modelIn.empty()) {
-        args.error = "--predict-admission needs --model-in FILE "
-                     "(recorded job costs to predict from)";
-    } else if (args.stream && args.command != "serve") {
+    if (args.stream && args.command != "serve") {
         args.error = "--stream is a serve-verb flag "
                      "(hetsim serve --stream < jobs.jsonl)";
     } else if (!args.energyOut.empty() && args.command != "run" &&

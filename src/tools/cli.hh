@@ -64,15 +64,11 @@ struct Args
     std::string jobs;       ///< JSONL job file (batch)
     std::string resultsOut; ///< results JSONL path ("" = stdout)
     u64 workers = 4;        ///< worker sessions
-    u64 queueCap = 0;       ///< admission queue cap (0 = unbounded)
-    u64 deadlineMs = 0;     ///< default queue-wait deadline (0 = none)
     u64 shots = 16;         ///< serve: closed-loop job count
-    std::string admission = "reject"; ///< reject | shed | block
     /** serve: --stream reads JobSpec JSONL from stdin incrementally
      *  and emits each result line as the job completes. */
     bool stream = false;
     std::string tenants; ///< fair-share weights, "name:w,..."
-    std::string quota;   ///< per-tenant queue quotas, "name:n,..."
     /** Default service deadline in simulated ms (0 = none); running
      *  coexec jobs past it are preempted at chunk boundaries. */
     u64 serviceDeadlineMs = 0;
@@ -94,11 +90,7 @@ struct Args
     std::string fitObs;   ///< predict: observation JSONL to fit from
     std::string kernel;   ///< predict: kernel name to query
     u64 items = 0;        ///< predict: items per launch (0 = none)
-    /** serve/batch: reject jobs whose surrogate-predicted completion
-     *  exceeds their deadline (needs --model-in). */
-    bool predictAdmission = false;
-    /** --no-surrogate: ignore loaded models (probe/simulate instead;
-     *  disables predict-admission). */
+    /** --no-surrogate: ignore loaded models (probe/simulate instead). */
     bool surrogate = true;
     std::string error; ///< non-empty on parse failure
 };

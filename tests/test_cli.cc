@@ -134,10 +134,9 @@ expectProfileInvariants(const obs::ProfileReport &report)
     EXPECT_NEAR(total, makespan, 1e-9 * makespan);
     EXPECT_GE(analysis.spansAnalyzed, 1u);
     EXPECT_FALSE(analysis.path.empty());
-    const std::set<std::string> kinds{
-        "error",     "rejected", "shed",
-        "expired",   "preempted", "slo_miss",
-        "retry_after_node_death"};
+    const std::set<std::string> kinds{"error", "expired", "preempted",
+                                      "slo_miss",
+                                      "retry_after_node_death"};
     for (const obs::FlightRecord &rec : report.flightRecords)
         EXPECT_EQ(kinds.count(rec.kind), 1u) << rec.kind;
 }
@@ -286,8 +285,8 @@ const FlagPin kFlagPins[] = {
     {"--devices", nullptr, nullptr, "cpu+apu",
      [](const Args &a) { return a.devices == "cpu+apu" && a.devicesGiven; }},
     {"--backend", "sycl",
-     "--backend wants a device backend (ocl, amp, acc, hc, omp, cuda), "
-     "got 'sycl'",
+     "--backend wants a device backend (opencl, ocl, cppamp, amp, openacc, "
+     "acc, hc, omp, omptarget, target, cuda), got 'sycl'",
      "cuda", [](const Args &a) { return a.backend == "cuda"; }},
     {"--power-model", "", "--power-model wants a file path", "w.jsonl",
      [](const Args &a) { return a.powerModel == "w.jsonl"; }},
@@ -335,25 +334,13 @@ const FlagPin kFlagPins[] = {
      [](const Args &a) { return a.resultsOut == "r.jsonl"; }},
     {"--workers", "x", "--workers wants a worker count, got 'x'", "0",
      [](const Args &a) { return a.workers == 0; }},
-    {"--queue-cap", "-3",
-     "--queue-cap wants a job count (0 = unbounded), got '-3'", "32",
-     [](const Args &a) { return a.queueCap == 32; }},
-    {"--deadline-ms", "fast",
-     "--deadline-ms wants milliseconds (0 = none), got 'fast'", "250",
-     [](const Args &a) { return a.deadlineMs == 250; }},
     {"--shots", "0", "--shots wants a positive job count, got '0'", "4",
      [](const Args &a) { return a.shots == 4; }},
-    {"--admission", "greedy",
-     "--admission wants reject, shed, or block, got 'greedy'", "shed",
-     [](const Args &a) { return a.admission == "shed"; }},
     {"--stream", nullptr, nullptr, nullptr,
      [](const Args &a) { return a.stream; }},
     {"--tenants", "a:0",
      "--tenants: weight '0' for tenant 'a' is not a finite number > 0",
      "a:3,b:1", [](const Args &a) { return a.tenants == "a:3,b:1"; }},
-    {"--quota", "a:1.5",
-     "--quota: quota '1.5' for tenant 'a' is not an integer >= 1", "a:10",
-     [](const Args &a) { return a.quota == "a:10"; }},
     {"--service-deadline-ms", "soon",
      "--service-deadline-ms wants simulated milliseconds (0 = none), got "
      "'soon'",
@@ -390,8 +377,6 @@ const FlagPin kFlagPins[] = {
      [](const Args &a) { return a.kernel == "read_mem"; }},
     {"--items", "1.5", "--items wants a positive item count, got '1.5'",
      "4096", [](const Args &a) { return a.items == 4096; }},
-    {"--predict-admission", nullptr, nullptr, nullptr,
-     [](const Args &a) { return a.predictAdmission; }},
     {"--no-surrogate", nullptr, nullptr, nullptr,
      [](const Args &a) { return !a.surrogate; }},
     {"--sweep", nullptr, nullptr, nullptr,
@@ -408,8 +393,7 @@ const FlagPin kFlagPins[] = {
      [](const Args &a) { return a.kernels; }},
 };
 
-/** Parses `<verb> <flag> [value]` under a verb every flag is valid on;
- *  --predict-admission also needs --model-in. */
+/** Parses `<verb> <flag> [value]` under a verb every flag is valid on. */
 Args
 parseOne(const FlagPin &pin, const char *value)
 {
@@ -418,14 +402,12 @@ parseOne(const FlagPin &pin, const char *value)
                                   flag};
     if (value != nullptr)
         argv.push_back(value);
-    if (flag == "--predict-admission")
-        argv.insert(argv.end(), {"--model-in", "m.json"});
     return parse(argv);
 }
 
 TEST(CliParse, EveryFlagErrorIsPinned)
 {
-    EXPECT_EQ(std::size(kFlagPins), 54u);
+    EXPECT_EQ(std::size(kFlagPins), 49u);
     const Args defaults;
     for (const FlagPin &pin : kFlagPins) {
         const bool boolean = pin.good == nullptr;
@@ -452,10 +434,7 @@ TEST(CliParse, EveryFlagErrorIsPinned)
     EXPECT_EQ(parse({"run", "--wat"}).error, "unknown option '--wat'");
     EXPECT_EQ(parse({"run", "wat"}).error, "unknown option 'wat'");
 
-    // The four cross-flag checks, in the order they run.
-    const std::string predictAdmission =
-        "--predict-admission needs --model-in FILE (recorded job costs "
-        "to predict from)";
+    // The three cross-flag checks, in the order they run.
     const std::string stream =
         "--stream is a serve-verb flag (hetsim serve --stream < "
         "jobs.jsonl)";
@@ -464,23 +443,26 @@ TEST(CliParse, EveryFlagErrorIsPinned)
         "run/coexec-verb flag";
     const std::string predict =
         "predict needs --fit OBS_JSONL or --model-in FILE";
-    EXPECT_EQ(parse({"serve", "--predict-admission"}).error,
-              predictAdmission);
     EXPECT_EQ(parse({"batch", "--stream"}).error, stream);
     EXPECT_EQ(parse({"serve", "--energy-out", "e.json"}).error, energyOut);
     EXPECT_EQ(parse({"predict"}).error, predict);
-    EXPECT_EQ(parse({"predict", "--stream", "--predict-admission"}).error,
-              predictAdmission);
     EXPECT_EQ(parse({"predict", "--stream", "--energy-out", "e"}).error,
               stream);
     EXPECT_EQ(parse({"predict", "--energy-out", "e"}).error, energyOut);
 
-    // The serve pool is a fixed --workers N; the autoscaler's flags
-    // are gone.
-    for (const char *gone : {"--autoscale", "--min-workers",
-                             "--max-workers"}) {
-        EXPECT_EQ(parse({"serve", gone}).error,
-                  "unknown option '" + std::string(gone) + "'");
+    // The serve pool is a fixed --workers N, and serve runs every job
+    // it is given: no autoscaler, admission control, quota, queue-wait
+    // deadline or predicted admission.
+    for (const char *gone :
+         {"--autoscale", "--min-workers", "--max-workers", "--queue-cap",
+          "--admission", "--deadline-ms", "--quota",
+          "--predict-admission"}) {
+        const std::string error = "unknown option '" + std::string(gone) + "'";
+        EXPECT_EQ(parse({"serve", gone}).error, error);
+        std::ostringstream os;
+        EXPECT_EQ(execute(parse({"batch", gone, "1"}), os), 2) << gone;
+        EXPECT_EQ(os.str().rfind("error: " + error + "\n", 0), 0u)
+            << os.str();
     }
 
     // In-loop errors win over cross-flag ones, and the first in argv
@@ -676,6 +658,12 @@ TEST(CliLookups, NameTablePinsEverySpelling)
         EXPECT_EQ(serve::backendByName(name), kind) << name;
     for (const char *bad : {"serial", "openmp", "sycl", ""})
         EXPECT_FALSE(serve::backendByName(bad).has_value()) << bad;
+    // The listed spellings are exactly the accepted ones, grouped by
+    // the model they select.
+    std::string listed;
+    for (const auto &[name, kind] : backends)
+        listed += (listed.empty() ? "" : "|") + name;
+    EXPECT_EQ(serve::backendNames("|"), listed);
 }
 
 TEST(CliExecute, ListPrintsEveryApp)
@@ -885,21 +873,26 @@ TEST(CliExecute, ProfileVerbAttributesTheRun)
         EXPECT_EQ(bounds.count(rec.at("bound").text), 1u);
     }
 
-    // A starved 2-worker batch with a 1 ms queue-wait deadline and a
-    // tiny shedding queue: every job that did not finish has its
-    // flight record in the profile.
+    // A 2-worker batch of ok jobs, error jobs (faults without a
+    // device pool) and co-executions that expire at their first
+    // service-deadline preemption: every job that did not finish has
+    // its flight record in the profile.
+    const char *mix[] = {
+        R"("app": "readmem", "model": "opencl", "device": "dgpu")",
+        R"("app": "readmem", "model": "opencl", "device": "dgpu",)"
+        R"( "faults": "transfer:0.1")",
+        R"("app": "xsbench", "devices": "cpu+dgpu",)"
+        R"( "service_deadline_ms": 2)",
+    };
     std::string text;
-    for (int i = 0; i < 40; ++i) {
-        text += "{\"id\": " + std::to_string(i + 1) +
-                R"(, "app": "readmem", "model": "opencl",)"
-                R"( "device": "dgpu", "scale": 0.1})"
-                "\n";
+    for (int i = 0; i < 12; ++i) {
+        text += "{\"id\": " + std::to_string(i + 1) + ", " + mix[i % 3] +
+                ", \"scale\": 0.05}\n";
     }
     TempFile jobs(text);
     std::ostringstream batch;
     ASSERT_EQ(execute(parse({"batch", "--jobs", jobs.path(), "--workers",
-                             "2", "--queue-cap", "4", "--admission",
-                             "shed", "--deadline-ms", "1",
+                             "2", "--max-preemptions", "0",
                              "--profile-out", "/dev/null"}),
                       batch),
               0)
@@ -918,7 +911,7 @@ TEST(CliExecute, ProfileVerbAttributesTheRun)
                   1u)
             << result.at("id").text << " " << status;
     }
-    EXPECT_GE(failed, 1u);
+    EXPECT_EQ(failed, 8u);
 }
 
 TEST(CliExecute, BreakdownPhaseSumsMatchMakespan)
@@ -972,16 +965,11 @@ TEST(CliExecute, UnwritableObsPathsFailLoudly)
 TEST(CliParse, ServeFlagsParseAndValidate)
 {
     Args args = parse({"batch", "--jobs", "j.jsonl", "--results-out",
-                       "r.jsonl", "--workers", "8", "--queue-cap",
-                       "32", "--deadline-ms", "250", "--admission",
-                       "shed"});
+                       "r.jsonl", "--workers", "8"});
     EXPECT_TRUE(args.error.empty()) << args.error;
     EXPECT_EQ(args.jobs, "j.jsonl");
     EXPECT_EQ(args.resultsOut, "r.jsonl");
     EXPECT_EQ(args.workers, 8u);
-    EXPECT_EQ(args.queueCap, 32u);
-    EXPECT_EQ(args.deadlineMs, 250u);
-    EXPECT_EQ(args.admission, "shed");
 
     Args serve = parse({"serve", "--shots", "4"});
     EXPECT_TRUE(serve.error.empty()) << serve.error;
@@ -996,11 +984,8 @@ TEST(CliParse, ServeIntegerFlagsRejectJunk)
         const char *bad;
     };
     const FlagCase cases[] = {
-        {"--workers", "-1"},     {"--workers", "4x"},
-        {"--workers", "1.5"},    {"--queue-cap", "-3"},
-        {"--queue-cap", "cap"},  {"--deadline-ms", "fast"},
-        {"--deadline-ms", "-9"}, {"--shots", "0"},
-        {"--shots", "ten"},      {"--scale", "big"},
+        {"--workers", "-1"}, {"--workers", "4x"}, {"--workers", "1.5"},
+        {"--shots", "0"},    {"--shots", "ten"},  {"--scale", "big"},
         {"--scale", "1x"},
     };
     for (const FlagCase &c : cases) {
@@ -1011,21 +996,16 @@ TEST(CliParse, ServeIntegerFlagsRejectJunk)
     }
     // --workers 0 parses; the server reports the structured error.
     EXPECT_TRUE(parse({"serve", "--workers", "0"}).error.empty());
-    Args bad = parse({"batch", "--admission", "greedy"});
-    EXPECT_FALSE(bad.error.empty());
-    EXPECT_NE(bad.error.find("--admission"), std::string::npos);
 }
 
 TEST(CliParse, StreamTenantAndPreemptionFlags)
 {
     Args args = parse({"serve", "--stream", "--tenants", "a:3,b:1",
-                       "--quota", "a:10,b:4",
                        "--service-deadline-ms", "5",
                        "--max-preemptions", "3"});
     EXPECT_TRUE(args.error.empty()) << args.error;
     EXPECT_TRUE(args.stream);
     EXPECT_EQ(args.tenants, "a:3,b:1");
-    EXPECT_EQ(args.quota, "a:10,b:4");
     EXPECT_EQ(args.serviceDeadlineMs, 5u);
     EXPECT_EQ(args.maxPreemptions, 3u);
 
@@ -1035,14 +1015,9 @@ TEST(CliParse, StreamTenantAndPreemptionFlags)
     EXPECT_NE(wrongVerb.error.find("--stream"), std::string::npos);
 
     // Malformed tenant specs are parse-time errors.
-    for (const char *flag : {"--tenants", "--quota"}) {
-        Args bad = parse({"serve", flag, "a:"});
-        EXPECT_FALSE(bad.error.empty()) << flag;
-    }
+    EXPECT_FALSE(parse({"serve", "--tenants", "a:"}).error.empty());
     EXPECT_FALSE(
         parse({"serve", "--tenants", "a:0"}).error.empty());
-    EXPECT_FALSE(
-        parse({"serve", "--quota", "a:1.5"}).error.empty());
 
     // Junk numerics follow the strict-flag convention.
     EXPECT_FALSE(
@@ -1296,7 +1271,8 @@ TEST(CliExecute, BatchEmitsOrderedJsonlOnStdout)
     const obs::Metrics &metrics = obs::Metrics::global();
     EXPECT_EQ(metrics.counterValue("serve.submitted"), 50.0);
     EXPECT_EQ(metrics.counterValue("serve.completed"), 50.0);
-    for (const char *name : {"serve.queue_wait_ms", "serve.service_ms"}) {
+    for (const char *name :
+         {"host.serve.queue_wait_ms", "host.serve.service_ms"}) {
         auto hist = metrics.histogram(name);
         ASSERT_TRUE(hist.has_value()) << name;
         EXPECT_EQ(hist->count, 50u) << name;
@@ -1517,9 +1493,6 @@ TEST(CliParse, SurrogateFlagValidation)
     // Semantic cross-flag checks.
     EXPECT_EQ(parse({"predict"}).error,
               "predict needs --fit OBS_JSONL or --model-in FILE");
-    EXPECT_EQ(parse({"serve", "--predict-admission"}).error,
-              "--predict-admission needs --model-in FILE "
-              "(recorded job costs to predict from)");
 
     Args ok = parse({"predict", "--fit", "obs.jsonl", "--kernel",
                      "read_mem", "--items", "4096", "--model-out",
@@ -1699,6 +1672,32 @@ TEST(CliExecute, PredictFitsServesAndRoundTripsModels)
                   0.05)
             << rec.kernel << " n=" << rec.items << " @" << freq;
     }
+
+    // A batch --model-out holds the kernel models fitted from the
+    // served jobs' observations, and no job costs: fleet probes are
+    // their only source.
+    TempFile batchJobs(
+        R"({"id": 1, "app": "readmem", "model": "opencl",)"
+        R"( "device": "dgpu", "scale": 0.05})"
+        "\n"
+        R"({"id": 2, "app": "xsbench", "devices": "cpu+dgpu",)"
+        R"( "scale": 0.05})"
+        "\n");
+    TempFile batchModel, batchResults;
+    std::ostringstream batchOs;
+    ASSERT_EQ(execute(parse({"batch", "--jobs", batchJobs.path(),
+                             "--results-out", batchResults.path(),
+                             "--model-out", batchModel.path()}),
+                      batchOs),
+              0)
+        << batchOs.str();
+    const std::vector<json::Object> batchLines =
+        jsonlObjects(readFile(batchModel.path()));
+    ASSERT_GE(batchLines.size(), 2u);
+    EXPECT_GE(batchLines[0].at("groups").number, 1.0);
+    EXPECT_EQ(batchLines[0].at("job_costs").number, 0.0);
+    for (size_t i = 1; i < batchLines.size(); ++i)
+        EXPECT_NE(batchLines[i].at("record").text, "job_cost");
 }
 
 TEST(CliExecute, FleetSurrogateCostingReproducesProbedRun)
