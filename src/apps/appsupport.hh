@@ -7,7 +7,10 @@
 #define HETSIM_APPS_APPSUPPORT_HH
 
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <utility>
 
 #include "common/types.hh"
 #include "kernelir/codegen.hh"
@@ -71,6 +74,45 @@ almostEqualScalar(double x, double y, double rel_tol = 1e-4,
  */
 double hostFallbackSeconds(const ir::KernelDescriptor &desc, u64 items,
                            Precision prec);
+
+/**
+ * A process-wide memo of one value: the most recently built one.  A
+ * caller keeps one slot per (app, precision), so a long-lived process
+ * retains one value of each however many sizes it has seen.
+ *
+ * The value is built outside the lock, so a caller never waits on
+ * another key's build; a concurrent miss may build twice, and the
+ * later build replaces the earlier.
+ */
+template <typename T>
+class LatestSlot
+{
+  public:
+    /**
+     * @return the held value when @p matches accepts it, else the
+     *         value of @p build(), which then replaces it.
+     */
+    template <typename Match, typename Build>
+    std::shared_ptr<const T>
+    get(Match &&matches, Build &&build)
+    {
+        std::shared_ptr<const T> held;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            held = value;
+        }
+        if (held && matches(*held))
+            return held;
+        std::shared_ptr<const T> built = build();
+        std::lock_guard<std::mutex> lock(mutex);
+        held = std::exchange(value, built); // freed after the unlock
+        return built;
+    }
+
+  private:
+    std::mutex mutex;
+    std::shared_ptr<const T> value;
+};
 
 /** @return precision of Real. */
 template <typename Real>

@@ -1,9 +1,36 @@
 #include "comd_core.hh"
 
 #include <cmath>
+#include <cstring>
 
 namespace hetsim::apps::comd
 {
+
+namespace
+{
+
+/**
+ * The state of a Problem of @p unit_cells right after its first force
+ * evaluation, from a memo with one slot per precision.
+ */
+template <typename Real>
+std::shared_ptr<const Problem<Real>>
+initialState(int unit_cells)
+{
+    static LatestSlot<Problem<Real>> slot;
+    return slot.get(
+        [unit_cells](const Problem<Real> &init) {
+            return init.unitCells == unit_cells;
+        },
+        [unit_cells] {
+            auto init = std::make_shared<Problem<Real>>(unit_cells, 0,
+                                                        false);
+            init->computeForceLj(0, init->numAtoms);
+            return init;
+        });
+}
+
+} // namespace
 
 template <typename Real>
 Problem<Real>::Problem(int unit_cells, int steps_,
@@ -12,6 +39,13 @@ Problem<Real>::Problem(int unit_cells, int steps_,
 {
     if (unitCells < 3)
         fatal("CoMD: need at least 3 unit cells per edge");
+    if (compute_initial_forces) {
+        // The memo's problem was built below and then ran the first
+        // force evaluation, so its copy is bitwise this one's state.
+        *this = *initialState<Real>(unit_cells);
+        steps = steps_;
+        return;
+    }
 
     numAtoms = 4ull * unitCells * unitCells * unitCells;
     boxLen = ps.lattice * unitCells;
@@ -59,8 +93,6 @@ Problem<Real>::Problem(int unit_cells, int steps_,
     }
 
     buildCells();
-    if (compute_initial_forces)
-        computeForceLj(0, numAtoms); // forces for the first half-kick
 }
 
 template <typename Real>
@@ -381,18 +413,85 @@ Problem<Real>::advancePositionDescriptor() const
     return desc;
 }
 
+namespace
+{
+
+/** @return whether @p a and @p b hold the same bytes. */
+template <typename T>
+bool
+sameBits(T a, T b)
+{
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/** @return whether @p a and @p b hold the same elements, bitwise. */
+template <typename T>
+bool
+sameBytes(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/** @return whether runReference() reads the same bits from @p a and @p b. */
+template <typename Real>
+bool
+sameInput(const Problem<Real> &a, const Problem<Real> &b)
+{
+    const Params &p = a.ps, &q = b.ps;
+    return a.steps == b.steps && a.unitCells == b.unitCells &&
+           a.numAtoms == b.numAtoms && a.cellsPerDim == b.cellsPerDim &&
+           sameBits(a.boxLen, b.boxLen) && sameBits(a.cellLen, b.cellLen) &&
+           sameBits(p.sigma, q.sigma) && sameBits(p.epsilon, q.epsilon) &&
+           sameBits(p.mass, q.mass) && sameBits(p.cutoff, q.cutoff) &&
+           sameBits(p.cellMargin, q.cellMargin) &&
+           sameBits(p.lattice, q.lattice) && sameBits(p.dt, q.dt) &&
+           sameBits(p.initTemp, q.initTemp) &&
+           p.rebuildInterval == q.rebuildInterval &&
+           sameBytes(a.rx, b.rx) && sameBytes(a.ry, b.ry) &&
+           sameBytes(a.rz, b.rz) && sameBytes(a.vx, b.vx) &&
+           sameBytes(a.vy, b.vy) && sameBytes(a.vz, b.vz) &&
+           sameBytes(a.fx, b.fx) && sameBytes(a.fy, b.fy) &&
+           sameBytes(a.fz, b.fz) && sameBytes(a.ePot, b.ePot) &&
+           sameBytes(a.cellStart, b.cellStart) &&
+           sameBytes(a.cellAtoms, b.cellAtoms);
+}
+
+/** One reference run: the problem before and after its steps. */
+template <typename Real>
+struct Stepped
+{
+    Problem<Real> input;
+    Problem<Real> output;
+};
+
+} // namespace
+
 template <typename Real>
 void
 runReference(Problem<Real> &prob)
 {
-    for (int step = 0; step < prob.steps; ++step) {
-        prob.advanceVelocity(0, prob.numAtoms);
-        prob.advancePosition(0, prob.numAtoms);
-        if ((step + 1) % prob.ps.rebuildInterval == 0)
-            prob.buildCells();
-        prob.computeForceLj(0, prob.numAtoms);
-        prob.advanceVelocity(0, prob.numAtoms);
-    }
+    static LatestSlot<Stepped<Real>> slot;
+    bool computed = false;
+    auto memo = slot.get(
+        [&prob](const Stepped<Real> &m) { return sameInput(m.input, prob); },
+        [&prob, &computed] {
+            Problem<Real> input = prob;
+            for (int step = 0; step < prob.steps; ++step) {
+                prob.advanceVelocity(0, prob.numAtoms);
+                prob.advancePosition(0, prob.numAtoms);
+                if ((step + 1) % prob.ps.rebuildInterval == 0)
+                    prob.buildCells();
+                prob.computeForceLj(0, prob.numAtoms);
+                prob.advanceVelocity(0, prob.numAtoms);
+            }
+            computed = true;
+            return std::make_shared<const Stepped<Real>>(
+                Stepped<Real>{std::move(input), prob});
+        });
+    if (!computed)
+        prob = memo->output;
 }
 
 template void runReference<float>(Problem<float> &);

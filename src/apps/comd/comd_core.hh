@@ -74,7 +74,8 @@ struct Problem
      * @param steps      time steps.
      * @param compute_initial_forces run the first force evaluation
      *        (skip for timing-only runs; the timing model does not
-     *        depend on atom state).
+     *        depend on atom state).  The state after it comes from a
+     *        memo with one slot per precision, keyed by @p unit_cells.
      */
     Problem(int unit_cells, int steps,
             bool compute_initial_forces = true);
@@ -133,7 +134,12 @@ scaledSteps(double scale)
     return std::max(2, static_cast<int>(baseSteps * scale + 0.5));
 }
 
-/** Serial reference: run the whole simulation in place. */
+/**
+ * Serial reference: run the whole simulation in place.  The final
+ * state comes from a memo with one slot per precision, keyed by the
+ * steps and the input state: it is taken only when every field and
+ * array of @p prob is bitwise equal to the memoized input.
+ */
 template <typename Real>
 void runReference(Problem<Real> &prob);
 

@@ -67,10 +67,12 @@ radixSort(std::vector<Draw<Real>> &draws)
 } // namespace
 
 template <typename Real>
-Shape<Real>::Shape(int gridpoints) : gridpointsPerNuclide(gridpoints)
+Shape<Real>::Shape(int gridpoints)
+    : gridpointsPerNuclide(gridpoints),
+      unionSize(static_cast<u64>(numNuclides) * gridpoints),
+      index(unionSize * numNuclides)
 {
     const int G = gridpointsPerNuclide;
-    unionSize = static_cast<u64>(numNuclides) * G;
 
     // --- Per-nuclide draws: G energies, then G * 5 cross sections. ----
     std::vector<Draw<Real>> draws(unionSize);
@@ -126,41 +128,36 @@ template <typename Real>
 std::shared_ptr<const Shape<Real>>
 Shape<Real>::get(int gridpoints)
 {
-    // Built outside the lock, so concurrent callers never wait on
-    // another size's build; a concurrent miss may build twice.
-    static std::mutex mutex;
-    static std::shared_ptr<const Shape> slot;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (slot && slot->gridpointsPerNuclide == gridpoints)
-            return slot;
-    }
-    auto built = std::make_shared<const Shape>(gridpoints);
-    std::shared_ptr<const Shape> evicted; // freed after the unlock
-    std::lock_guard<std::mutex> lock(mutex);
-    evicted = std::exchange(slot, built);
-    return built;
+    static LatestSlot<Shape> slot;
+    return slot.get(
+        [gridpoints](const Shape &shape) {
+            return shape.gridpointsPerNuclide == gridpoints;
+        },
+        [gridpoints] { return std::make_shared<const Shape>(gridpoints); });
 }
 
 template <typename Real>
 void
-Shape<Real>::fillUnionIndex(u32 *rows) const
+Shape<Real>::writeUnionIndex() const
 {
     // Equal energies form one group; after a group every nuclide's
     // cursor is its last gridpoint g with energies[g] <= e (0 if none),
     // ties across nuclides included, and every row of the group is the
     // same.  Each group advances only its own nuclides' cursors.
-    std::vector<u32> cursor(numNuclides, 0);
-    std::vector<u32> filled(numNuclides, 0);
-    for (u64 u = 0; u < unionSize;) {
-        const Real e = unionEnergy[u];
-        u64 end = u;
-        for (; end < unionSize && unionEnergy[end] == e; ++end)
-            cursor[unionOwner[end]] = filled[unionOwner[end]]++;
-        for (; u < end; ++u)
-            std::copy(cursor.begin(), cursor.end(),
-                      rows + u * numNuclides);
-    }
+    std::call_once(indexOnce, [this] {
+        u32 *rows = index.data();
+        std::vector<u32> cursor(numNuclides, 0);
+        std::vector<u32> filled(numNuclides, 0);
+        for (u64 u = 0; u < unionSize;) {
+            const Real e = unionEnergy[u];
+            u64 end = u;
+            for (; end < unionSize && unionEnergy[end] == e; ++end)
+                cursor[unionOwner[end]] = filled[unionOwner[end]]++;
+            for (; u < end; ++u)
+                std::copy(cursor.begin(), cursor.end(),
+                          rows + u * numNuclides);
+        }
+    });
 }
 
 template <typename Real>
@@ -169,7 +166,7 @@ Problem<Real>::Problem(int gridpoints, u64 lookups_)
       gridpointsPerNuclide(gridpoints), lookups(lookups_),
       unionSize(shape->unionSize), nuclideEnergy(shape->nuclideEnergy),
       nuclideXs(shape->nuclideXs), unionEnergy(shape->unionEnergy),
-      unionIndex(unionSize * numNuclides), matStart(shape->matStart),
+      unionIndex(shape->unionIndex), matStart(shape->matStart),
       matNuclide(shape->matNuclide), results(lookups_)
 {
 }
@@ -178,8 +175,8 @@ template <typename Real>
 void
 Problem<Real>::fillState()
 {
+    shape->writeUnionIndex();
     std::call_once(stateOnce, [this] {
-        shape->fillUnionIndex(unionIndex.data());
         std::fill(results.begin(), results.end(), Real(0));
         stateWritten = true;
     });
@@ -442,6 +439,47 @@ Problem<Real>::descriptor() const
     desc.streams.push_back(std::move(out));
     return desc;
 }
+
+namespace
+{
+
+/** The results of every lookup of one (gridpoints, lookups). */
+template <typename Real>
+struct Results
+{
+    int gridpoints;
+    u64 lookups;
+    StateVector<Real> results;
+};
+
+} // namespace
+
+template <typename Real>
+void
+runReference(Problem<Real> &prob)
+{
+    static LatestSlot<Results<Real>> slot;
+    bool computed = false;
+    auto memo = slot.get(
+        [&prob](const Results<Real> &r) {
+            return r.gridpoints == prob.gridpointsPerNuclide &&
+                   r.lookups == prob.lookups;
+        },
+        [&prob, &computed] {
+            prob.macroXsLookup(0, prob.lookups);
+            computed = true;
+            return std::make_shared<const Results<Real>>(Results<Real>{
+                prob.gridpointsPerNuclide, prob.lookups, prob.results});
+        });
+    if (!computed) {
+        prob.fillState();
+        std::copy(memo->results.begin(), memo->results.end(),
+                  prob.results.begin());
+    }
+}
+
+template void runReference<float>(Problem<float> &);
+template void runReference<double>(Problem<double> &);
 
 template struct Shape<float>;
 template struct Shape<double>;

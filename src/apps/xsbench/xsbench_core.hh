@@ -42,8 +42,28 @@ constexpr int xsChannels = 5;
 constexpr int numMaterials = 12;
 
 /**
+ * Allocator that default-initialises: a sized vector of a trivial type
+ * is allocated but not written, so its untouched pages cost no memory.
+ */
+template <typename T>
+struct UninitAllocator : std::allocator<T>
+{
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
+/** Array sized up front and written on first use. */
+template <typename T>
+using StateVector = std::vector<T, UninitAllocator<T>>;
+
+/**
  * The read-only tables of one (gridpoints, precision): everything the
- * timing path reads, shared by every Problem of that size.
+ * timing path reads, shared by every Problem of that size, and the
+ * union index that functional lookups read.
  */
 template <typename Real>
 struct Shape
@@ -64,6 +84,13 @@ struct Shape
     std::vector<u32> matNuclide; ///< concatenated nuclide lists
 
     /**
+     * Per-nuclide lower gridpoint of every union energy
+     * ([unionSize * numNuclides]).  Allocated but unwritten until the
+     * first writeUnionIndex(), so timing-only runs never pay for it.
+     */
+    const StateVector<u32> &unionIndex = index;
+
+    /**
      * Draw every nuclide's energies and cross sections from one fixed
      * seed, then build the sorted per-nuclide grids and the union grid
      * from a single stable radix sort of all (energy, nuclide) draws.
@@ -76,32 +103,17 @@ struct Shape
      */
     static std::shared_ptr<const Shape> get(int gridpoints);
 
-    /** Write the union index rows ([unionSize * numNuclides]). */
-    void fillUnionIndex(u32 *rows) const;
+    /** Write the union index, once; later calls return at once. */
+    void writeUnionIndex() const;
+
+  private:
+    mutable StateVector<u32> index;
+    mutable std::once_flag indexOnce;
 };
 
 /**
- * Allocator that default-initialises: a sized vector of a trivial type
- * is allocated but not written, so its untouched pages cost no memory.
- */
-template <typename T>
-struct UninitAllocator : std::allocator<T>
-{
-    template <typename U>
-    void
-    construct(U *p) noexcept
-    {
-        ::new (static_cast<void *>(p)) U;
-    }
-};
-
-/** Per-run array, sized up front and written on first use. */
-template <typename T>
-using StateVector = std::vector<T, UninitAllocator<T>>;
-
-/**
- * One XSBench run: the shared read-only tables of its size, plus the
- * union index and results that only functional runs write.
+ * One XSBench run: the shared tables of its size, plus the results
+ * that only functional runs write.
  */
 template <typename Real>
 struct Problem
@@ -118,7 +130,7 @@ struct Problem
 
     /** Unionized grid: sorted energies + per-nuclide lower indices. */
     const std::vector<Real> &unionEnergy; ///< [unionSize]
-    StateVector<u32> unionIndex;          ///< [unionSize * numNuclides]
+    const StateVector<u32> &unionIndex;   ///< [unionSize * numNuclides]
 
     /** Materials: CSR of nuclide ids + lookup probability weights. */
     const std::vector<u32> &matStart;   ///< numMaterials + 1
@@ -128,13 +140,13 @@ struct Problem
     StateVector<Real> results;
 
     /**
-     * Share the memoized shape of @p gridpoints; the union index and
-     * results are allocated but stay unwritten until fillState().
+     * Share the memoized shape of @p gridpoints; the results are
+     * allocated but stay unwritten until fillState().
      */
     Problem(int gridpoints, u64 lookups);
 
     /**
-     * Write the union index rows and zero the results, once; every
+     * Write the shape's union index and zero the results, once; every
      * macroXsLookup() calls it first.
      */
     void fillState();
@@ -186,13 +198,16 @@ scaledLookups(double scale)
         4096, static_cast<u64>(double(baseLookups) * scale + 0.5));
 }
 
-/** Serial reference over a fresh problem. */
+/**
+ * Serial reference: every lookup of @p prob, in place.  The results
+ * come from a memo with one slot per precision, keyed by (gridpoints,
+ * lookups): lookup i reads only i and the shape, so they are exact.
+ */
 template <typename Real>
-void
-runReference(Problem<Real> &prob)
-{
-    prob.macroXsLookup(0, prob.lookups);
-}
+void runReference(Problem<Real> &prob);
+
+extern template void runReference<float>(Problem<float> &);
+extern template void runReference<double>(Problem<double> &);
 
 /** Compare results of two problems. */
 template <typename Real>

@@ -238,19 +238,6 @@ parseU64(const std::string &text)
     return static_cast<u64>(v);
 }
 
-std::optional<long>
-parseLong(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text.c_str(), &end, 10);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return std::nullopt;
-    return v;
-}
-
 void
 writeString(std::ostream &os, std::string_view text)
 {

@@ -67,9 +67,6 @@ void writeString(std::ostream &os, std::string_view text);
 /** Strictly parse digits-only text into a u64 (no sign, no junk). */
 std::optional<u64> parseU64(const std::string &text);
 
-/** Strictly parse an (optionally negative) integer. */
-std::optional<long> parseLong(const std::string &text);
-
 } // namespace hetsim::json
 
 #endif // HETSIM_COMMON_FLATJSON_HH

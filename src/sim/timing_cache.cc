@@ -145,13 +145,8 @@ TimingCache::lookup(const TimingKey &key)
         if (it != entries.end())
             found = it->second;
     }
-    if (found) {
-        hitCount.fetch_add(1, std::memory_order_relaxed);
-        obs::Metrics::global().add("sim.timing_cache.hits");
-    } else {
-        missCount.fetch_add(1, std::memory_order_relaxed);
-        obs::Metrics::global().add("sim.timing_cache.misses");
-    }
+    if (found)
+        countHit();
     return found;
 }
 
@@ -160,8 +155,24 @@ TimingCache::insert(const TimingKey &key, TimingEntry entry)
 {
     if (!enabled())
         return;
-    std::lock_guard<std::mutex> lock(mtx);
-    entries.emplace(key, std::move(entry));
+    bool inserted = false;
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        inserted = entries.emplace(key, std::move(entry)).second;
+    }
+    if (!inserted) {
+        countHit(); // another thread resolved the key first
+        return;
+    }
+    missCount.fetch_add(1, std::memory_order_relaxed);
+    obs::Metrics::global().add("sim.timing_cache.misses");
+}
+
+void
+TimingCache::countHit()
+{
+    hitCount.fetch_add(1, std::memory_order_relaxed);
+    obs::Metrics::global().add("sim.timing_cache.hits");
 }
 
 u64

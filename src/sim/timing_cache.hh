@@ -159,12 +159,18 @@ class TimingCache
     }
 
     /**
-     * Look up a prior evaluation.  Counts a hit or a miss (mirrored
-     * into obs::Metrics when that registry is recording).
+     * Look up a prior evaluation.  Counts a hit (mirrored into
+     * obs::Metrics when that registry is recording); a miss is counted
+     * by the insert() that follows it.
      */
     std::optional<TimingEntry> lookup(const TimingKey &key);
 
-    /** Memoize an evaluation (first insert wins). */
+    /**
+     * Memoize an evaluation (first insert wins).  The first insert of
+     * a key counts its miss; a later one lost a race to resolve the
+     * key and counts a hit.  So the counts depend only on the keys,
+     * not on how concurrent lookups interleave.
+     */
     void insert(const TimingKey &key, TimingEntry entry);
 
     u64 hits() const { return hitCount.load(std::memory_order_relaxed); }
@@ -197,6 +203,8 @@ class TimingCache
     {
         size_t operator()(const TimingKey &key) const;
     };
+
+    void countHit();
 
     std::atomic<bool> active{true};
     std::atomic<u64> hitCount{0};

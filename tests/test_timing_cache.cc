@@ -46,13 +46,15 @@ TEST(TimingCache, LookupInsertRoundTrip)
 {
     sim::TimingCache cache;
     EXPECT_FALSE(cache.lookup(keyOf(7, 100)).has_value());
-    EXPECT_EQ(cache.misses(), 1u);
+    // The insert that follows a miss counts it.
+    EXPECT_EQ(cache.misses(), 0u);
 
     sim::TimingEntry entry;
     entry.profile.name = "k";
     entry.timing.seconds = 0.125;
     cache.insert(keyOf(7, 100), entry);
     EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
 
     auto hit = cache.lookup(keyOf(7, 100));
     ASSERT_TRUE(hit.has_value());
@@ -225,6 +227,52 @@ TEST(TimingCache, ConcurrentSharedAndPrivateKeysAreConsistent)
     // per-thread private keys (each inserted at most once).
     EXPECT_GE(cache.size(), kSharedKernels * 8);
     EXPECT_GT(cache.hits(), 0u);
+}
+
+// Threads that miss one key at once all resolve it, but only the
+// first insert counts a miss: the others lost the race and count hits,
+// so the counts do not depend on how the threads interleave.
+TEST(TimingCache, ConcurrentMissOfOneKeyCountsOneMiss)
+{
+    sim::TimingCache &cache = sim::TimingCache::global();
+    ASSERT_TRUE(cache.enabled());
+    sim::DeviceSpec spec = sim::radeonR9_280X();
+    ir::KernelDescriptor desc;
+    desc.name = "concurrent-miss-test";
+    desc.flopsPerItem = 6.0;
+    ir::MemStream ms;
+    ms.buffer = "concurrent-miss-buf";
+    ms.bytesPerItemSp = 4.0;
+    ms.workingSetBytesSp = 1u << 20;
+    desc.streams.push_back(ms);
+
+    constexpr int kThreads = 4;
+    const u64 hits0 = cache.hits();
+    const u64 misses0 = cache.misses();
+    std::atomic<int> waiting{kThreads};
+    std::vector<double> seconds(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ir::ProfileResolver resolver(spec);
+            const ir::Codegen cg;
+            waiting.fetch_sub(1);
+            while (waiting.load() > 0)
+                std::this_thread::yield();
+            seconds[t] = ir::memoizedTiming(resolver, spec,
+                                            spec.stockFreq(),
+                                            Precision::Single, desc,
+                                            1u << 16, 0, cg)
+                             .timing.seconds;
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    EXPECT_EQ(cache.misses() - misses0, 1u);
+    EXPECT_EQ(cache.hits() - hits0, static_cast<u64>(kThreads - 1));
+    for (double s : seconds)
+        EXPECT_EQ(s, seconds[0]);
 }
 
 // The serve layer's per-job `--no-timing-cache` relies on the bypass
