@@ -1,7 +1,9 @@
 #include "comd_core.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace hetsim::apps::comd
 {
@@ -158,6 +160,59 @@ Problem<Real>::advancePosition(u64 begin, u64 end)
 }
 
 template <typename Real>
+NeighborWalk<Real>::NeighborWalk(const Problem<Real> &prob_, u64 begin,
+                                 u64 end)
+    : prob(prob_), rcut2(prob_.ps.cutoff * prob_.ps.cutoff)
+{
+    const u64 ncells = prob.cellStart.size() - 1;
+    if (end - begin < ncells)
+        return;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    boxes.assign(ncells, CellBox{{inf, inf, inf}, {-inf, -inf, -inf}});
+    for (u64 c = 0; c < ncells; ++c) {
+        CellBox &box = boxes[c];
+        for (u32 s = prob.cellStart[c]; s < prob.cellStart[c + 1]; ++s) {
+            const u32 j = prob.cellAtoms[s];
+            const double r[3] = {prob.rx[j], prob.ry[j], prob.rz[j]};
+            for (int a = 0; a < 3; ++a) {
+                // A NaN coordinate opens the axis: its pairs reach the
+                // callback's arithmetic as they always did.
+                const bool nan = std::isnan(r[a]);
+                box.lo[a] = nan ? -inf : std::min(box.lo[a], r[a]);
+                box.hi[a] = nan ? inf : std::max(box.hi[a], r[a]);
+            }
+        }
+    }
+}
+
+template <typename Real>
+bool
+NeighborWalk<Real>::beyondCutoff(double xi, double yi, double zi,
+                                 u32 cell) const
+{
+    const CellBox &box = boxes[cell];
+    if (box.lo[0] > box.hi[0])
+        return true; // empty cell
+    const double len = prob.boxLen;
+    // Lower bound of |minImage(x - xj)| over xj in [lo, hi] (see the
+    // class comment).
+    auto gap = [len](double x, double lo, double hi) {
+        const double dlo = x - hi, dhi = x - lo;
+        auto holds = [dlo, dhi](double zero) {
+            return dlo <= zero && zero <= dhi;
+        };
+        if (holds(0.0) || holds(len) || holds(-len))
+            return 0.0;
+        return std::min(std::fabs(minImage(dlo, len)),
+                        std::fabs(minImage(dhi, len)));
+    };
+    const double gx = gap(xi, box.lo[0], box.hi[0]);
+    const double gy = gap(yi, box.lo[1], box.hi[1]);
+    const double gz = gap(zi, box.lo[2], box.hi[2]);
+    return gx * gx + gy * gy + gz * gz > rcut2 * (1.0 + 1e-9);
+}
+
+template <typename Real>
 void
 Problem<Real>::computeForceLj(u64 begin, u64 end)
 {
@@ -168,54 +223,20 @@ Problem<Real>::computeForceLj(u64 begin, u64 end)
         4.0 * ps.epsilon *
         (s6 * s6 / std::pow(rcut2, 6.0 / 2.0) / std::pow(rcut2, 3.0) -
          s6 / std::pow(rcut2, 3.0));
-    const int cd = cellsPerDim;
+    const NeighborWalk<Real> walk(*this, begin, end);
 
     for (u64 i = begin; i < end; ++i) {
-        const double xi = rx[i], yi = ry[i], zi = rz[i];
-        const int ci = static_cast<int>(xi / cellLen) % cd;
-        const int cj = static_cast<int>(yi / cellLen) % cd;
-        const int ck = static_cast<int>(zi / cellLen) % cd;
         double fxa = 0.0, fya = 0.0, fza = 0.0, ea = 0.0;
-
-        for (int dz = -1; dz <= 1; ++dz)
-            for (int dy = -1; dy <= 1; ++dy)
-                for (int dx = -1; dx <= 1; ++dx) {
-                    int nx = (ci + dx + cd) % cd;
-                    int ny = (cj + dy + cd) % cd;
-                    int nz = (ck + dz + cd) % cd;
-                    u32 cell = static_cast<u32>(
-                        nx + cd * (ny + cd * nz));
-                    for (u32 s = cellStart[cell];
-                         s < cellStart[cell + 1]; ++s) {
-                        u32 j = cellAtoms[s];
-                        if (j == i)
-                            continue;
-                        double ddx = xi - rx[j];
-                        double ddy = yi - ry[j];
-                        double ddz = zi - rz[j];
-                        // Minimum image.
-                        if (ddx > 0.5 * boxLen) ddx -= boxLen;
-                        else if (ddx < -0.5 * boxLen) ddx += boxLen;
-                        if (ddy > 0.5 * boxLen) ddy -= boxLen;
-                        else if (ddy < -0.5 * boxLen) ddy += boxLen;
-                        if (ddz > 0.5 * boxLen) ddz -= boxLen;
-                        else if (ddz < -0.5 * boxLen) ddz += boxLen;
-                        double r2 = ddx * ddx + ddy * ddy + ddz * ddz;
-                        if (r2 > rcut2 || r2 < 1e-12)
-                            continue;
-                        double inv2 = 1.0 / r2;
-                        double inv6 = inv2 * inv2 * inv2 * s6;
-                        double lj =
-                            24.0 * ps.epsilon * inv2 *
-                            (2.0 * inv6 * inv6 - inv6);
-                        fxa += lj * ddx;
-                        fya += lj * ddy;
-                        fza += lj * ddz;
-                        ea += 0.5 * (4.0 * ps.epsilon *
-                                         (inv6 * inv6 - inv6) -
-                                     shift);
-                    }
-                }
+        walk.forEach(i, [&](u32, double r2, double ddx, double ddy,
+                            double ddz) {
+            double inv2 = 1.0 / r2;
+            double inv6 = inv2 * inv2 * inv2 * s6;
+            double lj = 24.0 * ps.epsilon * inv2 * (2.0 * inv6 * inv6 - inv6);
+            fxa += lj * ddx;
+            fya += lj * ddy;
+            fza += lj * ddz;
+            ea += 0.5 * (4.0 * ps.epsilon * (inv6 * inv6 - inv6) - shift);
+        });
         fx[i] = static_cast<Real>(fxa);
         fy[i] = static_cast<Real>(fya);
         fz[i] = static_cast<Real>(fza);
@@ -499,5 +520,7 @@ template void runReference<double>(Problem<double> &);
 
 template struct Problem<float>;
 template struct Problem<double>;
+template class NeighborWalk<float>;
+template class NeighborWalk<double>;
 
 } // namespace hetsim::apps::comd

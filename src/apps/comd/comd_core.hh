@@ -120,6 +120,106 @@ struct Problem
 extern template struct Problem<float>;
 extern template struct Problem<double>;
 
+/** Minimum-image component of a separation @p d in a box of @p box. */
+inline double
+minImage(double d, double box)
+{
+    if (d > 0.5 * box)
+        d -= box;
+    else if (d < -0.5 * box)
+        d += box;
+    return d;
+}
+
+/**
+ * The neighbour walk of a CoMD problem: the pairs within the cutoff,
+ * found through the 27 link cells around each atom.  The LJ force and
+ * both EAM passes run it with a per-pair callback.
+ *
+ * It skips a neighbour cell whose atoms all lie beyond the cutoff.
+ * For each cell it keeps the per-axis interval [lo, hi] of its atoms'
+ * current coordinates.  Per axis the walk's |minImage(xi - xj)| is a
+ * tent in d = xi - xj, zero at 0 and +-boxLen, so over the interval
+ * its minimum is 0 when d's range holds a zero and is at an endpoint
+ * otherwise.  IEEE rounding is monotone, so xi - lo and xi - hi
+ * bound every computed d of the cell, and the same expressions on the
+ * endpoints bound every computed |minImage| and hence r2 from below.
+ * A cell is skipped only when that bound exceeds rcut2 by a relative
+ * margin (against FMA contraction), so each skipped pair would have
+ * failed the cutoff test: the surviving pairs, their order and their
+ * arithmetic are unchanged, and so are the results, bit for bit.
+ */
+template <typename Real>
+class NeighborWalk
+{
+  public:
+    /**
+     * Walk the neighbours of atoms [@p begin, @p end).  The cell
+     * bounds cost one pass over every atom, so they are built only
+     * when the range holds at least one atom per cell; a one-atom
+     * call walks every candidate.
+     */
+    NeighborWalk(const Problem<Real> &prob, u64 begin, u64 end);
+
+    /**
+     * Call @p fn (j, r2, dx, dy, dz) for every atom j != @p i with
+     * 1e-12 <= r2 <= rcut2, where (dx, dy, dz) is the minimum image of
+     * r_i - r_j, in cell order and cell-list order.
+     */
+    template <typename Fn>
+    void
+    forEach(u64 i, Fn &&fn) const
+    {
+        const Problem<Real> &p = prob;
+        const int cd = p.cellsPerDim;
+        const double xi = p.rx[i], yi = p.ry[i], zi = p.rz[i];
+        const int ci = static_cast<int>(xi / p.cellLen) % cd;
+        const int cj = static_cast<int>(yi / p.cellLen) % cd;
+        const int ck = static_cast<int>(zi / p.cellLen) % cd;
+
+        for (int dz = -1; dz <= 1; ++dz)
+            for (int dy = -1; dy <= 1; ++dy)
+                for (int dx = -1; dx <= 1; ++dx) {
+                    int nx = (ci + dx + cd) % cd;
+                    int ny = (cj + dy + cd) % cd;
+                    int nz = (ck + dz + cd) % cd;
+                    u32 cell = static_cast<u32>(nx + cd * (ny + cd * nz));
+                    if (!boxes.empty() && beyondCutoff(xi, yi, zi, cell))
+                        continue;
+                    for (u32 s = p.cellStart[cell];
+                         s < p.cellStart[cell + 1]; ++s) {
+                        u32 j = p.cellAtoms[s];
+                        if (j == i)
+                            continue;
+                        double ddx = minImage(xi - p.rx[j], p.boxLen);
+                        double ddy = minImage(yi - p.ry[j], p.boxLen);
+                        double ddz = minImage(zi - p.rz[j], p.boxLen);
+                        double r2 = ddx * ddx + ddy * ddy + ddz * ddz;
+                        if (r2 > rcut2 || r2 < 1e-12)
+                            continue;
+                        fn(j, r2, ddx, ddy, ddz);
+                    }
+                }
+    }
+
+  private:
+    /** Per-axis bounds of one cell's atom coordinates. */
+    struct CellBox
+    {
+        double lo[3], hi[3];
+    };
+
+    /** @return whether every atom of @p cell is beyond the cutoff. */
+    bool beyondCutoff(double xi, double yi, double zi, u32 cell) const;
+
+    const Problem<Real> &prob;
+    double rcut2;
+    std::vector<CellBox> boxes; ///< per cell; empty: no pruning
+};
+
+extern template class NeighborWalk<float>;
+extern template class NeighborWalk<double>;
+
 /** Unit cells per edge for a scale factor. */
 inline int
 scaledCells(double scale)

@@ -5,56 +5,6 @@
 namespace hetsim::apps::comd
 {
 
-namespace
-{
-
-/** Iterate the candidate neighbors of atom @p i through the cells. */
-template <typename Real, typename Fn>
-void
-forEachNeighbor(const Problem<Real> &prob, u64 i, Fn &&fn)
-{
-    const int cd = prob.cellsPerDim;
-    const double xi = prob.rx[i], yi = prob.ry[i], zi = prob.rz[i];
-    const int ci = static_cast<int>(xi / prob.cellLen) % cd;
-    const int cj = static_cast<int>(yi / prob.cellLen) % cd;
-    const int ck = static_cast<int>(zi / prob.cellLen) % cd;
-    const double rcut2 = prob.ps.cutoff * prob.ps.cutoff;
-
-    for (int dz = -1; dz <= 1; ++dz)
-        for (int dy = -1; dy <= 1; ++dy)
-            for (int dx = -1; dx <= 1; ++dx) {
-                int nx = (ci + dx + cd) % cd;
-                int ny = (cj + dy + cd) % cd;
-                int nz = (ck + dz + cd) % cd;
-                u32 cell =
-                    static_cast<u32>(nx + cd * (ny + cd * nz));
-                for (u32 s = prob.cellStart[cell];
-                     s < prob.cellStart[cell + 1]; ++s) {
-                    u32 j = prob.cellAtoms[s];
-                    if (j == i)
-                        continue;
-                    double ddx = xi - prob.rx[j];
-                    double ddy = yi - prob.ry[j];
-                    double ddz = zi - prob.rz[j];
-                    if (ddx > 0.5 * prob.boxLen) ddx -= prob.boxLen;
-                    else if (ddx < -0.5 * prob.boxLen)
-                        ddx += prob.boxLen;
-                    if (ddy > 0.5 * prob.boxLen) ddy -= prob.boxLen;
-                    else if (ddy < -0.5 * prob.boxLen)
-                        ddy += prob.boxLen;
-                    if (ddz > 0.5 * prob.boxLen) ddz -= prob.boxLen;
-                    else if (ddz < -0.5 * prob.boxLen)
-                        ddz += prob.boxLen;
-                    double r2 = ddx * ddx + ddy * ddy + ddz * ddz;
-                    if (r2 > rcut2 || r2 < 1e-12)
-                        continue;
-                    fn(j, std::sqrt(r2), ddx, ddy, ddz);
-                }
-            }
-}
-
-} // namespace
-
 EamTables::EamTables(double cutoff_, int points) : cutoff(cutoff_)
 {
     dr = cutoff / points;
@@ -100,23 +50,20 @@ template <typename Real>
 void
 EamState<Real>::densityKernel(Problem<Real> &prob, u64 begin, u64 end)
 {
+    const NeighborWalk<Real> walk(prob, begin, end);
     for (u64 i = begin; i < end; ++i) {
         double fx = 0.0, fy = 0.0, fz = 0.0;
         double e_pair = 0.0, rho_sum = 0.0;
-        forEachNeighbor(prob, i,
-                        [&](u32, double r, double dx, double dy,
+        walk.forEach(i, [&](u32, double r2, double dx, double dy,
                             double dz) {
-                            double dphi_r =
-                                tables.radial(tables.dphi, r);
-                            double scale = -dphi_r / r;
-                            fx += scale * dx;
-                            fy += scale * dy;
-                            fz += scale * dz;
-                            e_pair += 0.5 *
-                                      tables.radial(tables.phi, r);
-                            rho_sum +=
-                                tables.radial(tables.rho, r);
-                        });
+            double r = std::sqrt(r2);
+            double scale = -tables.radial(tables.dphi, r) / r;
+            fx += scale * dx;
+            fy += scale * dy;
+            fz += scale * dz;
+            e_pair += 0.5 * tables.radial(tables.phi, r);
+            rho_sum += tables.radial(tables.rho, r);
+        });
         prob.fx[i] = static_cast<Real>(fx);
         prob.fy[i] = static_cast<Real>(fy);
         prob.fz[i] = static_cast<Real>(fz);
@@ -143,12 +90,13 @@ template <typename Real>
 void
 EamState<Real>::forceKernel(Problem<Real> &prob, u64 begin, u64 end)
 {
+    const NeighborWalk<Real> walk(prob, begin, end);
     for (u64 i = begin; i < end; ++i) {
         double fx = 0.0, fy = 0.0, fz = 0.0;
         double dfi = static_cast<double>(dfEmbedAtom[i]);
-        forEachNeighbor(
-            prob, i,
-            [&](u32 j, double r, double dx, double dy, double dz) {
+        walk.forEach(
+            i, [&](u32 j, double r2, double dx, double dy, double dz) {
+                double r = std::sqrt(r2);
                 double drho_r = tables.radial(tables.drho_dr, r);
                 double dfj = static_cast<double>(dfEmbedAtom[j]);
                 double scale = -(dfi + dfj) * drho_r / r;

@@ -157,7 +157,49 @@ Shape<Real>::writeUnionIndex() const
                 std::copy(cursor.begin(), cursor.end(),
                           rows + u * numNuclides);
         }
+
+        const u64 buckets = searchBuckets(unionSize);
+        bucketStart.resize(buckets + 1);
+        u64 first = 0;
+        for (u64 b = 0; b < buckets; ++b) {
+            const double edge =
+                static_cast<double>(b) / static_cast<double>(buckets);
+            while (first < unionSize &&
+                   static_cast<double>(unionEnergy[first]) < edge)
+                ++first;
+            bucketStart[b] = static_cast<u32>(first);
+        }
+        bucketStart[buckets] = static_cast<u32>(unionSize);
     });
+}
+
+template <typename Real>
+u64
+Shape<Real>::searchBuckets(u64 union_size)
+{
+    return std::bit_ceil(std::max<u64>(union_size / 8, 1));
+}
+
+template <typename Real>
+u64
+Shape<Real>::unionLower(double energy) const
+{
+    // Energies below 0 fall in the first bucket and energies from 1 up
+    // in the last; the first bucket starts at 0 and the last ends at
+    // unionSize, so their searches stay exact too.
+    const u64 buckets = bucketStart.size() - 1;
+    const double scaled = energy * static_cast<double>(buckets);
+    u64 b = 0;
+    if (scaled >= static_cast<double>(buckets))
+        b = buckets - 1;
+    else if (scaled > 0.0)
+        b = static_cast<u64>(scaled);
+    const Real *grid = unionEnergy.data();
+    const Real *above = std::upper_bound(
+        grid + bucketStart[b], grid + bucketStart[b + 1], energy,
+        [](double e, Real x) { return e < static_cast<double>(x); });
+    const u64 upper = static_cast<u64>(above - grid);
+    return std::clamp<u64>(upper, 1, unionSize - 1) - 1;
 }
 
 template <typename Real>
@@ -209,18 +251,9 @@ Problem<Real>::macroXsLookup(u64 begin, u64 end)
         u32 material;
         samplePair(i, energy, material);
 
-        // Binary search in the unionized energy grid (serial chain).
-        u64 lo = 0, hi = unionSize - 1;
-        while (lo + 1 < hi) {
-            u64 mid = (lo + hi) / 2;
-            if (static_cast<double>(unionEnergy[mid]) <= energy)
-                lo = mid;
-            else
-                hi = mid;
-        }
-
         double macro[xsChannels] = {0, 0, 0, 0, 0};
-        const u32 *indices = &unionIndex[lo * numNuclides];
+        const u32 *indices =
+            &unionIndex[shape->unionLower(energy) * numNuclides];
         for (u32 s = matStart[material]; s < matStart[material + 1];
              ++s) {
             u32 n = matNuclide[s];

@@ -103,11 +103,36 @@ struct Shape
      */
     static std::shared_ptr<const Shape> get(int gridpoints);
 
-    /** Write the union index, once; later calls return at once. */
+    /**
+     * Write the union index and the search buckets, once; later calls
+     * return at once.
+     */
     void writeUnionIndex() const;
+
+    /**
+     * The union gridpoint a lookup of @p energy interpolates from: the
+     * last u with unionEnergy[u] <= energy, clamped to [0, unionSize -
+     * 2], which is where a binary search over the whole grid ends.
+     * Reads the search buckets, so writeUnionIndex() must have run.
+     */
+    u64 unionLower(double energy) const;
+
+    /**
+     * Buckets of the union-grid search for a grid of @p union_size:
+     * a power of two, so energy * buckets and every bucket edge
+     * b / buckets are exact.
+     */
+    static u64 searchBuckets(u64 union_size);
 
   private:
     mutable StateVector<u32> index;
+    /**
+     * bucketStart[b]: the first u with unionEnergy[u] >= b / buckets;
+     * the last entry is unionSize.  Energies in [b, b + 1) / buckets
+     * therefore end their search in [bucketStart[b], bucketStart[b +
+     * 1]].
+     */
+    mutable std::vector<u32> bucketStart;
     mutable std::once_flag indexOnce;
 };
 

@@ -328,41 +328,37 @@ Server::resume()
     workCv.notify_all();
 }
 
-size_t
-Server::bestQueuedIndex() const
+void
+Server::enqueue(QueuedJob job)
 {
-    // Weighted fair-share: pick the queued tenant with the least
-    // virtual service (dispatches / weight; ties go to the
-    // lexicographically first name).  With no tenancy configured and
-    // unlabeled jobs there is exactly one tenant, which reduces to
-    // oldest-first.
-    const std::string *bestTenant = nullptr;
+    auto [it, fresh] = tenantQueues.try_emplace(job.spec.tenant);
+    if (fresh)
+        it->second.weight = cfg.tenants.policy(job.spec.tenant).weight;
+    it->second.jobs.push_back(std::move(job));
+    ++queued;
+}
+
+Server::TenantQueue &
+Server::nextTenant()
+{
+    // Weighted fair-share: the queued tenant with the least virtual
+    // service (dispatches / weight); the map runs in name order, so a
+    // tie goes to the lexicographically first name.  Every push takes
+    // a fresh submitSeq, so a tenant's front job is its oldest.  With
+    // no tenancy configured and unlabeled jobs there is exactly one
+    // tenant, which reduces to oldest-first.
+    TenantQueue *best = nullptr;
     double bestVirtual = 0.0;
-    for (const QueuedJob &q : queue) {
-        const double weight =
-            cfg.tenants.policy(q.spec.tenant).weight;
-        const auto it = tenantServed.find(q.spec.tenant);
-        const double served =
-            it != tenantServed.end()
-                ? static_cast<double>(it->second)
-                : 0.0;
-        const double virt = served / weight;
-        if (bestTenant == nullptr || virt < bestVirtual ||
-            (virt == bestVirtual && q.spec.tenant < *bestTenant)) {
-            bestTenant = &q.spec.tenant;
+    for (auto &[name, tq] : tenantQueues) {
+        if (tq.jobs.empty())
+            continue;
+        const double virt = static_cast<double>(tq.served) / tq.weight;
+        if (best == nullptr || virt < bestVirtual) {
+            best = &tq;
             bestVirtual = virt;
         }
     }
-    // Within the tenant: oldest first.
-    size_t best = queue.size();
-    for (size_t i = 0; i < queue.size(); ++i) {
-        const QueuedJob &a = queue[i];
-        if (a.spec.tenant == *bestTenant &&
-            (best == queue.size() ||
-             a.submitSeq < queue[best].submitSeq))
-            best = i;
-    }
-    return best;
+    return *best;
 }
 
 JobResult
@@ -444,9 +440,8 @@ Server::submit(JobSpec spec)
     obs::Metrics::global().add("serve.submitted");
 
     std::unique_lock<std::mutex> lk(mtx);
-    const u64 depth = queue.size();
-    queue.push_back(
-        QueuedJob{std::move(spec), nowSeconds(), submitSeq++, depth});
+    const u64 depth = queued;
+    enqueue(QueuedJob{std::move(spec), nowSeconds(), submitSeq++, depth});
     lk.unlock();
     workCv.notify_one();
 }
@@ -459,7 +454,7 @@ Server::requeueContinuation(QueuedJob job)
     // between slices.
     job.submitSeq = submitSeq++;
     job.submitSec = nowSeconds();
-    queue.push_back(std::move(job));
+    enqueue(std::move(job));
     workCv.notify_one();
 }
 
@@ -477,14 +472,15 @@ Server::workerLoop(u32 index)
     while (true) {
         std::unique_lock<std::mutex> lk(mtx);
         workCv.wait(lk, [&] {
-            return stopping || (!paused && !queue.empty());
+            return stopping || (!paused && queued > 0);
         });
         if (stopping)
             break;
-        const size_t idx = bestQueuedIndex();
-        QueuedJob job = std::move(queue[idx]);
-        queue.erase(queue.begin() + static_cast<ptrdiff_t>(idx));
-        tenantServed[job.spec.tenant] += 1;
+        TenantQueue &tenant = nextTenant();
+        QueuedJob job = std::move(tenant.jobs.front());
+        tenant.jobs.pop_front();
+        --queued;
+        tenant.served += 1;
         ++busyWorkers;
         const u64 seq = serviceSeq++;
         const double epochSec = startWallSec;
@@ -635,7 +631,7 @@ Server::drain()
 {
     std::unique_lock<std::mutex> lk(mtx);
     idleCv.wait(lk, [&] {
-        return (queue.empty() && busyWorkers == 0) || stopping;
+        return (queued == 0 && busyWorkers == 0) || stopping;
     });
     drainWallSec = nowSeconds();
 }

@@ -42,6 +42,7 @@
 #define HETSIM_SERVE_SERVER_HH
 
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -253,10 +254,21 @@ class Server
         bool continuation() const { return preemptions > 0; }
     };
 
+    /** One tenant's queued jobs, oldest first, and its fair share. */
+    struct TenantQueue
+    {
+        std::deque<QueuedJob> jobs;
+        u64 served = 0;      ///< dispatches so far
+        double weight = 1.0; ///< the tenant's policy weight
+    };
+
     void workerLoop(u32 index);
-    /** Pick the queue index to dequeue: the least-weighted-service
-     *  tenant's oldest job (see file comment). */
-    size_t bestQueuedIndex() const;
+    /** Queue @p job at the back of its tenant's queue (caller holds
+     *  mtx). */
+    void enqueue(QueuedJob job);
+    /** The tenant to dequeue from: the least-weighted-service tenant
+     *  with a queued job (see file comment; caller holds mtx). */
+    TenantQueue &nextTenant();
     /** Record a terminal result and bump its status counter. */
     void recordResult(JobResult result);
     /** Echo spec fields into a fresh Expired result. */
@@ -270,10 +282,10 @@ class Server
     mutable std::mutex mtx;
     std::condition_variable workCv; ///< queue -> workers
     std::condition_variable idleCv; ///< drain() wakeups
-    std::vector<QueuedJob> queue;
+    /** Per-tenant queues, by name; a tenant's entry stays once made. */
+    std::map<std::string, TenantQueue> tenantQueues;
+    u64 queued = 0; ///< jobs over all tenantQueues
     std::vector<JobResult> results;
-    /** Fair-share bookkeeping: dispatches per tenant. */
-    std::map<std::string, u64> tenantServed;
     u64 preemptionEvents = 0;
     u64 submitSeq = 0;
     u64 serviceSeq = 0;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -100,6 +101,66 @@ TEST(XsbenchCore, UnionGridMatchesBruteForceReference)
         SCOPED_TRACE(G);
         expectReferenceUnionGrid<float>(G, true);
         expectReferenceUnionGrid<double>(G, false);
+    }
+}
+
+/** The union gridpoint of @p energy by binary search over the grid. */
+template <typename Real>
+u64
+binarySearchLower(const std::vector<Real> &grid, double energy)
+{
+    u64 lo = 0, hi = grid.size() - 1;
+    while (lo + 1 < hi) {
+        u64 mid = (lo + hi) / 2;
+        if (static_cast<double>(grid[mid]) <= energy)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/** Every bucket edge and its neighbours, every union energy (duplicates
+ *  included) and the ends of [0, 1) find the binary search's gridpoint. */
+template <typename Real>
+void
+expectBucketedSearchEqualsBinarySearch(int G)
+{
+    using namespace apps::xsbench;
+    const Shape<Real> shape(G);
+    shape.writeUnionIndex();
+    const u64 buckets = Shape<Real>::searchBuckets(shape.unionSize);
+    ASSERT_EQ(std::popcount(buckets), 1);
+    std::vector<double> energies{0.0, std::nextafter(1.0, 0.0)};
+    for (u64 b = 0; b <= buckets; ++b) {
+        const double edge = double(b) / double(buckets);
+        energies.insert(energies.end(),
+                        {std::nextafter(edge, -1.0), edge,
+                         std::nextafter(edge, 2.0)});
+    }
+    u64 duplicates = 0;
+    for (u64 u = 0; u < shape.unionSize; ++u) {
+        const double e = shape.unionEnergy[u];
+        energies.insert(energies.end(), {std::nextafter(e, -1.0), e,
+                                         std::nextafter(e, 2.0)});
+        duplicates += u > 0 && shape.unionEnergy[u - 1] == e;
+    }
+    // Single precision draws collide on the grid; the search must land
+    // past every copy of an energy.
+    if (sizeof(Real) == 4) {
+        EXPECT_GT(duplicates, 0u);
+    }
+    for (double e : energies)
+        ASSERT_EQ(shape.unionLower(e), binarySearchLower(shape.unionEnergy, e))
+            << "energy " << e;
+}
+
+TEST(XsbenchCore, BucketedSearchEqualsBinarySearch)
+{
+    for (int G : {256, 1130}) {
+        SCOPED_TRACE(G);
+        expectBucketedSearchEqualsBinarySearch<float>(G);
+        expectBucketedSearchEqualsBinarySearch<double>(G);
     }
 }
 
