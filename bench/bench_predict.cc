@@ -113,19 +113,16 @@ probeCells(const std::vector<fleet::ProbeCell> &cells,
     auto outcome = serve::runBatch(probes, cfg, error);
     if (!outcome)
         return std::nullopt;
-    std::map<u64, const serve::JobResult *> byId;
-    for (const auto &res : outcome->results)
-        byId[res.id] = &res;
+    // One result per probe, in ascending id: results[i] is cells[i].
     std::vector<double> seconds;
     seconds.reserve(cells.size());
-    id = 0;
     for (size_t i = 0; i < cells.size(); ++i) {
-        const serve::JobResult *res = byId[++id];
-        if (res == nullptr || res->status != serve::JobStatus::Ok) {
+        const serve::JobResult &res = outcome->results[i];
+        if (res.status != serve::JobStatus::Ok) {
             error = "probe cell " + std::to_string(i) + " failed";
             return std::nullopt;
         }
-        seconds.push_back(res->simSeconds);
+        seconds.push_back(res.simSeconds);
     }
     return seconds;
 }

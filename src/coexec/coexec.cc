@@ -28,9 +28,6 @@ constexpr sim::PcieLink kPcie{};
 /** Simulated cost of saving one checkpoint, charged on every
  *  surviving device's compute queue when a launch is preempted. */
 constexpr double kCheckpointSeconds = 100e-6;
-/** Straggler watchdog: a stalled chunk is declared dead after this
- *  many times its predicted duration. */
-constexpr double kStallTimeoutChunks = 10.0;
 
 } // namespace
 
@@ -423,8 +420,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
         // Injected stall: the chunk hangs and the straggler watchdog
         // declares the device dead after the stall timeout.
         if (faulty && plan->stallDevice(slot.spec->name)) {
-            const double timeout =
-                kStallTimeoutChunks * std::max(kernel_secs, 1e-6);
+            const double timeout = fault::stallTimeoutSeconds(kernel_secs);
             const sim::TaskId stalled = timeline.schedule(
                 slot.computeQ, timeout, std::span<const sim::TaskId>{},
                 sim::Timeline::SpanInfo{"stall [watchdog]", "fault",

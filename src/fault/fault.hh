@@ -22,6 +22,7 @@
 #ifndef HETSIM_FAULT_FAULT_HH
 #define HETSIM_FAULT_FAULT_HH
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
@@ -52,6 +53,24 @@ constexpr double kBackoffSeconds = 50e-6;
 
 /** Completed chunks after which the --fail-device target dies. */
 constexpr u64 kFailAfterChunks = 1;
+
+/** @return how long the stall watchdog waits before it declares a
+ *  device dead on work predicted to take @p serviceSeconds. */
+constexpr double
+stallTimeoutSeconds(double serviceSeconds)
+{
+    return 10.0 * std::max(serviceSeconds, 1e-6);
+}
+
+// The fault options' rules, shared by the CLI flags and JobSpec keys.
+/** Largest retry budget; kRetryRange is how errors print the range. */
+constexpr u32 kMaxRetries = 64;
+constexpr char kRetryRange[] = "[0, 64]";
+/** What an --inject-faults / "faults" value wants. */
+constexpr char kFaultSpecWants[] =
+    "kind:rate pairs (transfer|launch|stall, rate in [0,1])";
+/** What a --fail-device / "fail_device" value wants. */
+constexpr char kFailDeviceWants[] = "a device alias";
 
 /** Knobs of one fault-injection campaign. */
 struct FaultConfig

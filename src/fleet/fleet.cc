@@ -303,10 +303,9 @@ simulateFleet(const Topology &topo, const FleetConfig &cfg,
                     ++a.faults;
                 }
                 if (plan.stallDevice(dev)) {
-                    // Stall watchdog: the attempt hangs for 10x the
-                    // service time before the retry lands (the same
-                    // timeout shape the co-executor uses).
-                    cost += 10.0 * std::max(costM[ci], 1e-6);
+                    // Stall watchdog: the attempt hangs for the
+                    // co-executor's timeout before the retry lands.
+                    cost += fault::stallTimeoutSeconds(costM[ci]);
                     ++a.faults;
                 }
             }

@@ -6,9 +6,9 @@
 #include <ostream>
 #include <set>
 
+#include "apps/coexec_kernels.hh"
 #include "common/flatjson.hh"
 #include "common/numparse.hh"
-#include "core/workload.hh"
 #include "kernelir/captable.hh"
 
 namespace hetsim::serve
@@ -58,6 +58,87 @@ backendNames(const char *sep)
         }
     }
     return names;
+}
+
+std::string
+appNames(const char *sep, bool coexecOnly)
+{
+    std::string names;
+    for (const core::AppEntry &app : core::appTable()) {
+        if (coexecOnly && !app.coKernel)
+            continue;
+        if (!names.empty())
+            names += sep;
+        names += app.alias;
+    }
+    return names;
+}
+
+std::optional<ResolvedRun>
+resolveRun(const JobSpec &spec, std::string &error)
+{
+    auto workload = core::workloadByName(spec.app);
+    if (!workload) {
+        error = "unknown app '" + spec.app + "'";
+        return std::nullopt;
+    }
+    auto model = core::modelByName(spec.model);
+    if (!model) {
+        error = "unknown model '" + spec.model + "'";
+        return std::nullopt;
+    }
+    auto device = sim::deviceByName(spec.device);
+    if (!device) {
+        error = "unknown device '" + spec.device + "'";
+        return std::nullopt;
+    }
+    core::WorkloadConfig cfg;
+    cfg.scale = spec.scale;
+    cfg.functional = spec.functional;
+    cfg.precision =
+        spec.doublePrecision ? Precision::Double : Precision::Single;
+    cfg.freq = spec.freq;
+    return ResolvedRun{std::move(workload), *model, std::move(*device),
+                       cfg};
+}
+
+std::optional<ResolvedCoexec>
+resolveCoexec(const JobSpec &spec, std::string &error)
+{
+    auto pool = coexec::DevicePool::parse(spec.devices);
+    if (!pool) {
+        error = "unknown device pool '" + spec.devices +
+                "' (want e.g. cpu+dgpu or cpu+apu)";
+        return std::nullopt;
+    }
+    auto policy = coexec::policyByName(spec.policy);
+    if (!policy) {
+        error = "unknown policy '" + spec.policy +
+                "' (static, dynamic, adaptive)";
+        return std::nullopt;
+    }
+    if (!spec.backend.empty()) {
+        auto backend = backendByName(spec.backend);
+        if (!backend) {
+            error = "unknown backend '" + spec.backend + "' (" +
+                    backendNames(", ") + ")";
+            return std::nullopt;
+        }
+        pool->setGpuModel(*backend);
+    }
+    const Precision prec =
+        spec.doublePrecision ? Precision::Double : Precision::Single;
+    auto kernel = apps::coex::coKernelByName(spec.app, spec.scale, prec);
+    if (!kernel) {
+        error = "app '" + spec.app + "' has no co-execution kernel (" +
+                appNames(", ", true) + ")";
+        return std::nullopt;
+    }
+    coexec::ExecOptions opts;
+    opts.policy = *policy;
+    opts.functional = spec.functional;
+    return ResolvedCoexec{std::move(*pool), std::move(*kernel), opts,
+                          prec};
 }
 
 std::optional<sim::FreqDomain>
@@ -163,9 +244,9 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
                 return fail("\"faults\" wants a kind:rate spec string");
             auto cfg = fault::parseFaultSpec(text);
             if (!cfg)
-                return fail("\"faults\" wants kind:rate pairs "
-                            "(transfer|launch|stall, rate in [0,1]), "
-                            "got '" + text + "'");
+                return fail(std::string("\"faults\" wants ") +
+                            fault::kFaultSpecWants + ", got '" + text +
+                            "'");
             spec.faultConfig.transferFailRate = cfg->transferFailRate;
             spec.faultConfig.launchFailRate = cfg->launchFailRate;
             spec.faultConfig.stallRate = cfg->stallRate;
@@ -182,14 +263,16 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
             auto v = value.kind == json::Value::Kind::Number
                          ? json::parseU64(value.text)
                          : std::nullopt;
-            if (!v || *v > 64)
-                return fail("\"retry_max\" wants an integer in "
-                            "[0, 64]");
+            if (!v || *v > fault::kMaxRetries)
+                return fail(std::string("\"retry_max\" wants an integer "
+                                        "in ") +
+                            fault::kRetryRange);
             spec.faultConfig.retryMax = static_cast<u32>(*v);
         } else if (key == "fail_device") {
             std::string text;
             if (!wantString(text) || text.empty())
-                return fail("\"fail_device\" wants a device alias");
+                return fail(std::string("\"fail_device\" wants ") +
+                            fault::kFailDeviceWants);
             spec.faultConfig.failDevice = text;
             spec.faultsGiven = true;
         } else if (key == "service_deadline_ms") {

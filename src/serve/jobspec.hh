@@ -25,10 +25,13 @@
 #define HETSIM_SERVE_JOBSPEC_HH
 
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "coexec/coexec.hh"
+#include "core/workload.hh"
 #include "fault/fault.hh"
 #include "kernelir/codegen.hh"
 #include "sim/device.hh"
@@ -109,9 +112,46 @@ std::optional<ir::ModelKind> backendByName(const std::string &name);
  *  - the one source of the backend lists in error and help texts. */
 std::string backendNames(const char *sep);
 
+/** @return the app aliases in paper order (only those with a
+ *  co-execution kernel when @p coexecOnly), joined by @p sep - the one
+ *  source of the app lists in error and help texts. */
+std::string appNames(const char *sep, bool coexecOnly);
+
 /** @return a "core:mem" pair of finite positive MHz, if valid - the
  *  JobSpec "freq" key and the CLI's --freq share this parser. */
 std::optional<sim::FreqDomain> parseFreqPair(const std::string &text);
+
+/** A single-device job, resolved: the arguments of Workload::run. */
+struct ResolvedRun
+{
+    std::unique_ptr<core::Workload> workload;
+    core::ModelKind model;
+    sim::DeviceSpec device;
+    core::WorkloadConfig config;
+};
+
+/** A co-execution job, resolved: the arguments of CoExecutor.  opts
+ *  holds the policy and functional switch; the caller adds chunking,
+ *  budget, resume ranges and its fault plan. */
+struct ResolvedCoexec
+{
+    coexec::DevicePool pool;
+    coexec::CoKernel kernel;
+    coexec::ExecOptions opts;
+    Precision prec;
+};
+
+/**
+ * Resolve @p spec as a single-device or a co-execution job.  These two
+ * are the only lookup of a job's app, model, device, pool, policy and
+ * backend names: served jobs and the CLI's run-shaped verbs all go
+ * through them.  @return nullopt and set @p error (naming the valid
+ * choices for a pool, policy or co-execution app) on an unknown name.
+ */
+std::optional<ResolvedRun> resolveRun(const JobSpec &spec,
+                                      std::string &error);
+std::optional<ResolvedCoexec> resolveCoexec(const JobSpec &spec,
+                                            std::string &error);
 
 /** Outcome of one job. */
 struct JobResult

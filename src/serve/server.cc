@@ -56,37 +56,34 @@ faultScheduleHash(const std::vector<fault::FaultEvent> &schedule)
 namespace
 {
 
+/** A fresh result echoing @p spec, so a result line is
+ *  self-describing. */
+JobResult
+echoOf(const JobSpec &spec, JobStatus status)
+{
+    JobResult res;
+    res.id = spec.id;
+    res.status = status;
+    res.app = spec.app;
+    res.tenant = spec.tenant;
+    if (spec.coexec()) {
+        res.devices = spec.devices;
+        res.policy = spec.policy;
+    } else {
+        res.model = spec.model;
+        res.device = spec.device;
+    }
+    return res;
+}
+
 /** Single-device job: the `hetsim run` path. */
 void
 runSingleDeviceJob(const JobSpec &spec, JobResult &res)
 {
-    if (spec.faultsGiven) {
-        res.error = "fault injection needs a co-execution job "
-                    "(set \"devices\")";
+    auto job = resolveRun(spec, res.error);
+    if (!job)
         return;
-    }
-    auto wl = core::workloadByName(spec.app);
-    if (!wl) {
-        res.error = "unknown app '" + spec.app + "'";
-        return;
-    }
-    auto model = core::modelByName(spec.model);
-    if (!model) {
-        res.error = "unknown model '" + spec.model + "'";
-        return;
-    }
-    auto device = sim::deviceByName(spec.device);
-    if (!device) {
-        res.error = "unknown device '" + spec.device + "'";
-        return;
-    }
-    core::WorkloadConfig cfg;
-    cfg.scale = spec.scale;
-    cfg.functional = spec.functional;
-    cfg.precision = spec.doublePrecision ? Precision::Double
-                                         : Precision::Single;
-    cfg.freq = spec.freq;
-    auto run = wl->run(*model, *device, cfg);
+    auto run = job->workload->run(job->model, job->device, job->config);
 
     res.status = JobStatus::Ok;
     res.simSeconds = run.seconds;
@@ -104,42 +101,14 @@ runSingleDeviceJob(const JobSpec &spec, JobResult &res)
 void
 runCoexecJob(const JobSpec &spec, double budgetSeconds,
              const std::vector<coexec::ItemRange> *resume,
-             JobResult &res, bool &preempted,
-             std::vector<coexec::ItemRange> &remaining)
+             SliceOutcome &slice)
 {
-    auto pool = coexec::DevicePool::parse(spec.devices);
-    if (!pool) {
-        res.error = "unknown device pool '" + spec.devices + "'";
+    JobResult &res = slice.result;
+    auto job = resolveCoexec(spec, res.error);
+    if (!job)
         return;
-    }
-    auto policy = coexec::policyByName(spec.policy);
-    if (!policy) {
-        res.error = "unknown policy '" + spec.policy + "'";
-        return;
-    }
-    if (!spec.backend.empty()) {
-        auto backend = backendByName(spec.backend);
-        if (!backend) {
-            res.error = "unknown backend '" + spec.backend + "'";
-            return;
-        }
-        pool->setGpuModel(*backend);
-    }
-    Precision prec = spec.doublePrecision ? Precision::Double
-                                          : Precision::Single;
-    auto kernel =
-        apps::coex::coKernelByName(spec.app, spec.scale, prec);
-    if (!kernel) {
-        res.error = "app '" + spec.app +
-                    "' has no co-execution kernel";
-        return;
-    }
-
-    coexec::ExecOptions opts;
-    opts.policy = *policy;
-    opts.functional = spec.functional;
-    opts.budgetSeconds = budgetSeconds;
-    opts.resume = resume;
+    job->opts.budgetSeconds = budgetSeconds;
+    job->opts.resume = resume;
     // Per-job plan: seeded from the job's own config, so equal seeds
     // reproduce the standalone `hetsim coexec` schedule bitwise no
     // matter which worker session runs the job.  Each slice restarts
@@ -147,12 +116,12 @@ runCoexecJob(const JobSpec &spec, double budgetSeconds,
     // function of the spec.
     fault::FaultPlan plan(spec.faultConfig);
     if (spec.faultsGiven)
-        opts.faults = &plan;
+        job->opts.faults = &plan;
 
-    coexec::CoExecutor executor(*pool, prec);
-    auto run = executor.execute(*kernel, opts);
-    preempted = run.preempted;
-    remaining = std::move(run.remaining);
+    coexec::CoExecutor executor(job->pool, job->prec);
+    auto run = executor.execute(job->kernel, job->opts);
+    slice.preempted = run.preempted;
+    slice.remaining = std::move(run.remaining);
     // Black-box context for the flight recorder: the injected
     // schedule this job was exposed to, in injection order.  Filled
     // before the failure return - failed jobs are the ones recorded.
@@ -182,6 +151,30 @@ runCoexecJob(const JobSpec &spec, double budgetSeconds,
         res.faultScheduleHash = faultScheduleHash(plan.schedule());
 }
 
+/**
+ * Folds the simulated accounting of a preempted job's @p earlier
+ * slices into its @p later one: seconds, energy and fault counts add
+ * (IEEE addition commutes, so either operand order gives the same
+ * bits), and with a fault plan the schedule hashes chain as
+ * mix(earlier, later).  Every folded quantity is simulation-derived,
+ * so the merged result stays a pure function of the spec.
+ */
+void
+foldSlices(const JobResult &earlier, JobResult &later, bool faultsGiven)
+{
+    later.simSeconds += earlier.simSeconds;
+    later.kernelSeconds += earlier.kernelSeconds;
+    later.transferSeconds += earlier.transferSeconds;
+    later.energyJoules += earlier.energyJoules;
+    later.faultsInjected += earlier.faultsInjected;
+    if (faultsGiven) {
+        sim::HashMix fold;
+        fold.mix(earlier.faultScheduleHash);
+        fold.mix(later.faultScheduleHash);
+        later.faultScheduleHash = fold.digest();
+    }
+}
+
 } // namespace
 
 SliceOutcome
@@ -189,23 +182,22 @@ runJobSlice(const JobSpec &spec, double budgetSeconds,
             const std::vector<coexec::ItemRange> *resume)
 {
     SliceOutcome slice;
-    JobResult &res = slice.result;
-    res.id = spec.id;
-    res.app = spec.app;
-    res.tenant = spec.tenant;
-    if (spec.coexec()) {
-        res.devices = spec.devices;
-        res.policy = spec.policy;
-    } else {
-        res.model = spec.model;
-        res.device = spec.device;
-    }
-    res.status = JobStatus::Error;
-    if (spec.coexec()) {
-        runCoexecJob(spec, budgetSeconds, resume, res, slice.preempted,
-                     slice.remaining);
-    } else {
-        runSingleDeviceJob(spec, res);
+    slice.result = echoOf(spec, JobStatus::Error);
+    try {
+        if (spec.coexec()) {
+            runCoexecJob(spec, budgetSeconds, resume, slice);
+        } else if (spec.faultsGiven) {
+            slice.result.error = "fault injection needs a co-execution "
+                                 "job (set \"devices\")";
+        } else {
+            runSingleDeviceJob(spec, slice.result);
+        }
+    } catch (const std::exception &e) {
+        // One bad job fails alone: whatever resolving or running it
+        // throws becomes its error result, and the batch goes on.
+        slice = SliceOutcome{};
+        slice.result = echoOf(spec, JobStatus::Error);
+        slice.result.error = e.what();
     }
     return slice;
 }
@@ -218,8 +210,7 @@ runJob(const JobSpec &spec)
 }
 
 double
-applyVirtualSchedule(std::vector<JobResult> &results, u32 workers,
-                     bool trace)
+applyVirtualSchedule(std::vector<JobResult> &results, u32 workers)
 {
     if (workers == 0)
         return 0.0;
@@ -239,7 +230,7 @@ applyVirtualSchedule(std::vector<JobResult> &results, u32 workers,
     // that rule, so the virtual cluster is a W-node fleet.
     fleet::Cluster cluster(workers, fleet::Policy::LeastLoaded);
     obs::Tracer &tracer = obs::Tracer::global();
-    const bool tracing = trace && tracer.enabled();
+    const bool tracing = tracer.enabled();
     std::vector<obs::TrackId> tracks;
     if (tracing) {
         tracks.reserve(workers);
@@ -309,26 +300,6 @@ Server::start()
 }
 
 void
-Server::pause()
-{
-    std::lock_guard<std::mutex> lk(mtx);
-    paused = true;
-}
-
-void
-Server::resume()
-{
-    {
-        std::lock_guard<std::mutex> lk(mtx);
-        if (!paused)
-            return;
-        paused = false;
-        startWallSec = nowSeconds();
-    }
-    workCv.notify_all();
-}
-
-void
 Server::enqueue(QueuedJob job)
 {
     auto [it, fresh] = tenantQueues.try_emplace(job.spec.tenant);
@@ -359,22 +330,6 @@ Server::nextTenant()
         }
     }
     return *best;
-}
-
-JobResult
-Server::expiredEcho(const JobSpec &spec)
-{
-    JobResult res;
-    res.id = spec.id;
-    res.app = spec.app;
-    res.model = spec.model;
-    res.device = spec.device;
-    res.devices = spec.devices;
-    res.policy = spec.policy;
-    res.tenant = spec.tenant;
-    res.status = JobStatus::Expired;
-    res.serviceDeadlineMs = spec.serviceDeadlineMs;
-    return res;
 }
 
 void
@@ -472,7 +427,7 @@ Server::workerLoop(u32 index)
     while (true) {
         std::unique_lock<std::mutex> lk(mtx);
         workCv.wait(lk, [&] {
-            return stopping || (!paused && queued > 0);
+            return stopping || queued > 0;
         });
         if (stopping)
             break;
@@ -513,22 +468,11 @@ Server::workerLoop(u32 index)
 
         if (slice.preempted &&
             slice.result.status == JobStatus::Ok) {
-            // The slice checkpointed: fold its simulated accounting
-            // into the continuation and re-queue (or expire once the
-            // preemption budget is gone).  All folded quantities are
-            // simulation-derived, so the merged result stays a pure
-            // function of the spec.
-            job.accumSimSeconds += slice.result.simSeconds;
-            job.accumKernelSeconds += slice.result.kernelSeconds;
-            job.accumTransferSeconds += slice.result.transferSeconds;
-            job.accumEnergyJoules += slice.result.energyJoules;
-            job.accumFaults += slice.result.faultsInjected;
-            if (job.spec.faultsGiven) {
-                sim::HashMix fold;
-                fold.mix(job.accumFaultHash);
-                fold.mix(slice.result.faultScheduleHash);
-                job.accumFaultHash = fold.digest();
-            }
+            // The slice checkpointed: fold it into the continuation
+            // and re-queue (or expire once the preemption budget is
+            // gone).
+            foldSlices(job.folded, slice.result, job.spec.faultsGiven);
+            job.folded = std::move(slice.result);
             job.remaining = std::move(slice.remaining);
             job.preemptions += 1;
             metrics.add("serve.preemptions");
@@ -565,7 +509,8 @@ Server::workerLoop(u32 index)
             lk.lock();
             preemptionEvents += 1;
             if (job.preemptions > cfg.maxPreemptions) {
-                JobResult res = expiredEcho(job.spec);
+                JobResult res = echoOf(job.spec, JobStatus::Expired);
+                res.serviceDeadlineMs = job.spec.serviceDeadlineMs;
                 res.error = csprintf(
                     "service deadline %g ms: preempted %llu times "
                     "(max %u)",
@@ -588,17 +533,7 @@ Server::workerLoop(u32 index)
         JobResult res = std::move(slice.result);
         if (job.continuation() && res.status == JobStatus::Ok) {
             // Final slice: merge the checkpointed slices back in.
-            res.simSeconds += job.accumSimSeconds;
-            res.kernelSeconds += job.accumKernelSeconds;
-            res.transferSeconds += job.accumTransferSeconds;
-            res.energyJoules += job.accumEnergyJoules;
-            res.faultsInjected += job.accumFaults;
-            if (job.spec.faultsGiven) {
-                sim::HashMix fold;
-                fold.mix(job.accumFaultHash);
-                fold.mix(res.faultScheduleHash);
-                res.faultScheduleHash = fold.digest();
-            }
+            foldSlices(job.folded, res, job.spec.faultsGiven);
             res.preemptions = job.preemptions;
         }
         res.hostQueueWaitMs = waitMs;
@@ -759,6 +694,17 @@ Server::report()
     return rep;
 }
 
+BatchOutcome
+Server::finish()
+{
+    drain();
+    BatchOutcome outcome;
+    outcome.report = report();
+    outcome.results = takeResults();
+    shutdown();
+    return outcome;
+}
+
 std::optional<BatchOutcome>
 runBatch(const std::vector<JobSpec> &jobs, const ServerConfig &config,
          std::string &error)
@@ -769,25 +715,15 @@ runBatch(const std::vector<JobSpec> &jobs, const ServerConfig &config,
     }
 
     Server server(config);
-    server.pause();
+    // Submitting before start() prefills the queue: the workers find
+    // the whole batch queued, so dequeue order is deterministic.
+    for (const JobSpec &spec : jobs)
+        server.submit(spec);
     if (auto err = server.start()) {
         error = *err;
         return std::nullopt;
     }
-    for (const JobSpec &spec : jobs)
-        server.submit(spec);
-    server.resume();
-    server.drain();
-
-    BatchOutcome outcome;
-    outcome.report = server.report();
-    outcome.results = server.takeResults();
-    server.shutdown();
-    // report() scheduled the virtual cluster on the server's copy;
-    // re-derive the per-job virtual fields on the moved-out results,
-    // this time emitting the deterministic vcluster timeline spans.
-    applyVirtualSchedule(outcome.results, config.workers, true);
-    return outcome;
+    return server.finish();
 }
 
 } // namespace hetsim::serve

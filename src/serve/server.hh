@@ -7,9 +7,13 @@
  * sessions executes every one of them - each worker owning its own
  * runtime contexts while every session shares the process-wide
  * sim::TimingCache - and per-job results plus latency distributions
- * come back out.  Two front-ends drive it: `hetsim batch` (JSONL job
- * file in, JSONL results out) and `hetsim serve` (`--stream` JSONL on
- * stdin, or the `--shots N` closed-loop load generator).
+ * come back out.  Every front-end drives it one way - submit, start(),
+ * finish() - and only when it submits differs: `hetsim batch`
+ * (runBatch) submits the whole file before start(), which prefills the
+ * queue and fixes the dequeue order; `hetsim serve --stream` and
+ * `--shots N` submit live.  Every job runs through runJobSlice, which
+ * resolves its spec with resolveRun / resolveCoexec (jobspec.hh), as
+ * the CLI's run-shaped verbs do.
  *
  * Determinism contract: the serialized result of a job depends only on
  * its spec (the simulator is deterministic), so a batch's result file
@@ -110,7 +114,7 @@ struct ServerReport
     /** Host wall latencies of jobs that ran. */
     Percentiles queueWaitMs; ///< milliseconds
     Percentiles serviceMs;   ///< milliseconds
-    /** Host wall seconds from resume()/start() to drained. */
+    /** Host wall seconds from start() to drained. */
     double wallSeconds = 0.0;
     /** Sum of simulated seconds over Ok jobs. */
     double simBusySeconds = 0.0;
@@ -166,7 +170,8 @@ struct SliceOutcome
  * may @p resume the undone ranges of a previously preempted slice.
  * Fault plans re-seed per slice from the spec, so a job's slice
  * sequence is a pure function of (spec, budget) - deterministic on
- * any worker.
+ * any worker.  A std::exception thrown while resolving or running the
+ * job becomes its Error result, carrying what().
  */
 SliceOutcome runJobSlice(const JobSpec &spec, double budgetSeconds,
                          const std::vector<coexec::ItemRange> *resume);
@@ -178,13 +183,20 @@ u64 faultScheduleHash(const std::vector<fault::FaultEvent> &schedule);
  * List-schedule the jobs that ran (worker >= 0), in serviceSeq order,
  * onto @p workers virtual workers using simSeconds as service time;
  * fills simQueueWaitSeconds / simFinishSeconds.  @return the virtual
- * makespan.  With @p trace set, each placed job additionally emits a
+ * makespan.  While the tracer is on, each placed job also emits a
  * simulated-time span on its virtual worker's "vcluster/v<i>" track
  * (cat "vserve") - the deterministic timeline the profile analyzer
  * attributes instead of the host wall-clock serve spans.
  */
 double applyVirtualSchedule(std::vector<JobResult> &results,
-                            u32 workers, bool trace = false);
+                            u32 workers);
+
+/** Results + report of one drained server. */
+struct BatchOutcome
+{
+    std::vector<JobResult> results; ///< ascending id
+    ServerReport report;
+};
 
 /** The in-process job server (see file comment). */
 class Server
@@ -202,18 +214,14 @@ class Server
     validateConfig(const ServerConfig &config);
 
     /**
-     * Spawn the worker sessions.  @return a configuration error
-     * instead of starting when the config is invalid.
+     * Spawn the worker sessions; the drain wall-clock starts here.
+     * Jobs submitted before start() prefill the queue.  @return a
+     * configuration error instead of starting when the config is
+     * invalid.
      */
     std::optional<std::string> start();
 
-    /** Stop dequeuing (queued jobs wait; running jobs finish). */
-    void pause();
-
-    /** Resume dequeuing; the drain wall-clock starts here. */
-    void resume();
-
-    /** Queue one job; a worker runs it once dequeuing is on. */
+    /** Queue one job; a worker runs it once the server has started. */
     void submit(JobSpec spec);
 
     /** Wait until the queue is empty and every worker is idle. */
@@ -226,9 +234,12 @@ class Server
     /** Move the accumulated results out, sorted by ascending id. */
     std::vector<JobResult> takeResults();
 
-    /** Aggregate statistics over the results accumulated so far
-     *  (computes the virtual-cluster schedule). */
-    ServerReport report();
+    /**
+     * The one tail of every front-end: drain, report (scheduling the
+     * virtual cluster once, with its vcluster spans), move the results
+     * out in id order, and stop the workers.
+     */
+    BatchOutcome finish();
 
   private:
     struct QueuedJob
@@ -242,14 +253,8 @@ class Server
         /** Non-empty: resume these ranges instead of a fresh run. */
         std::vector<coexec::ItemRange> remaining{};
         u64 preemptions = 0; ///< slices already checkpointed
-        /** Simulation totals accumulated over completed slices. */
-        double accumSimSeconds = 0.0;
-        double accumKernelSeconds = 0.0;
-        double accumTransferSeconds = 0.0;
-        double accumEnergyJoules = 0.0;
-        u64 accumFaults = 0;
-        /** Running fold of per-slice fault-schedule hashes. */
-        u64 accumFaultHash = 0;
+        /** The checkpointed slices, folded into one partial result. */
+        JobResult folded{};
 
         bool continuation() const { return preemptions > 0; }
     };
@@ -271,8 +276,9 @@ class Server
     TenantQueue &nextTenant();
     /** Record a terminal result and bump its status counter. */
     void recordResult(JobResult result);
-    /** Echo spec fields into a fresh Expired result. */
-    static JobResult expiredEcho(const JobSpec &spec);
+    /** Aggregate statistics over the results accumulated so far
+     *  (schedules the virtual cluster). */
+    ServerReport report();
     /** Re-queue a preempted job's continuation (caller holds mtx). */
     void requeueContinuation(QueuedJob job);
 
@@ -291,23 +297,15 @@ class Server
     u64 serviceSeq = 0;
     u32 busyWorkers = 0;
     bool started = false;
-    bool paused = false;
     bool stopping = false;
-    double startWallSec = 0.0; ///< resume()/start() timestamp
+    double startWallSec = 0.0; ///< start() timestamp
     double drainWallSec = 0.0; ///< last drained timestamp
 };
 
-/** Results + report of one prefilled batch. */
-struct BatchOutcome
-{
-    std::vector<JobResult> results; ///< ascending id
-    ServerReport report;
-};
-
 /**
- * Run @p jobs as a deterministic prefilled batch: the server starts
- * paused, every job is submitted in file order, then the workers
- * drain the queue.  @return nullopt and set @p error on an invalid
+ * Run @p jobs as a deterministic prefilled batch: every job is
+ * submitted in file order before the workers start, then they drain
+ * the queue.  @return nullopt and set @p error on an invalid
  * configuration.
  */
 std::optional<BatchOutcome> runBatch(const std::vector<JobSpec> &jobs,

@@ -39,11 +39,6 @@ runStream(std::istream &in, std::ostream &out,
         writeResultLine(out, result);
         out.flush();
     };
-    if (auto err = Server::validateConfig(cfg)) {
-        error = *err;
-        return std::nullopt;
-    }
-
     Server server(cfg);
     if (auto err = server.start()) {
         error = *err;
@@ -65,28 +60,19 @@ runStream(std::istream &in, std::ostream &out,
             break;
         }
         auto spec = parseJobLine(line, lineno, error);
-        if (!spec) {
-            server.drain();
-            server.shutdown();
-            return std::nullopt;
-        }
-        if (!ids.insert(spec->id).second) {
+        if (spec && !ids.insert(spec->id).second) {
             error = "line " + std::to_string(lineno) +
                     ": duplicate job id " + std::to_string(spec->id);
-            server.drain();
-            server.shutdown();
+            spec.reset();
+        }
+        if (!spec) {
+            server.drain(); // the destructor then stops the workers
             return std::nullopt;
         }
         server.submit(std::move(*spec));
     }
 
-    server.drain();
-    outcome.report = server.report();
-    outcome.results = server.takeResults();
-    server.shutdown();
-    // Deterministic virtual-cluster spans over the final result set
-    // (the host-side live emission order is not attributable).
-    applyVirtualSchedule(outcome.results, cfg.workers, true);
+    static_cast<BatchOutcome &>(outcome) = server.finish();
     return outcome;
 }
 

@@ -39,12 +39,10 @@
 namespace hetsim::serve
 {
 
-/** Results + report of one streamed serving session. */
-struct StreamOutcome
+/** Results (the determinism artifact) + report of one streamed
+ *  serving session. */
+struct StreamOutcome : BatchOutcome
 {
-    /** Terminal results, ascending id (the determinism artifact). */
-    std::vector<JobResult> results;
-    ServerReport report;
     /** Input lines consumed (incl. blanks and the sentinel). */
     u64 linesRead = 0;
     /** The stream closed with the explicit `end` sentinel. */

@@ -14,7 +14,6 @@
 #include <sstream>
 #include <variant>
 
-#include "apps/coexec_kernels.hh"
 #include "coexec/coexec.hh"
 #include "common/numparse.hh"
 #include "common/table.hh"
@@ -40,22 +39,6 @@ namespace hetsim::cli
 
 namespace
 {
-
-/** @return the app aliases in paper order (only those with a
- *  co-execution kernel when @p coexecOnly), joined by @p sep. */
-std::string
-appNames(const char *sep, bool coexecOnly)
-{
-    std::string names;
-    for (const core::AppEntry &app : core::appTable()) {
-        if (coexecOnly && !app.coKernel)
-            continue;
-        if (!names.empty())
-            names += sep;
-        names += app.alias;
-    }
-    return names;
-}
 
 /** @return every --model name in ModelKind order, space-separated. */
 std::string
@@ -270,8 +253,8 @@ usage(std::ostream &os)
           "  --no-surrogate      ignore loaded models: probe/simulate "
           "every cost\n"
           "                      (A/B escape hatch)\n\n"
-          "apps:    " << appNames(" ", false) << "\n"
-          "         (coexec: " << appNames(" ", true) << ")\n"
+          "apps:    " << serve::appNames(" ", false) << "\n"
+          "         (coexec: " << serve::appNames(" ", true) << ")\n"
           "models:  " << modelNames() << "\n"
           "devices: dgpu apu cpu hd7950\n";
 }
@@ -400,32 +383,53 @@ writeEnergyOut(const Args &args, const power::EnergyReport &report,
                        });
 }
 
+/** The job that --app, --model, --device, --devices, --backend,
+ *  --policy, --scale, --dp, --freq and --functional describe. */
+serve::JobSpec
+jobOf(const Args &args)
+{
+    serve::JobSpec job;
+    job.app = args.app;
+    job.model = args.model;
+    job.device = args.device;
+    job.devices = args.devices;
+    job.backend = args.backend;
+    job.policy = args.policy;
+    job.scale = args.scale;
+    job.doublePrecision = args.doublePrecision;
+    job.functional = args.functional;
+    job.freq = args.freq;
+    return job;
+}
+
+/** @return @p resolver (serve::resolveRun or serve::resolveCoexec)
+ *  applied to jobOf(@p args), or nullopt with its error printed. */
+template <typename Resolver>
+auto
+resolve(Resolver resolver, const Args &args, std::ostream &os)
+{
+    std::string error;
+    auto job = resolver(jobOf(args), error);
+    if (!job)
+        os << "error: " << error << "\n";
+    return job;
+}
+
 int
 cmdRun(const Args &args, std::ostream &os)
 {
-    auto wl = core::workloadByName(args.app);
-    auto model = core::modelByName(args.model);
-    auto device = sim::deviceByName(args.device);
-    if (!wl || !model || !device) {
-        os << "error: unknown app/model/device\n";
+    auto job = resolve(serve::resolveRun, args, os);
+    if (!job)
         return 2;
-    }
-    core::WorkloadConfig cfg;
-    cfg.scale = args.scale;
-    cfg.functional = args.functional;
-    cfg.precision = args.doublePrecision ? Precision::Double
-                                         : Precision::Single;
-    cfg.freq = args.freq;
-
-    auto result = wl->run(*model, *device, cfg);
+    auto result = job->workload->run(job->model, job->device, job->config);
     obs::Tracer &tracer = obs::Tracer::global();
     if (tracer.enabled()) {
         tracer.span(tracer.track("run"),
                     args.app + " | " + args.model + " | " + args.device,
                     "run", 0.0, result.seconds);
     }
-    Table table(wl->name() + " | " + ir::displayName(*model) + " | " +
-                device->name);
+    Table table(job->workload->name() + " | " +
+                ir::displayName(job->model) + " | " + job->device.name);
     table.setHeader({"metric", "value"});
     table.addRow({"simulated total (s)", Table::num(result.seconds, 6)});
     table.addRow({"kernel time (s)",
@@ -510,20 +514,17 @@ cmdCompare(const Args &args, std::ostream &os)
 int
 cmdSweep(const Args &args, std::ostream &os)
 {
-    auto wl = core::workloadByName(args.app);
-    auto device = sim::deviceByName(args.device);
-    auto model = core::modelByName(args.model);
-    if (!wl || !device || !model) {
-        os << "error: unknown app/model/device\n";
+    auto job = resolve(serve::resolveRun, args, os);
+    if (!job)
         return 2;
-    }
-    core::Harness harness(*wl, args.scale, false);
+    core::Harness harness(*job->workload, args.scale, false);
     std::vector<double> cores{200, 400, 600, 800, 1000};
     std::vector<double> mems{480, 810, 1250};
-    auto rows = harness.freqSweep(*device, *model, Precision::Single,
-                                  cores, mems);
-    Table table(wl->name() + ": normalized perf vs core clock (" +
-                device->name + ", " + ir::displayName(*model) + ")");
+    auto rows = harness.freqSweep(job->device, job->model,
+                                  Precision::Single, cores, mems);
+    Table table(job->workload->name() +
+                ": normalized perf vs core clock (" + job->device.name +
+                ", " + ir::displayName(job->model) + ")");
     std::vector<std::string> header{"Mem\\Core"};
     for (double core : cores)
         header.push_back(Table::num(core, 0));
@@ -537,16 +538,6 @@ cmdSweep(const Args &args, std::ostream &os)
     table.print(os);
     return 0;
 }
-
-/** A co-execution launch as --devices, --policy, --backend, --app,
- *  --scale, --dp, --chunk, --min-chunk and --functional ask for. */
-struct CoexecLaunch
-{
-    coexec::DevicePool pool;
-    coexec::CoKernel kernel;
-    coexec::ExecOptions opts;
-    Precision prec;
-};
 
 /**
  * Sets the coexec.<device>.* gauges from one co-executed launch.  Only
@@ -568,49 +559,15 @@ setCoexecGauges(const coexec::CoExecResult &result)
     }
 }
 
-/** @return the requested launch, or nullopt with the error printed. */
-std::optional<CoexecLaunch>
-coexecLaunch(const Args &args, std::ostream &os)
-{
-    auto pool = coexec::DevicePool::parse(args.devices);
-    if (!pool) {
-        os << "error: unknown device pool '" << args.devices
-           << "' (want e.g. cpu+dgpu or cpu+apu)\n";
-        return std::nullopt;
-    }
-    auto policy = coexec::policyByName(args.policy);
-    if (!policy) {
-        os << "error: unknown policy '" << args.policy
-           << "' (static, dynamic, adaptive)\n";
-        return std::nullopt;
-    }
-    if (!args.backend.empty())
-        pool->setGpuModel(*serve::backendByName(args.backend));
-    Precision prec = args.doublePrecision ? Precision::Double
-                                          : Precision::Single;
-    auto kernel = apps::coex::coKernelByName(args.app, args.scale,
-                                             prec);
-    if (!kernel) {
-        os << "error: app '" << args.app
-           << "' has no co-execution kernel (" << appNames(", ", true)
-           << ")\n";
-        return std::nullopt;
-    }
-    coexec::ExecOptions opts;
-    opts.policy = *policy;
-    opts.chunkItems = args.chunk;
-    opts.minChunkItems = args.minChunk;
-    opts.functional = args.functional;
-    return CoexecLaunch{std::move(*pool), std::move(*kernel), opts, prec};
-}
-
 int
 cmdCoexec(const Args &args, std::ostream &os)
 {
-    auto launch = coexecLaunch(args, os);
+    auto launch = resolve(serve::resolveCoexec, args, os);
     if (!launch)
         return 2;
     auto &[pool, kernel, opts, prec] = *launch;
+    opts.chunkItems = args.chunk;
+    opts.minChunkItems = args.minChunk;
     // The plan outlives the launch; the solo reference runs below stay
     // fault-free so the speedup baseline is the healthy machine.
     fault::FaultPlan plan(args.faultConfig);
@@ -727,10 +684,12 @@ double
 runForBreakdown(const Args &args, std::ostream &os, std::string &title)
 {
     if (args.devicesGiven) {
-        auto launch = coexecLaunch(args, os);
+        auto launch = resolve(serve::resolveCoexec, args, os);
         if (!launch)
             return -1.0;
         auto &[pool, kernel, opts, prec] = *launch;
+        opts.chunkItems = args.chunk;
+        opts.minChunkItems = args.minChunk;
         opts.functional = false;
         coexec::CoExecutor executor(pool, prec);
         auto result = executor.execute(kernel, opts);
@@ -744,22 +703,13 @@ runForBreakdown(const Args &args, std::ostream &os, std::string &title)
         return result.seconds;
     }
 
-    auto wl = core::workloadByName(args.app);
-    auto model = core::modelByName(args.model);
-    auto device = sim::deviceByName(args.device);
-    if (!wl || !model || !device) {
-        os << "error: unknown app/model/device\n";
+    auto job = resolve(serve::resolveRun, args, os);
+    if (!job)
         return -1.0;
-    }
-    core::WorkloadConfig cfg;
-    cfg.scale = args.scale;
-    cfg.functional = false;
-    cfg.precision = args.doublePrecision ? Precision::Double
-                                         : Precision::Single;
-    cfg.freq = args.freq;
-    auto result = wl->run(*model, *device, cfg);
-    title = args.app + " | " + ir::displayName(*model) + " | " +
-            device->name;
+    job->config.functional = false;
+    auto result = job->workload->run(job->model, job->device, job->config);
+    title = args.app + " | " + ir::displayName(job->model) + " | " +
+            job->device.name;
     return result.seconds;
 }
 
@@ -1130,24 +1080,16 @@ cmdServe(const Args &args, std::ostream &os)
     if (int model_rc = loadModelIn(args, surrogate, os))
         return model_rc;
 
-    serve::ServerConfig cfg = serveConfig(args);
-    if (auto err = serve::Server::validateConfig(cfg)) {
-        os << "error: " << *err << "\n";
-        return 2;
-    }
     // Live (not prefilled): jobs arrive while the workers run, so
     // queue-wait latencies behave like a real server's.
-    serve::Server server(cfg);
+    serve::Server server(serveConfig(args));
     if (auto err = server.start()) {
         os << "error: " << *err << "\n";
         return 2;
     }
     for (const auto &spec : jobs)
         server.submit(spec);
-    server.drain();
-    auto report = server.report();
-    auto results = server.takeResults();
-    server.shutdown();
+    auto [results, report] = server.finish();
 
     printServeSummary(report, os);
     if (int out_rc = writeServeModel(args, surrogate, os))
@@ -1224,25 +1166,20 @@ costFleetClasses(const Args &args, const fleet::Topology &topo,
         auto outcome = serve::runBatch(probes, cfg, error);
         if (!outcome)
             return std::nullopt;
-        std::map<u64, const serve::JobResult *> byId;
-        for (const auto &res : outcome->results)
-            byId[res.id] = &res;
+        // One result per probe, in ascending id: results[i] is
+        // cells[i].
         std::vector<double> seconds;
         seconds.reserve(cells.size());
-        id = 0;
-        for (const fleet::ProbeCell &cell : cells) {
-            const serve::JobResult *res = byId[++id];
-            if (res == nullptr ||
-                res->status != serve::JobStatus::Ok) {
+        for (size_t i = 0; i < cells.size(); ++i) {
+            const fleet::ProbeCell &cell = cells[i];
+            const serve::JobResult &res = outcome->results[i];
+            if (res.status != serve::JobStatus::Ok) {
                 error = cell.app + "/" + cell.model +
-                        " cannot run on device '" + cell.device +
-                        "'" +
-                        (res != nullptr && !res->error.empty()
-                             ? ": " + res->error
-                             : "");
+                        " cannot run on device '" + cell.device + "'" +
+                        (res.error.empty() ? "" : ": " + res.error);
                 return std::nullopt;
             }
-            seconds.push_back(res->simSeconds);
+            seconds.push_back(res.simSeconds);
         }
         return seconds;
     };
@@ -1836,6 +1773,9 @@ struct FlagSpec
     bool (*check)(Args &args, const std::string &value) = nullptr;
 };
 
+const std::string kRetryMaxWants =
+    std::string("a retry budget in ") + fault::kRetryRange;
+
 const FlagSpec kFlags[] = {
     {"--app", Kind::Text, nullptr, &Args::app},
     {"--model", Kind::Text, nullptr, &Args::model},
@@ -1868,8 +1808,7 @@ const FlagSpec kFlags[] = {
      &Args::chunk},
     {"--min-chunk", Kind::PositiveCount, "a positive item count",
      &Args::minChunk},
-    {"--inject-faults", Kind::Custom,
-     "kind:rate pairs (transfer|launch|stall, rate in [0,1])", {},
+    {"--inject-faults", Kind::Custom, fault::kFaultSpecWants, {},
      [](Args &a, const std::string &v) {
          const auto cfg = fault::parseFaultSpec(v);
          if (!cfg)
@@ -1887,10 +1826,10 @@ const FlagSpec kFlags[] = {
              a.faultConfig.seed = *n;
          return n.has_value();
      }},
-    {"--retry-max", Kind::Custom, "a retry budget in [0, 64]", {},
+    {"--retry-max", Kind::Custom, kRetryMaxWants.c_str(), {},
      [](Args &a, const std::string &v) {
          const auto n = parseCount(v);
-         if (!n || *n > 64)
+         if (!n || *n > fault::kMaxRetries)
              return false;
          a.faultConfig.retryMax = static_cast<u32>(*n);
          return true;
@@ -1898,7 +1837,8 @@ const FlagSpec kFlags[] = {
     {"--fail-device", Kind::Custom, nullptr, {},
      [](Args &a, const std::string &v) {
          if (v.empty()) {
-             a.error = "--fail-device wants a device alias";
+             a.error = std::string("--fail-device wants ") +
+                       fault::kFailDeviceWants;
              return false;
          }
          a.faultConfig.failDevice = v;

@@ -20,11 +20,13 @@
 #include <vector>
 
 #include "common/flatjson.hh"
+#include "common/table.hh"
 #include "obs/flightrec.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "obs/tracer.hh"
 #include "serve/jobspec.hh"
+#include "serve/server.hh"
 #include "tools/cli.hh"
 
 #include "temp_file.hh"
@@ -735,6 +737,148 @@ TEST(CliExecute, BadNamesReturnError)
     EXPECT_EQ(execute(parse({"coexec", "--policy", "greedy"}), os),
               2);
     EXPECT_EQ(execute(parse({"coexec", "--app", "lulesh"}), os), 2);
+}
+
+TEST(CliExecute, UnknownNamesAreNamed)
+{
+    // Every run-shaped verb prints the resolver's text for the first
+    // unknown name - the text a served job's error result carries.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"run", "--app", "nosuch"}, "unknown app 'nosuch'"},
+            {{"run", "--model", "nosuch"}, "unknown model 'nosuch'"},
+            {{"run", "--device", "nosuch"}, "unknown device 'nosuch'"},
+            {{"sweep", "--model", "nosuch"}, "unknown model 'nosuch'"},
+            {{"breakdown", "--app", "nosuch"}, "unknown app 'nosuch'"},
+            {{"profile", "--device", "nosuch"},
+             "unknown device 'nosuch'"},
+            {{"coexec", "--devices", "cpu+nosuch"},
+             "unknown device pool 'cpu+nosuch' (want e.g. cpu+dgpu or "
+             "cpu+apu)"},
+            {{"coexec", "--policy", "nope"},
+             "unknown policy 'nope' (static, dynamic, adaptive)"},
+            {{"coexec", "--app", "lulesh"},
+             "app 'lulesh' has no co-execution kernel (readmem, "
+             "xsbench, minife)"},
+            {{"breakdown", "--devices", "cpu+dgpu", "--policy", "nope"},
+             "unknown policy 'nope' (static, dynamic, adaptive)"},
+        };
+    for (const auto &[argv, error] : cases) {
+        std::ostringstream os;
+        EXPECT_EQ(execute(parse(argv), os), 2) << argv[0];
+        EXPECT_EQ(os.str(), "error: " + error + "\n") << argv[0];
+
+        // The same names in a JobSpec give the same text.
+        if (argv[0] != "run" && argv[0] != "coexec")
+            continue;
+        serve::JobSpec spec;
+        spec.id = 1;
+        if (argv[0] == "coexec")
+            spec.devices = "cpu+dgpu";
+        const std::string &flag = argv[1];
+        const std::string &value = argv[2];
+        if (flag == "--app")
+            spec.app = value;
+        else if (flag == "--model")
+            spec.model = value;
+        else if (flag == "--device")
+            spec.device = value;
+        else if (flag == "--devices")
+            spec.devices = value;
+        else
+            spec.policy = value;
+        EXPECT_EQ(serve::runJob(spec).error, error) << flag;
+    }
+}
+
+TEST(CliExecute, OneThrowingJobFailsAlone)
+{
+    // The second job's problem is too large to size: it throws inside
+    // the simulator, and the batch still reports the first job's
+    // result next to the second's error.
+    TempFile jobs(R"({"app": "readmem", "scale": 0.02}
+{"app": "readmem", "scale": 1e12}
+)");
+    std::ostringstream os;
+    ASSERT_EQ(execute(parse({"batch", "--jobs", jobs.path()}), os), 0)
+        << os.str();
+    const std::vector<json::Object> results = jsonlObjects(os.str());
+    ASSERT_EQ(results.size(), 2u) << os.str();
+    EXPECT_EQ(results[0].at("id").number, 1.0);
+    EXPECT_EQ(results[0].at("status").text, "ok");
+    EXPECT_EQ(results[1].at("id").number, 2.0);
+    EXPECT_EQ(results[1].at("status").text, "error");
+    EXPECT_FALSE(results[1].at("error").text.empty());
+}
+
+/** @return the number after "<key>": in @p json (a --energy-out
+ *  report, written at round-trip precision). */
+double
+jsonNumber(const std::string &json, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const size_t at = json.find(tag);
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos
+               ? 0.0
+               : std::strtod(json.c_str() + at + tag.size(), nullptr);
+}
+
+TEST(ServeResolver, CliVerbsAndServedJobsAgreeBitwise)
+{
+    // One request, two front doors: `hetsim run` / `hetsim coexec`
+    // and serve::runJob resolve it through the same code, so the
+    // simulated seconds and energy agree to the bit.  The checksum is
+    // compared as the CLI prints it.
+    for (bool dp : {false, true}) {
+        for (bool coexec : {false, true}) {
+            serve::JobSpec spec;
+            spec.id = 1;
+            spec.app = coexec ? "xsbench" : "readmem";
+            spec.scale = 0.05;
+            spec.functional = true;
+            spec.doublePrecision = dp;
+            std::vector<std::string> argv{"run", "--app", spec.app,
+                                          "--scale", "0.05",
+                                          "--functional"};
+            if (coexec) {
+                spec.devices = "cpu+dgpu";
+                argv[0] = "coexec";
+                argv.insert(argv.end(), {"--devices", spec.devices});
+            } else {
+                spec.model = "hc";
+                spec.device = "apu";
+                argv.insert(argv.end(), {"--model", "hc", "--device",
+                                         "apu"});
+            }
+            if (dp)
+                argv.push_back("--dp");
+            TempFile energy;
+            argv.insert(argv.end(), {"--energy-out", energy.path()});
+
+            const serve::JobResult served = serve::runJob(spec);
+            ASSERT_EQ(served.status, serve::JobStatus::Ok)
+                << served.error;
+            std::ostringstream os;
+            ASSERT_EQ(execute(parse(argv), os), 0) << os.str();
+            const std::string report = readFile(energy.path());
+            EXPECT_EQ(jsonNumber(report, "makespan_s"),
+                      served.simSeconds)
+                << argv[0] << " dp=" << dp;
+            EXPECT_EQ(jsonNumber(report, "joules"), served.energyJoules)
+                << argv[0] << " dp=" << dp;
+            EXPECT_TRUE(served.validated);
+            // The checksum row's value, as the CLI prints it.
+            const std::string out = os.str();
+            const size_t row = out.find("\nchecksum ");
+            ASSERT_NE(row, std::string::npos) << out;
+            const std::string line =
+                out.substr(row + 1, out.find('\n', row + 1) - row - 1);
+            EXPECT_EQ(line.substr(line.rfind(' ') + 1),
+                      Table::num(served.checksum, 6))
+                << out;
+        }
+    }
 }
 
 TEST(CliExecute, CoexecPrintsPerDeviceBreakdown)

@@ -155,7 +155,20 @@ TEST(ServeRunJob, BadSpecsAreStructuredErrors)
 
     JobSpec badModel = tinyJob(3);
     badModel.model = "sycl";
-    EXPECT_EQ(runJob(badModel).status, JobStatus::Error);
+    res = runJob(badModel);
+    EXPECT_EQ(res.status, JobStatus::Error);
+    EXPECT_EQ(res.error, "unknown model 'sycl'");
+
+    // A problem too large to size throws (std::length_error from a
+    // reserve, before any allocation); the job fails alone with the
+    // exception's text instead of taking the process down.
+    JobSpec huge = tinyJob(4);
+    huge.scale = 1e12;
+    res = runJob(huge);
+    EXPECT_EQ(res.status, JobStatus::Error);
+    EXPECT_FALSE(res.error.empty());
+    EXPECT_EQ(res.id, 4u);
+    EXPECT_EQ(res.app, "readmem");
 }
 
 TEST(ServeRunJob, FaultScheduleMatchesStandaloneBitwise)
